@@ -75,7 +75,8 @@ std::uint64_t JsonValue::as_uint() const {
   if (kind_ != Kind::kNumber)
     throw std::invalid_argument("JSON: not a number");
   if (integral_) return uint_;
-  if (number_ < 0.0 || number_ != std::floor(number_))
+  // 0x1p64 is 2^64: casting it or anything larger is undefined.
+  if (number_ < 0.0 || number_ != std::floor(number_) || number_ >= 0x1p64)
     throw std::invalid_argument("JSON: not an unsigned integer");
   return static_cast<std::uint64_t>(number_);
 }
@@ -267,13 +268,20 @@ class Parser {
 
   JsonValue parse_value() {
     skip_ws();
-    switch (peek()) {
+    switch (const char c = peek()) {
       case 'n': expect_word("null"); return JsonValue();
       case 't': expect_word("true"); return JsonValue::boolean(true);
       case 'f': expect_word("false"); return JsonValue::boolean(false);
       case '"': return JsonValue::str(parse_string());
-      case '[': return parse_array();
-      case '{': return parse_object();
+      case '[':
+      case '{': {
+        // Arrays and objects recurse; the cap turns hostile nesting
+        // into an error instead of a stack overflow.
+        if (++depth_ > JsonValue::kMaxParseDepth) fail("nesting too deep");
+        JsonValue v = c == '[' ? parse_array() : parse_object();
+        --depth_;
+        return v;
+      }
       default: return parse_number();
     }
   }
@@ -396,6 +404,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

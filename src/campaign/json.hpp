@@ -66,8 +66,11 @@ class JsonValue {
   /// shortest-round-trip numbers.
   std::string dump() const;
 
+  /// Deepest array/object nesting parse() accepts.
+  static constexpr std::size_t kMaxParseDepth = 512;
+
   /// Parses standard JSON. Throws std::invalid_argument on malformed
-  /// input or trailing garbage.
+  /// input, trailing garbage, or nesting deeper than kMaxParseDepth.
   static JsonValue parse(std::string_view text);
 
  private:

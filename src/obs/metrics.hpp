@@ -74,6 +74,20 @@ class Histogram {
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
   }
+  /// Adds samples bucketed by the caller — counts[b] values of bit
+  /// width b, summing to `sum` — with one atomic add per nonzero
+  /// bucket: the same end state as record()ing each value.
+  void record_counts(const std::array<std::uint64_t, kBuckets>& counts,
+                     std::uint64_t sum) noexcept {
+    std::uint64_t n = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      if (counts[b] == 0) continue;
+      buckets_[b].fetch_add(counts[b], std::memory_order_relaxed);
+      n += counts[b];
+    }
+    count_.fetch_add(n, std::memory_order_relaxed);
+    sum_.fetch_add(sum, std::memory_order_relaxed);
+  }
   std::uint64_t bucket(std::size_t i) const noexcept {
     return buckets_[i].load(std::memory_order_relaxed);
   }

@@ -3,13 +3,20 @@
 //
 // Flow NDJSON input schema (one object per line):
 //   {"t":12.5,"host":3,"dest":991,"failed":true,"worm":false}
-//   - t      observation time in seconds (required, finite, >= 0)
-//   - host   monitored source host id (required, < configured hosts)
-//   - dest   stable destination key — IP, node id, hash (required)
-//   - failed caller-defined failure signal (optional, default false)
+//   - t      observation time in seconds (required, a JSON number,
+//            finite, >= 0)
+//   - host   monitored source host id (required, digits only,
+//            < configured hosts)
+//   - dest   stable destination key — IP, node id, hash (required,
+//            digits only, <= 2^64-1)
+//   - failed caller-defined failure signal (optional, true/false,
+//            default false)
 //   - worm   ground-truth label: host is worm-infected as of t
-//            (optional, default false; drives the final report only,
-//            never the quarantine decision)
+//            (optional, true/false, default false; drives the final
+//            report only, never the quarantine decision)
+// Each key at most once; other keys are skipped when their value is a
+// string, number, true, false or null. The full grammar is in
+// docs/SERVE.md.
 //
 // Decision NDJSON output schema (see docs/SERVE.md):
 //   {"seq":1,"t":12.5,"host":3,"dest":991,"failed":true,
@@ -18,6 +25,7 @@
 // decision output is byte-identical at any shard count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -56,16 +64,26 @@ struct Decision {
   bool failed = false;
 };
 
-/// Parses one NDJSON flow line. Returns false on anything malformed —
-/// bad JSON, wrong types, missing fields, non-finite or negative time,
-/// host >= num_hosts — never throws. Blank lines are malformed (the
-/// caller skips genuinely empty lines before parsing).
+/// Parses one NDJSON flow line in a single pass, without allocating or
+/// recursing. Returns false on anything malformed — bad JSON, wrong
+/// types, missing or duplicate fields, a nested value, non-finite or
+/// negative time, host >= num_hosts — and leaves `out` untouched;
+/// never throws. Blank lines are malformed (the caller skips genuinely
+/// empty lines before parsing).
 bool parse_flow_line(std::string_view line, std::uint32_t num_hosts,
                      Flow& out) noexcept;
 
-/// Appends the canonical decision NDJSON line (including '\n') to
-/// `out`. Numbers render in shortest round-trip form
-/// (campaign::format_double), so equal decisions are equal bytes.
+/// Longest line format_decision_line can write, '\n' included: every
+/// number at its widest and the longest action and state names.
+inline constexpr std::size_t kMaxDecisionLineBytes = 161;
+
+/// Writes the canonical decision NDJSON line (including '\n') into
+/// `buf`, which must hold kMaxDecisionLineBytes, and returns its
+/// length. Numbers render in shortest round-trip form (the same bytes
+/// as campaign::format_double), so equal decisions are equal bytes.
+std::size_t format_decision_line(const Decision& d, char* buf) noexcept;
+
+/// Appends format_decision_line's bytes to `out`.
 void append_decision_line(const Decision& d, std::string& out);
 
 }  // namespace dq::serve

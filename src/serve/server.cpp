@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -38,6 +39,14 @@ extern "C" void stop_signal_handler(int) { g_stop.store(true); }
 constexpr std::size_t kWorkerBatch = 256;
 constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
 constexpr std::size_t kMaxSummarySamples = 5;
+
+/// One decision line as its worker formatted it: the slot type of the
+/// out-queues, so the merge only splices bytes.
+struct DecisionLine {
+  char bytes[kMaxDecisionLineBytes];
+  std::uint8_t size;
+};
+static_assert(kMaxDecisionLineBytes <= 0xff, "size must fit DecisionLine");
 
 /// Bounded exponential backoff for full-queue waits: a few yields,
 /// then sleeps doubling from 1 µs to a 1 ms cap — a stalled peer costs
@@ -175,17 +184,19 @@ struct ServeServer::Impl {
   std::vector<double> label_time;
 
   std::vector<std::unique_ptr<SpscQueue<Flow>>> in_queues;
-  std::vector<std::unique_ptr<SpscQueue<Decision>>> out_queues;
+  std::vector<std::unique_ptr<SpscQueue<DecisionLine>>> out_queues;
   std::vector<std::unique_ptr<quarantine::QuarantineEngine>> engines;
   std::vector<std::thread> workers;
 
-  /// Per-shard progress counters: `pushed` written by the router,
-  /// `decided` by the shard's worker after each batch (engine state for
-  /// those flows is visible once the release store lands). decided ==
-  /// pushed means the shard is quiescent; the gap feeds the watchdog.
-  struct alignas(kCacheLine) ShardProgress {
-    std::atomic<std::uint64_t> pushed{0};
-    std::atomic<std::uint64_t> decided{0};
+  /// Per-shard progress counters: `pushed` written by the router per
+  /// flow, `decided` by the shard's worker after each batch (engine
+  /// state for those flows is visible once the release store lands),
+  /// each on its own cache line so the two writers never share one.
+  /// decided == pushed means the shard is quiescent; the gap feeds the
+  /// watchdog.
+  struct ShardProgress {
+    alignas(kCacheLine) std::atomic<std::uint64_t> pushed{0};
+    alignas(kCacheLine) std::atomic<std::uint64_t> decided{0};
   };
   std::unique_ptr<ShardProgress[]> progress;
 
@@ -363,7 +374,7 @@ ServeServer::ServeServer(const ServeOptions& options)
     impl_->in_queues.push_back(
         std::make_unique<SpscQueue<Flow>>(options.queue_capacity));
     impl_->out_queues.push_back(
-        std::make_unique<SpscQueue<Decision>>(options.queue_capacity));
+        std::make_unique<SpscQueue<DecisionLine>>(options.queue_capacity));
     if (impl_->owned_count[s] > 0) {
       impl_->engines.push_back(std::make_unique<quarantine::QuarantineEngine>(
           impl_->owned_count[s], options.quarantine));
@@ -480,7 +491,7 @@ std::uint16_t ServeServer::metrics_port() const noexcept {
 
 void ServeServer::Impl::worker_loop(std::size_t shard, bool emit) {
   SpscQueue<Flow>& in = *in_queues[shard];
-  SpscQueue<Decision>& out = *out_queues[shard];
+  SpscQueue<DecisionLine>& out = *out_queues[shard];
   quarantine::QuarantineEngine* engine = engines[shard].get();
   ShardProgress& prog = progress[shard];
   const bool throttling = options.quarantine.policy.treatment ==
@@ -491,6 +502,10 @@ void ServeServer::Impl::worker_loop(std::size_t shard, bool emit) {
           : 0;
   obs::SpanBuffer* spans = worker_spans[shard];
   Flow batch[kWorkerBatch];
+  // One batch's latency samples, bucketed as obs::Histogram does (by
+  // bit width) and folded into the shared histogram once per batch.
+  std::array<std::uint64_t, obs::Histogram::kBuckets> latency_counts{};
+  DecisionLine line{};
   while (true) {
     if (abort.load(std::memory_order_relaxed)) return;
     const std::size_t n = in.pop_batch(batch, kWorkerBatch);
@@ -503,6 +518,9 @@ void ServeServer::Impl::worker_loop(std::size_t shard, bool emit) {
     // the profiler's cost well under the 1.05x gate while still showing
     // where worker time goes.
     obs::Span batch_span(spans, "worker_batch");
+    latency_counts.fill(0);
+    std::uint64_t latency_sum = 0;
+    std::uint64_t breaches = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const Flow& f = batch[i];
       if (slow_us != 0) {
@@ -516,8 +534,9 @@ void ServeServer::Impl::worker_loop(std::size_t shard, bool emit) {
       const bool was_quarantined = engine->quarantined(local);
       engine->observe(local, f.dest, f.time, f.failed);
       const std::uint64_t lat_ns = now_ns() - f.ingest_ns;
-      latency->record(lat_ns);
-      if (slo_ns > 0 && lat_ns > slo_ns) slo_breaches->add();
+      ++latency_counts[std::bit_width(lat_ns)];
+      latency_sum += lat_ns;
+      if (slo_ns > 0 && lat_ns > slo_ns) ++breaches;
       if (emit) {
         Decision d;
         d.seq = f.seq;
@@ -529,7 +548,9 @@ void ServeServer::Impl::worker_loop(std::size_t shard, bool emit) {
             was_quarantined ? (throttling ? Action::kThrottle : Action::kDrop)
                             : Action::kAllow);
         d.state = static_cast<std::uint8_t>(engine->state(local));
-        if (!out.try_push(d)) {
+        line.size = static_cast<std::uint8_t>(
+            format_decision_line(d, line.bytes));
+        if (!out.try_push(line)) {
           // Full decision queue: bounded backoff instead of an
           // unbounded spin, counted once per stall episode.
           worker_stalls->add();
@@ -537,10 +558,12 @@ void ServeServer::Impl::worker_loop(std::size_t shard, bool emit) {
           do {
             if (abort.load(std::memory_order_relaxed)) return;
             backoff.pause();
-          } while (!out.try_push(d));
+          } while (!out.try_push(line));
         }
       }
     }
+    latency->record_counts(latency_counts, latency_sum);
+    if (breaches > 0) slo_breaches->add(breaches);
     prog.decided.store(prog.decided.load(std::memory_order_relaxed) + n,
                        std::memory_order_release);
     flows_decided->add(n);
@@ -691,11 +714,13 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
   // Outstanding flows are bounded by the queues, so a fixed ring
   // suffices: every in-flight flow occupies an in-queue slot, a
   // worker-batch slot, or an out-queue slot.
+  const std::size_t out_cap = im.out_queues[0]->capacity();
   const std::size_t ring_cap = std::bit_ceil(
-      shards * (im.in_queues[0]->capacity() + im.out_queues[0]->capacity() +
-                kWorkerBatch + 2));
+      shards * (im.in_queues[0]->capacity() + out_cap + kWorkerBatch + 2));
   std::vector<std::uint8_t> pending(ring_cap);
   std::size_t pend_head = 0, pend_size = 0;
+  /// Lines each out-queue has handed to the merge in progress.
+  std::vector<std::size_t> taken(shards, 0);
   std::string outbuf;
   std::string metric_buf;
 
@@ -744,14 +769,24 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
       outbuf.clear();
     }
   };
-  const auto drain_ready = [&] {
-    Decision d;
-    while (pend_size > 0 &&
-           im.out_queues[pending[pend_head & (ring_cap - 1)]]->try_pop(d)) {
+  /// Splices every decision line that is ready, in seq order, into
+  /// outbuf — writing each time it reaches kFlushBytes — then frees
+  /// the spliced out-queue slots.
+  const auto merge = [&] {
+    while (pend_size > 0) {
+      const std::uint8_t s = pending[pend_head & (ring_cap - 1)];
+      const DecisionLine* line = im.out_queues[s]->peek(taken[s]);
+      if (line == nullptr) break;
+      ++taken[s];
       ++pend_head;
       --pend_size;
-      append_decision_line(d, outbuf);
+      outbuf.append(line->bytes, line->size);
       write_decisions(false);
+    }
+    for (std::size_t s = 0; s < shards; ++s) {
+      if (taken[s] == 0) continue;
+      im.out_queues[s]->consume(taken[s]);
+      taken[s] = 0;
     }
   };
   std::uint64_t last_parse_errors = 0;
@@ -788,7 +823,7 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
       Backoff backoff;
       while (im.progress[s].decided.load(std::memory_order_acquire) <
              im.progress[s].pushed.load(std::memory_order_relaxed)) {
-        if (emit) drain_ready();
+        if (emit) merge();
         throw_if_stalled();
         backoff.pause();
       }
@@ -896,7 +931,7 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
     const std::size_t s = im.owner[flow.host];
     bool accepted = im.in_queues[s]->try_push(flow);
     if (!accepted) {
-      if (emit) drain_ready();
+      if (emit) merge();
       accepted = im.in_queues[s]->try_push(flow);
       if (!accepted) {
         if (opt.overload == OverloadPolicy::kShed) {
@@ -914,7 +949,7 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
           do {
             throw_if_stalled();
             backoff.pause();
-            if (emit) drain_ready();
+            if (emit) merge();
           } while (!(accepted = im.in_queues[s]->try_push(flow)));
         }
       }
@@ -933,7 +968,14 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
         pending[(pend_head + pend_size) & (ring_cap - 1)] =
             static_cast<std::uint8_t>(s);
         ++pend_size;
-        drain_ready();
+        // Merge only when it can matter: when the pending lines, at
+        // their longest, could complete the next flush (so no line
+        // reaches the sink later than with a merge per flow), or when
+        // they could fill an out-queue and stall its worker.
+        if (outbuf.size() + pend_size * kMaxDecisionLineBytes >=
+                kFlushBytes ||
+            pend_size >= out_cap)
+          merge();
       }
     }
     if (opt.metrics_interval_flows > 0 &&
@@ -959,9 +1001,16 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
   for (auto& q : im.in_queues) q->close();
   quiesce_shards();
   while (pend_size > 0) {
-    drain_ready();
+    merge();
     throw_if_stalled();
     if (pend_size > 0) std::this_thread::yield();
+  }
+  // The last decisions go out now, not behind the final checkpoint and
+  // report (tens of ms over 2^20 hosts); the summary line follows in a
+  // write of its own.
+  if (decisions != nullptr) {
+    write_decisions(true);
+    decisions->flush();
   }
   for (auto& w : im.workers) w.join();
   im.watchdog_done.store(true, std::memory_order_release);

@@ -2,9 +2,10 @@
 // transport between the serve router (one producer) and each shard
 // worker (one consumer), and between each worker and the decision
 // merger. One producer thread calls try_push/close, one consumer
-// thread calls try_pop/pop_batch; head and tail live on separate cache
-// lines and each side caches the other's index so the fast path is one
-// relaxed load + one release store per batch.
+// thread calls pop_batch (copying) or peek/consume (in place); head and
+// tail live on separate cache lines and each side caches the other's
+// index so the fast path is one relaxed load + one release store per
+// batch.
 #pragma once
 
 #include <atomic>
@@ -47,18 +48,6 @@ class SpscQueue {
     return true;
   }
 
-  /// Consumer side. Returns false when the ring is empty.
-  bool try_pop(T& out) noexcept {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return false;
-    }
-    out = slots_[head & mask_];
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
   /// Consumer side: pops up to `max` items into `out`, returning the
   /// count. One acquire load and one release store per batch.
   std::size_t pop_batch(T* out, std::size_t max) noexcept {
@@ -71,6 +60,24 @@ class SpscQueue {
     for (std::size_t i = 0; i < n; ++i) out[i] = slots_[(head + i) & mask_];
     head_.store(head + n, std::memory_order_release);
     return n;
+  }
+
+  /// Consumer side, zero-copy: the item `i` places behind the oldest
+  /// one, or nullptr when fewer than i + 1 items are queued. Peeked
+  /// slots stay the consumer's until consume() frees them.
+  const T* peek(std::size_t i) noexcept {
+    const std::uint64_t at = head_.load(std::memory_order_relaxed) + i;
+    if (at >= tail_cache_) {
+      tail_cache_ = tail_.load(std::memory_order_acquire);
+      if (at >= tail_cache_) return nullptr;
+    }
+    return &slots_[at & mask_];
+  }
+
+  /// Consumer side: frees the `n` oldest items, all already peeked.
+  void consume(std::size_t n) noexcept {
+    head_.store(head_.load(std::memory_order_relaxed) + n,
+                std::memory_order_release);
   }
 
   /// Producer signals end of stream; consumers drain then observe

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <thread>
@@ -55,6 +57,27 @@ TEST(Histogram, CountAndSumTrackRecords) {
   h.record(1000);
   EXPECT_EQ(h.count(), 3u);
   EXPECT_EQ(h.sum(), 1003u);
+}
+
+TEST(Histogram, RecordCountsEqualsRecordingEachValue) {
+  const std::vector<std::uint64_t> values = {0, 1, 7, 8, 1000, 1000,
+                                             ~std::uint64_t{0} >> 1};
+  Histogram one_by_one;
+  Histogram folded;
+  std::array<std::uint64_t, Histogram::kBuckets> counts{};
+  std::uint64_t sum = 0;
+  for (const std::uint64_t v : values) {
+    one_by_one.record(v);
+    ++counts[std::bit_width(v)];
+    sum += v;
+  }
+  folded.record(5);  // folding adds to what is already there
+  one_by_one.record(5);
+  folded.record_counts(counts, sum);
+  EXPECT_EQ(folded.count(), one_by_one.count());
+  EXPECT_EQ(folded.sum(), one_by_one.sum());
+  for (std::size_t b = 0; b < Histogram::kBuckets; ++b)
+    EXPECT_EQ(folded.bucket(b), one_by_one.bucket(b)) << "bucket " << b;
 }
 
 TEST(MetricsRegistry, SnapshotIsCanonicalAndSorted) {

@@ -292,6 +292,17 @@ TEST(ServeRobustness, CorruptCheckpointsRaiseCheckpointError) {
   }
 }
 
+TEST(ServeRobustness, DeeplyNestedCheckpointRaisesCheckpointError) {
+  // 50k nested objects: without JsonValue::parse's depth cap the
+  // recursive parse overflows the stack.
+  TempFile f("deep_ck");
+  {
+    std::ofstream out(f.path);
+    for (int i = 0; i < 50'000; ++i) out << "{\"a\":";
+  }
+  EXPECT_THROW(load_checkpoint_file(f.path.string()), CheckpointError);
+}
+
 TEST(ServeRobustness, RestoreValidatesHostCountAndConfig) {
   TempFile ck("validate_ck");
   ServeOptions opt = base_options(1);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -44,16 +45,64 @@ trace::Trace small_department_trace() {
   return trace::generate_department_trace(config, 11);
 }
 
-ServeSummary run_on_trace(const trace::Trace& t, std::size_t shards,
-                          std::ostream* decisions = nullptr,
-                          std::ostream* metrics = nullptr) {
+ServeSummary run_on_trace(
+    const trace::Trace& t, std::size_t shards,
+    std::ostream* decisions = nullptr, std::ostream* metrics = nullptr,
+    std::size_t queue_capacity = ServeOptions{}.queue_capacity) {
   ServeOptions options;
   options.shards = shards;
   options.num_hosts = static_cast<std::uint32_t>(t.num_hosts());
   options.quarantine = replay_config();
+  options.queue_capacity = queue_capacity;
   ServeServer server(options);
   TraceFlowSource source(t);
   return server.run(source, decisions, metrics);
+}
+
+/// Unbuffered sink that keeps every write it receives whole, so a test
+/// can see where the server drew its write boundaries.
+class WriteLog final : public std::streambuf {
+ public:
+  std::vector<std::string> writes;
+
+  std::string bytes() const {
+    std::string all;
+    for (const std::string& w : writes) all += w;
+    return all;
+  }
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    writes.emplace_back(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof()))
+      writes.emplace_back(1, traits_type::to_char_type(c));
+    return traits_type::not_eof(c);
+  }
+};
+
+/// The server's write rule: decisions go out in writes that each end
+/// at the first line boundary at or past 64 KiB, then the remainder,
+/// then the summary line in a write of its own.
+void expect_flush_boundaries(const std::vector<std::string>& writes) {
+  constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
+  ASSERT_GE(writes.size(), 2u);
+  for (std::size_t i = 0; i + 2 < writes.size(); ++i) {
+    const std::string& w = writes[i];
+    ASSERT_GE(w.size(), kFlushBytes) << "write " << i;
+    ASSERT_EQ(w.back(), '\n') << "write " << i;
+    const std::size_t last_line = w.rfind('\n', w.size() - 2) + 1;
+    EXPECT_LT(last_line, kFlushBytes) << "write " << i << " flushed late";
+  }
+  const std::string& rest = writes[writes.size() - 2];
+  EXPECT_LT(rest.size(), kFlushBytes);
+  EXPECT_EQ(rest.back(), '\n');
+  EXPECT_EQ(rest.find("\"summary\""), std::string::npos);
+  const std::string& summary = writes.back();
+  EXPECT_EQ(summary.rfind("{\"summary\":", 0), 0u);
+  EXPECT_EQ(summary.find('\n'), summary.size() - 1);
 }
 
 TEST(ServeServer, TraceReplayMatchesSingleEngineExactly) {
@@ -89,16 +138,24 @@ TEST(ServeServer, TraceReplayMatchesSingleEngineExactly) {
 TEST(ServeServer, DecisionStreamByteIdenticalAcrossShardCounts) {
   const trace::Trace t = small_department_trace();
   std::vector<std::string> streams;
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    std::ostringstream decisions;
-    const ServeSummary summary = run_on_trace(t, shards, &decisions);
-    EXPECT_EQ(summary.flows_decided, summary.flows_ingested);
-    streams.push_back(decisions.str());
+  // Small queues make the merge run on its capacity rule rather than
+  // its flush rule; neither may move a byte or a write boundary.
+  for (const std::size_t capacity : {ServeOptions{}.queue_capacity,
+                                     std::size_t{16}, std::size_t{64}}) {
+    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+      WriteLog sink;
+      std::ostream decisions(&sink);
+      const ServeSummary summary =
+          run_on_trace(t, shards, &decisions, nullptr, capacity);
+      EXPECT_EQ(summary.flows_decided, summary.flows_ingested);
+      EXPECT_GT(sink.writes.size(), 10u);  // many full flushes
+      expect_flush_boundaries(sink.writes);
+      streams.push_back(sink.bytes());
+    }
   }
   ASSERT_FALSE(streams[0].empty());
-  EXPECT_EQ(streams[0], streams[1]);
-  EXPECT_EQ(streams[0], streams[2]);
-  EXPECT_EQ(streams[0], streams[3]);
+  for (std::size_t i = 1; i < streams.size(); ++i)
+    EXPECT_EQ(streams[0], streams[i]) << "run " << i;
 
   // One decision line per flow plus the trailing summary line.
   std::size_t lines = 0;
@@ -222,6 +279,30 @@ TEST(ServeServer, EmptyStreamYieldsZeroReportAndSummaryLine) {
   const std::string out = decisions.str();
   EXPECT_EQ(out.rfind("{\"summary\":", 0), 0u);  // only the summary line
   EXPECT_EQ(out.back(), '\n');
+}
+
+TEST(ServeServer, DecisionsReachTheSinkBeforeTheSummaryLine) {
+  // Far below one 64 KiB flush: every decision line must still leave
+  // in an earlier write than the summary line, not wait behind the
+  // final report.
+  SyntheticConfig synth;
+  synth.flows = 200;
+  synth.hosts = 64;
+  ServeOptions options;
+  options.shards = 2;
+  options.num_hosts = synth.hosts;
+  options.quarantine = replay_config();
+  ServeServer server(options);
+  SyntheticFlowSource source(synth);
+  WriteLog sink;
+  std::ostream decisions(&sink);
+  server.run(source, &decisions, nullptr);
+
+  ASSERT_EQ(sink.writes.size(), 2u);
+  std::size_t lines = 0;
+  for (const char c : sink.writes[0]) lines += c == '\n' ? 1 : 0;
+  EXPECT_EQ(lines, synth.flows);
+  expect_flush_boundaries(sink.writes);
 }
 
 TEST(ServeServer, GarbageInputCountedInSummaryAndMetric) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -19,14 +20,14 @@ TEST(SpscQueue, CapacityRoundsUpToPowerOfTwo) {
 TEST(SpscQueue, FifoOrderAndFullEmpty) {
   SpscQueue<int> q(4);
   int out = 0;
-  EXPECT_FALSE(q.try_pop(out));
+  EXPECT_EQ(q.pop_batch(&out, 1), 0u);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(i));
   EXPECT_FALSE(q.try_push(99));  // full
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q.try_pop(out));
+    ASSERT_EQ(q.pop_batch(&out, 1), 1u);
     EXPECT_EQ(out, i);
   }
-  EXPECT_FALSE(q.try_pop(out));
+  EXPECT_EQ(q.pop_batch(&out, 1), 0u);
 }
 
 TEST(SpscQueue, WrapAroundKeepsOrder) {
@@ -35,7 +36,7 @@ TEST(SpscQueue, WrapAroundKeepsOrder) {
   int next_push = 0, next_pop = 0;
   for (int round = 0; round < 100; ++round) {
     while (q.try_push(next_push)) ++next_push;
-    ASSERT_TRUE(q.try_pop(out));
+    ASSERT_EQ(q.pop_batch(&out, 1), 1u);
     EXPECT_EQ(out, next_pop++);
   }
 }
@@ -52,6 +53,23 @@ TEST(SpscQueue, PopBatchDrainsInOrder) {
   EXPECT_EQ(q.pop_batch(batch, 4), 0u);
 }
 
+TEST(SpscQueue, PeekedSlotsStayTakenUntilConsumed) {
+  SpscQueue<int> q(4);
+  EXPECT_EQ(q.peek(0), nullptr);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.try_push(i));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_NE(q.peek(static_cast<std::size_t>(i)), nullptr);
+    EXPECT_EQ(*q.peek(static_cast<std::size_t>(i)), i);
+  }
+  EXPECT_EQ(q.peek(4), nullptr);
+  EXPECT_FALSE(q.try_push(4));  // peeking freed nothing
+  q.consume(3);
+  EXPECT_TRUE(q.try_push(4));
+  ASSERT_NE(q.peek(1), nullptr);
+  EXPECT_EQ(*q.peek(0), 3);
+  EXPECT_EQ(*q.peek(1), 4);
+}
+
 TEST(SpscQueue, CloseSignalsEndOfStream) {
   SpscQueue<int> q(4);
   EXPECT_FALSE(q.closed());
@@ -59,7 +77,7 @@ TEST(SpscQueue, CloseSignalsEndOfStream) {
   q.close();
   EXPECT_TRUE(q.closed());
   int out = 0;
-  ASSERT_TRUE(q.try_pop(out));  // drain after close
+  ASSERT_EQ(q.pop_batch(&out, 1), 1u);  // drain after close
   EXPECT_EQ(out, 7);
   EXPECT_TRUE(q.empty());
 }
@@ -91,6 +109,40 @@ TEST(SpscQueue, TwoThreadTransferIsLossless) {
   EXPECT_TRUE(ordered);
   EXPECT_EQ(expected, kCount);
   EXPECT_EQ(sum, kCount * (kCount - 1) / 2);
+}
+
+TEST(SpscQueue, TwoThreadPeekConsumeIsLossless) {
+  // Multi-word slots, so a slot read while the producer rewrites it
+  // would show up as a torn value.
+  using Slot = std::array<std::uint64_t, 4>;
+  constexpr std::uint64_t kCount = 200'000;
+  SpscQueue<Slot> q(256);
+  std::thread producer([&] {
+    for (std::uint64_t i = 0; i < kCount; ++i)
+      while (!q.try_push(Slot{i, i, i, i})) std::this_thread::yield();
+    q.close();
+  });
+  std::uint64_t expected = 0;
+  bool intact = true;
+  while (true) {
+    std::size_t n = 0;
+    while (n < 64) {
+      const Slot* s = q.peek(n);
+      if (s == nullptr) break;
+      intact = intact && (*s)[0] == expected && (*s)[3] == expected;
+      ++expected;
+      ++n;
+    }
+    if (n == 0) {
+      if (q.closed() && q.empty()) break;
+      std::this_thread::yield();
+      continue;
+    }
+    q.consume(n);
+  }
+  producer.join();
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(expected, kCount);
 }
 
 }  // namespace
