@@ -3,19 +3,26 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace dq::campaign {
 
-std::string format_double(double v) {
+namespace {
+
+/// Shortest round-trip text of `v` in `buf`.
+std::string_view shortest(char (&buf)[32], double v) {
   if (!std::isfinite(v))
     throw std::invalid_argument("JSON cannot represent non-finite numbers");
-  char buf[32];
-  const auto [end, ec] =
-      std::to_chars(buf, buf + sizeof(buf), v);
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
   if (ec != std::errc{})
     throw std::invalid_argument("format_double: to_chars failed");
-  return std::string(buf, end);
+  return std::string_view(buf, static_cast<std::size_t>(end - buf));
+}
+
+}  // namespace
+
+std::string format_double(double v) {
+  char buf[32];
+  return std::string(shortest(buf, v));
 }
 
 JsonValue JsonValue::boolean(bool b) {
@@ -136,84 +143,106 @@ const JsonValue& JsonValue::at(std::string_view key) const {
   return *v;
 }
 
-namespace {
+JsonWriter& JsonWriter::item(std::string_view text) {
+  if (need_comma_) out_ += ',';
+  out_ += text;
+  need_comma_ = true;
+  return *this;
+}
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
+JsonWriter& JsonWriter::begin_object() {
+  item("{");
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_object() {
+  out_ += '}';
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::begin_array() {
+  item("[");
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_array() {
+  out_ += ']';
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  str(name);
+  out_ += ':';
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::null() { return item("null"); }
+
+JsonWriter& JsonWriter::boolean(bool b) { return item(b ? "true" : "false"); }
+
+JsonWriter& JsonWriter::integer(std::uint64_t u) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), u);
+  (void)ec;  // 24 bytes hold any uint64
+  return item(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+}
+
+JsonWriter& JsonWriter::number(double d) {
+  char buf[32];
+  return item(shortest(buf, d));
+}
+
+JsonWriter& JsonWriter::str(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  item("\"");
   for (const char c : s) {
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+          out_ += "\\u00";
+          out_ += kHex[c >> 4];
+          out_ += kHex[c & 0xf];
         } else {
-          out += c;
+          out_ += c;
         }
     }
   }
-  out += '"';
+  out_ += '"';
+  return *this;
 }
 
-}  // namespace
-
-void JsonValue::append_to(std::string& out) const {
-  switch (kind_) {
-    case Kind::kNull:
-      out += "null";
-      break;
-    case Kind::kBool:
-      out += bool_ ? "true" : "false";
-      break;
-    case Kind::kNumber:
-      if (integral_) {
-        char buf[24];
-        const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), uint_);
-        (void)ec;
-        out.append(buf, end);
-      } else {
-        out += format_double(number_);
-      }
-      break;
-    case Kind::kString:
-      append_escaped(out, string_);
-      break;
-    case Kind::kArray: {
-      out += '[';
-      bool first = true;
-      for (const JsonValue& v : items_) {
-        if (!first) out += ',';
-        first = false;
-        v.append_to(out);
-      }
-      out += ']';
-      break;
-    }
-    case Kind::kObject: {
-      out += '{';
-      bool first = true;
-      for (const auto& [key, value] : members_) {
-        if (!first) out += ',';
-        first = false;
-        append_escaped(out, key);
-        out += ':';
-        value.append_to(out);
-      }
-      out += '}';
-      break;
-    }
+JsonWriter& JsonWriter::value(const JsonValue& v) {
+  switch (v.kind_) {
+    case JsonValue::Kind::kNull: return null();
+    case JsonValue::Kind::kBool: return boolean(v.bool_);
+    case JsonValue::Kind::kNumber:
+      return v.integral_ ? integer(v.uint_) : number(v.number_);
+    case JsonValue::Kind::kString: return str(v.string_);
+    case JsonValue::Kind::kArray:
+      begin_array();
+      for (const JsonValue& element : v.items_) value(element);
+      return end_array();
+    case JsonValue::Kind::kObject:
+      begin_object();
+      for (const auto& [name, member] : v.members_) key(name).value(member);
+      return end_object();
   }
+  return *this;
 }
 
 std::string JsonValue::dump() const {
   std::string out;
-  append_to(out);
+  JsonWriter(out).value(*this);
   return out;
 }
 

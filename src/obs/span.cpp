@@ -7,6 +7,8 @@
 #include <map>
 #include <ostream>
 
+#include "campaign/json.hpp"
+
 namespace dq::obs {
 
 std::uint64_t span_clock_ns() noexcept {
@@ -38,34 +40,6 @@ std::uint64_t Profiler::total_dropped() const {
   return n;
 }
 
-namespace {
-
-/// Minimal JSON string escape: the only non-literal text in a trace is
-/// track names (job names can carry '/', never control characters, but
-/// quoting must still be safe).
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 void Profiler::write_chrome_trace(std::ostream& out) const {
   const std::lock_guard<std::mutex> lock(mu_);
   // Normalize timestamps to the earliest span so traces start at ~0 —
@@ -76,32 +50,32 @@ void Profiler::write_chrome_trace(std::ostream& out) const {
       epoch = std::min(epoch, s.start_ns);
   if (epoch == std::numeric_limits<std::uint64_t>::max()) epoch = 0;
 
-  std::string body = "{\"traceEvents\":[";
-  bool first = true;
-  char buf[160];
-  for (std::size_t tid = 0; tid < tracks_.size(); ++tid) {
-    if (!first) body += ',';
-    first = false;
-    body +=
-        "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":" +
-        std::to_string(tid) + ",\"args\":{\"name\":\"";
-    append_json_escaped(body, tracks_[tid]->track());
-    body += "\"}}";
-  }
-  for (std::size_t tid = 0; tid < tracks_.size(); ++tid) {
-    for (const SpanRecord& s : tracks_[tid]->spans()) {
-      if (!first) body += ',';
-      first = false;
-      body += "{\"ph\":\"X\",\"name\":\"";
-      append_json_escaped(body, s.name);
-      std::snprintf(buf, sizeof buf,
-                    "\",\"pid\":1,\"tid\":%zu,\"ts\":%.3f,\"dur\":%.3f}",
-                    tid, static_cast<double>(s.start_ns - epoch) * 1e-3,
-                    static_cast<double>(s.dur_ns) * 1e-3);
-      body += buf;
-    }
-  }
-  body += "],\"displayTimeUnit\":\"ms\"}\n";
+  std::string body;
+  campaign::JsonWriter w(body);
+  w.begin_object().key("traceEvents").begin_array();
+  for (std::size_t tid = 0; tid < tracks_.size(); ++tid)
+    w.begin_object()
+        .key("ph").str("M")
+        .key("name").str("thread_name")
+        .key("pid").integer(1)
+        .key("tid").integer(tid)
+        .key("args").begin_object()
+        .key("name").str(tracks_[tid]->track())
+        .end_object()
+        .end_object();
+  // Microseconds, the trace format's unit: ns / 1000 in shortest form.
+  for (std::size_t tid = 0; tid < tracks_.size(); ++tid)
+    for (const SpanRecord& s : tracks_[tid]->spans())
+      w.begin_object()
+          .key("ph").str("X")
+          .key("name").str(s.name)
+          .key("pid").integer(1)
+          .key("tid").integer(tid)
+          .key("ts").number(static_cast<double>(s.start_ns - epoch) / 1000.0)
+          .key("dur").number(static_cast<double>(s.dur_ns) / 1000.0)
+          .end_object();
+  w.end_array().key("displayTimeUnit").str("ms").end_object();
+  body += '\n';
   out.write(body.data(), static_cast<std::streamsize>(body.size()));
 }
 

@@ -119,8 +119,8 @@ class QuarantineEngine {
   // overwrites one host's record and detector on a freshly constructed
   // engine — a restored kQuarantined host re-enters the release queue.
   // Calling it on a host that is already quarantined would double-count
-  // the release entry, so snapshot restore always starts from a new
-  // engine.
+  // the release entry, so a checkpoint restore always starts from a
+  // new engine.
   DetectorState detector_state(std::uint32_t host) const {
     return store_ ? store_->host_state(host) : detectors_[host].save();
   }

@@ -1,6 +1,8 @@
 #include "quarantine/snapshot.hpp"
 
-#include <charconv>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -9,6 +11,7 @@ namespace dq::quarantine {
 namespace {
 
 using campaign::JsonValue;
+using campaign::JsonWriter;
 
 [[noreturn]] void bad(const std::string& what) {
   throw std::invalid_argument("quarantine snapshot: " + what);
@@ -24,17 +27,87 @@ const JsonValue& column(const JsonValue& json, const char* key,
   return *col;
 }
 
-/// window_index is the one signed field: -1 ("no observation yet") is
-/// encoded as the number -1, every real index as a full-precision
-/// unsigned integer.
-JsonValue window_to_json(std::int64_t w) {
-  return w < 0 ? JsonValue::number(-1.0)
-               : JsonValue::integer(static_cast<std::uint64_t>(w));
+// One encoder (put) and one decoder (get) per field type;
+// write_column/read_column pick them by the field's C++ type.
+
+void put(JsonWriter& w, double v) { w.number(v); }
+void put(JsonWriter& w, std::uint32_t v) { w.integer(v); }
+void put(JsonWriter& w, std::uint64_t v) { w.integer(v); }
+void put(JsonWriter& w, bool v) { w.integer(v ? 1 : 0); }
+void put(JsonWriter& w, HostQState v) {
+  w.integer(static_cast<std::uint8_t>(v));
+}
+/// Window indices are the one signed field: -1 ("no observation yet")
+/// is the number -1, every real index a full-precision integer.
+void put(JsonWriter& w, std::int64_t v) {
+  if (v < 0)
+    w.number(-1.0);
+  else
+    w.integer(static_cast<std::uint64_t>(v));
 }
 
-std::int64_t window_from_json(const JsonValue& v) {
-  if (v.as_number() < 0.0) return -1;
-  return static_cast<std::int64_t>(v.as_uint());
+void get(const JsonValue& v, double& out) { out = v.as_number(); }
+void get(const JsonValue& v, std::uint64_t& out) { out = v.as_uint(); }
+void get(const JsonValue& v, std::uint32_t& out) {
+  const std::uint64_t u = v.as_uint();
+  if (u > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("value does not fit 32 bits");
+  out = static_cast<std::uint32_t>(u);
+}
+void get(const JsonValue& v, bool& out) {
+  const std::uint64_t u = v.as_uint();
+  if (u > 1) throw std::invalid_argument("flag must be 0 or 1");
+  out = u == 1;
+}
+void get(const JsonValue& v, HostQState& out) {
+  const std::uint64_t u = v.as_uint();
+  if (u > static_cast<std::uint64_t>(HostQState::kQuarantined))
+    throw std::invalid_argument("state value out of range");
+  out = static_cast<HostQState>(u);
+}
+void get(const JsonValue& v, std::int64_t& out) {
+  if (v.as_number() == -1.0) {
+    out = -1;
+    return;
+  }
+  if (v.as_number() < 0.0 ||
+      v.as_uint() > static_cast<std::uint64_t>(
+                        std::numeric_limits<std::int64_t>::max()))
+    throw std::invalid_argument(
+        "window must be -1 or an integer below 2^63");
+  out = static_cast<std::int64_t>(v.as_uint());
+}
+
+/// Writes `"key":[...]`, one entry per item (or per item's field).
+template <typename Item, typename Proj = std::identity>
+void write_column(JsonWriter& w, const char* key,
+                  const std::vector<Item>& items, Proj proj = {}) {
+  w.key(key).begin_array();
+  for (const Item& item : items) put(w, std::invoke(proj, item));
+  w.end_array();
+}
+
+/// Decodes column `key` into every item (or item's field); errors name
+/// the column and the entry.
+template <typename Item, typename Proj = std::identity>
+void read_column(const JsonValue& json, const char* key,
+                 std::vector<Item>& items, Proj proj = {}) {
+  const JsonValue& col = column(json, key, items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    try {
+      get(col.items()[i], std::invoke(proj, items[i]));
+    } catch (const std::invalid_argument& e) {
+      bad(std::string("column '") + key + "' entry " + std::to_string(i) +
+          ": " + e.what());
+    }
+  }
+}
+
+/// The object member `key` as an unsigned integer.
+std::uint64_t need_uint(const JsonValue& json, const char* key) {
+  const JsonValue* v = json.find(key);
+  if (v == nullptr) bad(std::string("missing ") + key);
+  return v->as_uint();
 }
 
 }  // namespace
@@ -88,345 +161,101 @@ JsonValue config_to_json(const QuarantineConfig& config) {
   return out;
 }
 
-JsonValue store_to_json(const CompactEstimatorStore& store) {
-  JsonValue window = JsonValue::array();
-  JsonValue pool = JsonValue::array();
-  for (std::size_t b = 0; b < store.num_blocks(); ++b) {
-    window.push_back(window_to_json(store.block_window(b)));
-    const std::uint64_t* words = store.block_words(b);
-    for (std::size_t i = 0; i < store.words_per_block(); ++i)
-      pool.push_back(JsonValue::integer(words[i]));
-  }
-  JsonValue out = JsonValue::object();
-  out.set("num_blocks", JsonValue::integer(store.num_blocks()));
-  out.set("words_per_block", JsonValue::integer(store.words_per_block()));
-  out.set("window", std::move(window));
-  out.set("pool", std::move(pool));
-  return out;
-}
-
-void restore_store(CompactEstimatorStore& store, const JsonValue& json) {
-  if (json.kind() != JsonValue::Kind::kObject)
-    bad("estimator store not an object");
-  const JsonValue* nb = json.find("num_blocks");
-  const JsonValue* wpb = json.find("words_per_block");
-  if (nb == nullptr || wpb == nullptr)
-    bad("estimator store missing num_blocks/words_per_block");
-  if (nb->as_uint() != store.num_blocks())
-    bad("estimator store block count mismatch");
-  if (wpb->as_uint() != store.words_per_block())
-    bad("estimator store words_per_block mismatch (pool geometry)");
-  const JsonValue& window = column(json, "window", store.num_blocks());
-  const JsonValue& pool =
-      column(json, "pool", store.num_blocks() * store.words_per_block());
-  std::vector<std::uint64_t> words(store.words_per_block());
-  for (std::size_t b = 0; b < store.num_blocks(); ++b) {
-    for (std::size_t i = 0; i < words.size(); ++i)
-      words[i] = pool.items()[b * words.size() + i].as_uint();
-    try {
-      store.restore_block(b, window_from_json(window.items()[b]),
-                          words.data());
-    } catch (const std::invalid_argument& e) {
-      bad(std::string("block ") + std::to_string(b) + ": " + e.what());
-    }
-  }
-}
-
-JsonValue host_arrays_to_json(const std::vector<HostRecord>& records,
-                              const std::vector<DetectorState>& detectors) {
-  if (records.size() != detectors.size())
-    bad("record/detector array size mismatch");
-  JsonValue state = JsonValue::array();
-  JsonValue strikes = JsonValue::array();
-  JsonValue offenses = JsonValue::array();
-  JsonValue first_suspected = JsonValue::array();
-  JsonValue first_quarantined = JsonValue::array();
-  JsonValue quarantine_start = JsonValue::array();
-  JsonValue release_time = JsonValue::array();
-  JsonValue quarantine_time = JsonValue::array();
-  JsonValue det_window = JsonValue::array();
-  JsonValue det_contacts = JsonValue::array();
-  JsonValue det_failures = JsonValue::array();
-  JsonValue det_sketch = JsonValue::array();
-  JsonValue det_flagged = JsonValue::array();
-  for (std::size_t h = 0; h < records.size(); ++h) {
-    const HostRecord& r = records[h];
-    const DetectorState& d = detectors[h];
-    state.push_back(
-        JsonValue::integer(static_cast<std::uint8_t>(r.state)));
-    strikes.push_back(JsonValue::integer(r.strikes));
-    offenses.push_back(JsonValue::integer(r.offenses));
-    first_suspected.push_back(JsonValue::number(r.first_suspected));
-    first_quarantined.push_back(JsonValue::number(r.first_quarantined));
-    quarantine_start.push_back(JsonValue::number(r.quarantine_start));
-    release_time.push_back(JsonValue::number(r.release_time));
-    quarantine_time.push_back(JsonValue::number(r.quarantine_time));
-    det_window.push_back(window_to_json(d.window_index));
-    det_contacts.push_back(JsonValue::integer(d.contacts));
-    det_failures.push_back(JsonValue::integer(d.failures));
-    det_sketch.push_back(JsonValue::integer(d.dest_sketch));
-    det_flagged.push_back(JsonValue::integer(d.flagged ? 1 : 0));
-  }
-  JsonValue out = JsonValue::object();
-  out.set("num_hosts", JsonValue::integer(records.size()));
-  out.set("state", std::move(state));
-  out.set("strikes", std::move(strikes));
-  out.set("offenses", std::move(offenses));
-  out.set("first_suspected", std::move(first_suspected));
-  out.set("first_quarantined", std::move(first_quarantined));
-  out.set("quarantine_start", std::move(quarantine_start));
-  out.set("release_time", std::move(release_time));
-  out.set("quarantine_time", std::move(quarantine_time));
-  out.set("det_window", std::move(det_window));
-  out.set("det_contacts", std::move(det_contacts));
-  out.set("det_failures", std::move(det_failures));
-  out.set("det_sketch", std::move(det_sketch));
-  out.set("det_flagged", std::move(det_flagged));
-  return out;
-}
-
-namespace {
-
-void append_uint(std::string& out, std::uint64_t u) {
-  char buf[24];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), u);
-  (void)ec;
-  out.append(buf, end);
-}
-
-void append_double(std::string& out, double v) {
-  out += campaign::format_double(v);
-}
-
-/// Emits `"key":[f(records[0]),...,f(records[n-1])]` — one column.
-template <typename Vec, typename Fn>
-void append_column(std::string& out, const char* key, const Vec& items,
-                   Fn&& emit) {
-  out += '"';
-  out += key;
-  out += "\":[";
-  bool first = true;
-  for (const auto& item : items) {
-    if (!first) out += ',';
-    first = false;
-    emit(out, item);
-  }
-  out += ']';
-}
-
-}  // namespace
-
-void append_host_arrays_json(const std::vector<HostRecord>& records,
-                             const std::vector<DetectorState>& detectors,
-                             std::string& out) {
-  if (records.size() != detectors.size())
-    bad("record/detector array size mismatch");
-  // Same key order and per-value encoding as host_arrays_to_json:
-  // integers via to_chars (full uint64 precision), doubles via
-  // format_double (shortest round trip), window_index -1 as "-1".
-  out += "{\"num_hosts\":";
-  append_uint(out, records.size());
-  out += ',';
-  append_column(out, "state", records, [](std::string& o, const HostRecord& r) {
-    append_uint(o, static_cast<std::uint8_t>(r.state));
-  });
-  out += ',';
-  append_column(out, "strikes", records,
-                [](std::string& o, const HostRecord& r) {
-                  append_uint(o, r.strikes);
-                });
-  out += ',';
-  append_column(out, "offenses", records,
-                [](std::string& o, const HostRecord& r) {
-                  append_uint(o, r.offenses);
-                });
-  out += ',';
-  append_column(out, "first_suspected", records,
-                [](std::string& o, const HostRecord& r) {
-                  append_double(o, r.first_suspected);
-                });
-  out += ',';
-  append_column(out, "first_quarantined", records,
-                [](std::string& o, const HostRecord& r) {
-                  append_double(o, r.first_quarantined);
-                });
-  out += ',';
-  append_column(out, "quarantine_start", records,
-                [](std::string& o, const HostRecord& r) {
-                  append_double(o, r.quarantine_start);
-                });
-  out += ',';
-  append_column(out, "release_time", records,
-                [](std::string& o, const HostRecord& r) {
-                  append_double(o, r.release_time);
-                });
-  out += ',';
-  append_column(out, "quarantine_time", records,
-                [](std::string& o, const HostRecord& r) {
-                  append_double(o, r.quarantine_time);
-                });
-  out += ',';
-  append_column(out, "det_window", detectors,
-                [](std::string& o, const DetectorState& d) {
-                  if (d.window_index < 0)
-                    o += "-1";
-                  else
-                    append_uint(o,
-                                static_cast<std::uint64_t>(d.window_index));
-                });
-  out += ',';
-  append_column(out, "det_contacts", detectors,
-                [](std::string& o, const DetectorState& d) {
-                  append_uint(o, d.contacts);
-                });
-  out += ',';
-  append_column(out, "det_failures", detectors,
-                [](std::string& o, const DetectorState& d) {
-                  append_uint(o, d.failures);
-                });
-  out += ',';
-  append_column(out, "det_sketch", detectors,
-                [](std::string& o, const DetectorState& d) {
-                  append_uint(o, d.dest_sketch);
-                });
-  out += ',';
-  append_column(out, "det_flagged", detectors,
-                [](std::string& o, const DetectorState& d) {
-                  append_uint(o, d.flagged ? 1 : 0);
-                });
-  out += '}';
-}
-
-void append_store_json(const CompactEstimatorStore& store,
-                       std::string& out) {
-  // Same key order and value encoding as store_to_json: integers via
-  // to_chars, window -1 as "-1".
-  out += "{\"num_blocks\":";
-  append_uint(out, store.num_blocks());
-  out += ",\"words_per_block\":";
-  append_uint(out, store.words_per_block());
-  out += ",\"window\":[";
-  for (std::size_t b = 0; b < store.num_blocks(); ++b) {
-    if (b != 0) out += ',';
-    const std::int64_t w = store.block_window(b);
-    if (w < 0)
-      out += "-1";
-    else
-      append_uint(out, static_cast<std::uint64_t>(w));
-  }
-  out += "],\"pool\":[";
-  bool first = true;
-  for (std::size_t b = 0; b < store.num_blocks(); ++b) {
-    const std::uint64_t* words = store.block_words(b);
-    for (std::size_t i = 0; i < store.words_per_block(); ++i) {
-      if (!first) out += ',';
-      first = false;
-      append_uint(out, words[i]);
-    }
-  }
-  out += "]}";
+void write_host_arrays(JsonWriter& w, const HostArrays& hosts) {
+  const std::vector<HostRecord>& r = hosts.records;
+  const std::vector<DetectorState>& d = hosts.detectors;
+  if (r.size() != d.size()) bad("record/detector array size mismatch");
+  w.begin_object().key("num_hosts").integer(r.size());
+  write_column(w, "state", r, &HostRecord::state);
+  write_column(w, "strikes", r, &HostRecord::strikes);
+  write_column(w, "offenses", r, &HostRecord::offenses);
+  write_column(w, "first_suspected", r, &HostRecord::first_suspected);
+  write_column(w, "first_quarantined", r, &HostRecord::first_quarantined);
+  write_column(w, "quarantine_start", r, &HostRecord::quarantine_start);
+  write_column(w, "release_time", r, &HostRecord::release_time);
+  write_column(w, "quarantine_time", r, &HostRecord::quarantine_time);
+  write_column(w, "det_window", d, &DetectorState::window_index);
+  write_column(w, "det_contacts", d, &DetectorState::contacts);
+  write_column(w, "det_failures", d, &DetectorState::failures);
+  write_column(w, "det_sketch", d, &DetectorState::dest_sketch);
+  write_column(w, "det_flagged", d, &DetectorState::flagged);
+  w.end_object();
 }
 
 HostArrays host_arrays_from_json(const JsonValue& json) {
-  if (json.kind() != JsonValue::Kind::kObject) bad("host arrays not an object");
-  const JsonValue* nh = json.find("num_hosts");
-  if (nh == nullptr) bad("missing num_hosts");
-  const std::size_t n = static_cast<std::size_t>(nh->as_uint());
-  const JsonValue& state = column(json, "state", n);
-  const JsonValue& strikes = column(json, "strikes", n);
-  const JsonValue& offenses = column(json, "offenses", n);
-  const JsonValue& first_suspected = column(json, "first_suspected", n);
-  const JsonValue& first_quarantined = column(json, "first_quarantined", n);
-  const JsonValue& quarantine_start = column(json, "quarantine_start", n);
-  const JsonValue& release_time = column(json, "release_time", n);
-  const JsonValue& quarantine_time = column(json, "quarantine_time", n);
-  const JsonValue& det_window = column(json, "det_window", n);
-  const JsonValue& det_contacts = column(json, "det_contacts", n);
-  const JsonValue& det_failures = column(json, "det_failures", n);
-  const JsonValue& det_sketch = column(json, "det_sketch", n);
-  const JsonValue& det_flagged = column(json, "det_flagged", n);
-
+  if (json.kind() != JsonValue::Kind::kObject)
+    bad("host arrays not an object");
+  const std::uint64_t n = need_uint(json, "num_hosts");
+  // A parsed column of n entries bounds n by the input size before
+  // anything is sized by it.
+  column(json, "state", n);
   HostArrays out;
-  out.records.resize(n);
-  out.detectors.resize(n);
-  for (std::size_t h = 0; h < n; ++h) {
-    HostRecord& r = out.records[h];
-    const std::uint64_t st = state.items()[h].as_uint();
-    if (st > static_cast<std::uint64_t>(HostQState::kQuarantined))
-      bad("state value out of range");
-    r.state = static_cast<HostQState>(st);
-    r.strikes = static_cast<std::uint32_t>(strikes.items()[h].as_uint());
-    r.offenses = static_cast<std::uint32_t>(offenses.items()[h].as_uint());
-    r.first_suspected = first_suspected.items()[h].as_number();
-    r.first_quarantined = first_quarantined.items()[h].as_number();
-    r.quarantine_start = quarantine_start.items()[h].as_number();
-    r.release_time = release_time.items()[h].as_number();
-    r.quarantine_time = quarantine_time.items()[h].as_number();
-    DetectorState& d = out.detectors[h];
-    d.window_index = window_from_json(det_window.items()[h]);
-    d.contacts =
-        static_cast<std::uint32_t>(det_contacts.items()[h].as_uint());
-    d.failures =
-        static_cast<std::uint32_t>(det_failures.items()[h].as_uint());
-    d.dest_sketch = det_sketch.items()[h].as_uint();
-    d.flagged = det_flagged.items()[h].as_uint() != 0;
-  }
+  std::vector<HostRecord>& r = out.records;
+  std::vector<DetectorState>& d = out.detectors;
+  r.resize(n);
+  d.resize(n);
+  read_column(json, "state", r, &HostRecord::state);
+  read_column(json, "strikes", r, &HostRecord::strikes);
+  read_column(json, "offenses", r, &HostRecord::offenses);
+  read_column(json, "first_suspected", r, &HostRecord::first_suspected);
+  read_column(json, "first_quarantined", r, &HostRecord::first_quarantined);
+  read_column(json, "quarantine_start", r, &HostRecord::quarantine_start);
+  read_column(json, "release_time", r, &HostRecord::release_time);
+  read_column(json, "quarantine_time", r, &HostRecord::quarantine_time);
+  read_column(json, "det_window", d, &DetectorState::window_index);
+  read_column(json, "det_contacts", d, &DetectorState::contacts);
+  read_column(json, "det_failures", d, &DetectorState::failures);
+  read_column(json, "det_sketch", d, &DetectorState::dest_sketch);
+  read_column(json, "det_flagged", d, &DetectorState::flagged);
   return out;
 }
 
-JsonValue engine_to_json(const QuarantineEngine& engine) {
-  const std::size_t n = engine.num_hosts();
-  std::vector<HostRecord> records(n);
-  std::vector<DetectorState> detectors(n);
-  for (std::size_t h = 0; h < n; ++h) {
-    const auto host = static_cast<std::uint32_t>(h);
-    records[h] = engine.record(host);
-    detectors[h] = engine.detector_state(host);
-  }
-  JsonValue out = JsonValue::object();
-  out.set("version", JsonValue::integer(kSnapshotVersion));
-  out.set("config", config_to_json(engine.config()));
-  out.set("quarantine_events",
-          JsonValue::integer(engine.quarantine_events()));
-  out.set("hosts", host_arrays_to_json(records, detectors));
-  if (engine.compact_store() != nullptr)
-    out.set("store", store_to_json(*engine.compact_store()));
+void write_store(JsonWriter& w, const StoreArrays& store) {
+  w.begin_object().key("num_blocks").integer(store.window.size());
+  w.key("words_per_block").integer(store.words_per_block);
+  write_column(w, "window", store.window);
+  write_column(w, "pool", store.pool);
+  w.end_object();
+}
+
+StoreArrays store_arrays_from_json(const JsonValue& json) {
+  if (json.kind() != JsonValue::Kind::kObject)
+    bad("estimator store not an object");
+  const std::uint64_t blocks = need_uint(json, "num_blocks");
+  StoreArrays out;
+  out.words_per_block = need_uint(json, "words_per_block");
+  column(json, "window", blocks);
+  // Divide rather than multiply: a hostile words_per_block must not
+  // wrap blocks * words_per_block onto the pool's real length.
+  const JsonValue* pool = json.find("pool");
+  if (pool == nullptr || pool->kind() != JsonValue::Kind::kArray)
+    bad("missing column 'pool'");
+  if (out.words_per_block == 0 || pool->size() % out.words_per_block != 0 ||
+      pool->size() / out.words_per_block != blocks)
+    bad("column 'pool' length mismatch");
+  out.window.resize(blocks);
+  out.pool.resize(pool->size());
+  read_column(json, "window", out.window);
+  read_column(json, "pool", out.pool);
   return out;
 }
 
-void restore_engine(QuarantineEngine& engine, const JsonValue& json) {
-  if (json.kind() != JsonValue::Kind::kObject) bad("snapshot not an object");
-  const JsonValue* version = json.find("version");
-  if (version == nullptr)
-    bad("missing schema version (pre-v2 snapshot?)");
-  if (version->as_uint() != kSnapshotVersion)
-    bad("unsupported schema version " +
-        std::to_string(version->as_uint()) + " (expected " +
-        std::to_string(kSnapshotVersion) + ")");
-  const JsonValue* config = json.find("config");
-  const JsonValue* events = json.find("quarantine_events");
-  const JsonValue* hosts = json.find("hosts");
-  if (config == nullptr || events == nullptr || hosts == nullptr)
-    bad("missing config/quarantine_events/hosts");
-  if (config->dump() != config_to_json(engine.config()).dump())
-    bad("config mismatch (snapshot taken under different settings)");
-  const HostArrays arrays = host_arrays_from_json(*hosts);
-  if (arrays.records.size() != engine.num_hosts())
-    bad("num_hosts mismatch");
-  // Block pools first: compact per-host window indices restore
-  // relative to their block's window.
-  if (engine.compact_store() != nullptr) {
-    const JsonValue* store = json.find("store");
-    if (store == nullptr)
-      bad("shared_bitmap engine but snapshot has no 'store' section");
-    restore_store(*engine.compact_store(), *store);
-  } else if (json.find("store") != nullptr) {
-    bad("snapshot has a 'store' section but the engine is exact");
+void gather_block(StoreArrays& out, const CompactEstimatorStore& store,
+                  std::size_t local) {
+  out.words_per_block = store.words_per_block();
+  out.window.push_back(store.block_window(local));
+  const std::uint64_t* words = store.block_words(local);
+  out.pool.insert(out.pool.end(), words, words + store.words_per_block());
+}
+
+void scatter_block(CompactEstimatorStore& store, std::size_t local,
+                   const StoreArrays& arrays, std::size_t block) {
+  try {
+    store.restore_block(local, arrays.window[block],
+                        arrays.pool.data() + block * arrays.words_per_block);
+  } catch (const std::invalid_argument& e) {
+    bad("block " + std::to_string(block) + ": " + e.what());
   }
-  for (std::size_t h = 0; h < arrays.records.size(); ++h)
-    engine.restore_host(static_cast<std::uint32_t>(h), arrays.records[h],
-                        arrays.detectors[h]);
-  engine.add_quarantine_events(events->as_uint());
 }
 
 }  // namespace dq::quarantine

@@ -1,21 +1,25 @@
-// Canonical-JSON serialization of QuarantineEngine state, the
-// foundation of serve-layer checkpoint/restore (serve/checkpoint.hpp).
+// Canonical-JSON encoding of QuarantineEngine state, the per-host and
+// per-block sections of serve checkpoints (serve/checkpoint.hpp) —
+// the one engine-state document.
 //
 // Everything the engine needs to resume a stream mid-flight is plain
 // per-host data: the HostRecord state machine (state, strikes,
 // offenses, first-event times, quarantine interval bookkeeping) and the
 // DetectorState window (index, contact/failure counts, linear-counting
-// sketch bitmap, flagged latch). The release priority queue is *not*
-// serialized — it is derivable: every kQuarantined record re-enters the
-// queue at its release_time on restore, and queue ordering is fully
-// determined by (time, host) contents.
+// sketch bitmap, flagged latch), plus — under the shared-bitmap backend
+// — each block's window and pool words. The release priority queue is
+// *not* serialized — it is derivable: every kQuarantined record
+// re-enters the queue at its release_time on restore, and queue
+// ordering is fully determined by (time, host) contents.
 //
 // Encoding is column-oriented (one JSON array per field, hosts in id
-// order) through the campaign canonical serializer: insertion-ordered
-// keys, shortest-round-trip numbers, no whitespace. Doubles round-trip
+// order) through campaign::JsonWriter: insertion-ordered keys,
+// shortest-round-trip numbers, no whitespace. Doubles round-trip
 // exactly and plain non-negative integers keep full 64-bit precision
-// (the sketch bitmap), so snapshot → restore → snapshot reproduces
-// identical bytes.
+// (the sketch bitmap, pool words), so decode → encode reproduces
+// identical bytes. Each section has exactly one encoder and one
+// decoder; decoders reject values their fields cannot hold instead of
+// truncating them.
 #pragma once
 
 #include <cstdint>
@@ -31,69 +35,53 @@ namespace dq::quarantine {
 /// under different thresholds (the stream would silently diverge).
 campaign::JsonValue config_to_json(const QuarantineConfig& config);
 
-/// Per-host state gathered in host order; the unit both engine
-/// snapshots and serve checkpoints serialize (the serve layer gathers
-/// across shard engines in *global* host order so checkpoint bytes are
-/// shard-count independent).
+/// Per-host state in host order (the serve layer gathers across shard
+/// engines in *global* host order so checkpoint bytes are shard-count
+/// independent).
 struct HostArrays {
   std::vector<HostRecord> records;
   std::vector<DetectorState> detectors;
 };
 
-/// Column-oriented encoding of equally sized record/detector arrays.
-campaign::JsonValue host_arrays_to_json(
-    const std::vector<HostRecord>& records,
-    const std::vector<DetectorState>& detectors);
+/// Writes the column-oriented encoding as one object value. Throws
+/// std::invalid_argument when the two arrays differ in length.
+void write_host_arrays(campaign::JsonWriter& w, const HostArrays& hosts);
 
-/// Appends exactly host_arrays_to_json(...).dump() to `out` without
-/// building the JsonValue tree — the hot path of periodic serve
-/// checkpoints, where materializing ~10 nodes per host dominates the
-/// pipeline stall (tests assert byte-equality of both paths).
-void append_host_arrays_json(const std::vector<HostRecord>& records,
-                             const std::vector<DetectorState>& detectors,
-                             std::string& out);
-
-/// Inverse of host_arrays_to_json. Throws std::invalid_argument on
-/// missing columns, length mismatches, or out-of-range values.
+/// Inverse of write_host_arrays. Throws std::invalid_argument on
+/// missing columns, length mismatches, or values a field cannot hold:
+/// u32 counters >= 2^32, a state outside the enum, a window other
+/// than -1 or an integer below 2^63, a flag other than 0 or 1.
 HostArrays host_arrays_from_json(const campaign::JsonValue& json);
 
-/// Shared-bitmap pool state (EstimatorBackend::kSharedBitmap): per
-/// block, the current window index and both pools' words, blocks in
-/// global order. Zero-bit counts are derived on restore.
-campaign::JsonValue store_to_json(const CompactEstimatorStore& store);
+/// Shared-bitmap pool state (EstimatorBackend::kSharedBitmap), blocks
+/// in global order: block b's window is window[b] (-1 before its first
+/// observation) and its words — both pools, attempts then failures —
+/// are pool[b * words_per_block, (b + 1) * words_per_block). Zero-bit
+/// counts are derived on restore.
+struct StoreArrays {
+  std::size_t words_per_block = 0;
+  std::vector<std::int64_t> window;
+  std::vector<std::uint64_t> pool;
+};
 
-/// Direct-emission twin of store_to_json (byte-identical dump), for
-/// the serve checkpoint hot path.
-void append_store_json(const CompactEstimatorStore& store,
-                       std::string& out);
+void write_store(campaign::JsonWriter& w, const StoreArrays& store);
 
-/// Inverse of store_to_json. `store` must have matching geometry
-/// (block count, words per block — both implied by the engine config
-/// the caller already validated). Throws std::invalid_argument on
-/// mismatch, malformed input, or pool words with stray bits. Restore
-/// block pools *before* per-host detector state: compact host windows
-/// are stored relative to their block's window.
-void restore_store(CompactEstimatorStore& store,
-                   const campaign::JsonValue& json);
+/// Inverse of write_store. Throws std::invalid_argument on missing
+/// fields, inconsistent lengths, or a window other than -1 or an
+/// integer below 2^63.
+StoreArrays store_arrays_from_json(const campaign::JsonValue& json);
 
-/// Full engine snapshot: schema version, config, quarantine-event
-/// count, host arrays, and (under kSharedBitmap) the block pool store.
-///
-/// Version history — restore_engine refuses anything but the current:
-///   1  (implicit, no "version" key): exact backend only.
-///   2  "version":2; config gains the "estimator" object; compact
-///      engines add a "store" section and their det_sketch column is
-///      all zeros (virtual bits live in the store).
-campaign::JsonValue engine_to_json(const QuarantineEngine& engine);
+/// Appends block `local` of `store` to `out` as its next global block.
+void gather_block(StoreArrays& out, const CompactEstimatorStore& store,
+                  std::size_t local);
 
-/// The version engine_to_json writes and restore_engine requires.
-inline constexpr std::uint64_t kSnapshotVersion = 2;
-
-/// Restores a snapshot into `engine`, which must be freshly
-/// constructed with the same num_hosts and a config whose canonical
-/// JSON matches the snapshot's. Throws std::invalid_argument on any
-/// mismatch or malformed input.
-void restore_engine(QuarantineEngine& engine,
-                    const campaign::JsonValue& json);
+/// Restores global block `block` of `arrays` into block `local` of
+/// `store` (whose words_per_block must match). Throws
+/// std::invalid_argument naming the global block when its pool words
+/// carry stray bits. Restore block pools *before* per-host detector
+/// state: compact host windows are stored relative to their block's
+/// window.
+void scatter_block(CompactEstimatorStore& store, std::size_t local,
+                   const StoreArrays& arrays, std::size_t block);
 
 }  // namespace dq::quarantine

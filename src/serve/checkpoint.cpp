@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "serve/failpoints.hpp"
@@ -24,29 +25,35 @@ const JsonValue& need(const JsonValue& json, const char* key) {
 
 }  // namespace
 
-JsonValue CheckpointState::to_json() const {
-  JsonValue labels = JsonValue::array();
-  for (const double t : label_time) labels.push_back(JsonValue::number(t));
-  JsonValue samples = JsonValue::array();
-  for (const std::string& s : parse_error_samples)
-    samples.push_back(JsonValue::str(s));
-
-  JsonValue out = JsonValue::object();
-  out.set("format", JsonValue::str("dq_serve_checkpoint"));
-  out.set("version", JsonValue::integer(kCheckpointVersion));
-  out.set("num_hosts", JsonValue::integer(num_hosts));
-  out.set("flows_ingested", JsonValue::integer(flows_ingested));
-  out.set("last_time", JsonValue::number(last_time));
-  out.set("time_regressions", JsonValue::integer(time_regressions));
-  out.set("parse_errors", JsonValue::integer(parse_errors));
-  out.set("parse_error_samples", std::move(samples));
-  out.set("shed_flows", JsonValue::integer(shed_flows));
-  out.set("quarantine_events", JsonValue::integer(quarantine_events));
-  out.set("quarantine_config", config);
-  out.set("label_time", std::move(labels));
-  out.set("hosts",
-          quarantine::host_arrays_to_json(hosts.records, hosts.detectors));
-  if (!store.is_null()) out.set("estimator_store", store);
+std::string CheckpointState::dump() const {
+  std::string out;
+  // ~16 bytes per host column entry across 14 columns.
+  out.reserve(256 + label_time.size() * 4 + hosts.records.size() * 72 +
+              (store ? store->pool.size() * 20 : 0));
+  campaign::JsonWriter w(out);
+  w.begin_object()
+      .key("format").str("dq_serve_checkpoint")
+      .key("version").integer(kCheckpointVersion)
+      .key("num_hosts").integer(num_hosts)
+      .key("flows_ingested").integer(flows_ingested)
+      .key("last_time").number(last_time)
+      .key("time_regressions").integer(time_regressions)
+      .key("parse_errors").integer(parse_errors)
+      .key("parse_error_samples").begin_array();
+  for (const std::string& s : parse_error_samples) w.str(s);
+  w.end_array()
+      .key("shed_flows").integer(shed_flows)
+      .key("quarantine_events").integer(quarantine_events)
+      .key("quarantine_config").value(config)
+      .key("label_time").begin_array();
+  for (const double t : label_time) w.number(t);
+  w.end_array().key("hosts");
+  quarantine::write_host_arrays(w, hosts);
+  if (store) {
+    w.key("estimator_store");
+    quarantine::write_store(w, *store);
+  }
+  w.end_object();
   return out;
 }
 
@@ -61,9 +68,10 @@ CheckpointState CheckpointState::from_json(const JsonValue& json) {
       corrupt("unsupported checkpoint version");
 
     CheckpointState state;
-    state.num_hosts =
-        static_cast<std::uint32_t>(need(json, "num_hosts").as_uint());
-    if (state.num_hosts == 0) corrupt("num_hosts is zero");
+    const std::uint64_t num_hosts = need(json, "num_hosts").as_uint();
+    if (num_hosts == 0 || num_hosts > std::numeric_limits<std::uint32_t>::max())
+      corrupt("num_hosts must be in [1, 2^32)");
+    state.num_hosts = static_cast<std::uint32_t>(num_hosts);
     state.flows_ingested = need(json, "flows_ingested").as_uint();
     state.last_time = need(json, "last_time").as_number();
     state.time_regressions = need(json, "time_regressions").as_uint();
@@ -86,7 +94,7 @@ CheckpointState CheckpointState::from_json(const JsonValue& json) {
     // Present only for shared-bitmap runs; the server validates it
     // against its own engine geometry on restore.
     if (const JsonValue* store = json.find("estimator_store"))
-      state.store = *store;
+      state.store = quarantine::store_arrays_from_json(*store);
     return state;
   } catch (const CheckpointError&) {
     throw;
@@ -96,65 +104,9 @@ CheckpointState CheckpointState::from_json(const JsonValue& json) {
   }
 }
 
-namespace {
-
-/// Exactly state.to_json().dump(), built by direct string emission —
-/// the per-host and per-label columns dominate checkpoint cost, and
-/// materializing a JsonValue node per value is ~10x the to_chars work.
-/// The robustness tests assert byte-equality of the two paths.
-std::string serialize_checkpoint(const CheckpointState& state) {
-  std::string out;
-  // ~16 bytes per host column entry across 14 columns.
-  out.reserve(256 + state.label_time.size() * 4 +
-              state.hosts.records.size() * 72);
-  out += "{\"format\":\"dq_serve_checkpoint\",\"version\":";
-  out += std::to_string(kCheckpointVersion);
-  out += ",\"num_hosts\":";
-  out += std::to_string(state.num_hosts);
-  out += ",\"flows_ingested\":";
-  out += std::to_string(state.flows_ingested);
-  out += ",\"last_time\":";
-  out += campaign::format_double(state.last_time);
-  out += ",\"time_regressions\":";
-  out += std::to_string(state.time_regressions);
-  out += ",\"parse_errors\":";
-  out += std::to_string(state.parse_errors);
-  out += ",\"parse_error_samples\":";
-  JsonValue samples = JsonValue::array();  // string escaping
-  for (const std::string& s : state.parse_error_samples)
-    samples.push_back(JsonValue::str(s));
-  out += samples.dump();
-  out += ",\"shed_flows\":";
-  out += std::to_string(state.shed_flows);
-  out += ",\"quarantine_events\":";
-  out += std::to_string(state.quarantine_events);
-  out += ",\"quarantine_config\":";
-  out += state.config.dump();
-  out += ",\"label_time\":[";
-  bool first = true;
-  for (const double t : state.label_time) {
-    if (!first) out += ',';
-    first = false;
-    out += campaign::format_double(t);
-  }
-  out += "],\"hosts\":";
-  quarantine::append_host_arrays_json(state.hosts.records,
-                                      state.hosts.detectors, out);
-  if (!state.store.is_null()) {
-    // The store tree is ~0.2 nodes/host (one word per 64 pool bits),
-    // so dumping it is off the hot path the columns dominate.
-    out += ",\"estimator_store\":";
-    out += state.store.dump();
-  }
-  out += '}';
-  return out;
-}
-
-}  // namespace
-
 void write_checkpoint_file(const std::string& path,
                            const CheckpointState& state) {
-  std::string bytes = serialize_checkpoint(state);
+  std::string bytes = state.dump();
   bytes += '\n';
   if (Failpoints::global().active() &&
       Failpoints::global().consume_torn_checkpoint())

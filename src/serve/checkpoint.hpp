@@ -2,12 +2,13 @@
 // at flow N and produce decisions byte-identical to the uninterrupted
 // run (docs/ROBUSTNESS.md).
 //
-// A checkpoint is one canonical-JSON document: stream position
-// (flows_ingested, last_time), accounting carried into the resumed
-// summary (parse errors + samples, time regressions, shed flows,
-// quarantine events), the quarantine config it was taken under, the
-// ground-truth label times, and the full per-host engine state in
-// *global host order* via quarantine/snapshot.hpp. Because the server
+// A checkpoint is one canonical-JSON document, the only serialized
+// form of engine state: stream position (flows_ingested, last_time),
+// accounting carried into the resumed summary (parse errors + samples,
+// time regressions, shed flows, quarantine events), the quarantine
+// config it was taken under, the ground-truth label times, and the
+// full per-host engine state (plus shared-bitmap block pools) in
+// *global order* via quarantine/snapshot.hpp. Because the server
 // quiesces all shards and applies pending releases up to last_time
 // before gathering, checkpoint bytes are identical at any shard count,
 // and a restore may change the shard count freely.
@@ -20,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -63,12 +65,14 @@ struct CheckpointState {
   std::vector<double> label_time;
   /// Engine state per global host (quarantine/snapshot.hpp).
   quarantine::HostArrays hosts;
-  /// Shared-bitmap block pools (quarantine::store_to_json), blocks in
-  /// global order; JSON null when the run used the exact backend.
-  campaign::JsonValue store;
+  /// Shared-bitmap block pools, blocks in global order; empty when the
+  /// run used the exact backend.
+  std::optional<quarantine::StoreArrays> store;
 
-  campaign::JsonValue to_json() const;
-  /// Throws CheckpointError on anything malformed or inconsistent.
+  /// The canonical document (no trailing newline).
+  std::string dump() const;
+  /// Throws CheckpointError on anything malformed or inconsistent,
+  /// including values a field cannot hold (never truncates them).
   static CheckpointState from_json(const campaign::JsonValue& json);
 };
 

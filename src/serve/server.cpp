@@ -400,55 +400,37 @@ ServeServer::ServeServer(const ServeOptions& options)
     // Block pools first: compact host windows restore relative to
     // their block's window.
     if (compact) {
-      if (ck.store.is_null())
+      if (!ck.store)
         throw std::invalid_argument(
-            "ServeServer: restore checkpoint has no estimator_store but "
-            "the configured backend is shared_bitmap");
-      try {
-        const campaign::JsonValue* nb = ck.store.find("num_blocks");
-        const campaign::JsonValue* wpb = ck.store.find("words_per_block");
-        const campaign::JsonValue* window = ck.store.find("window");
-        const campaign::JsonValue* pool = ck.store.find("pool");
-        if (nb == nullptr || wpb == nullptr || window == nullptr ||
-            pool == nullptr)
-          throw std::invalid_argument(
-              "missing num_blocks/words_per_block/window/pool");
-        const std::size_t num_blocks = impl_->block_owner.size();
-        if (nb->as_uint() != num_blocks)
-          throw std::invalid_argument("block count mismatch");
-        std::size_t engine_wpb = 0;
-        for (const auto& engine : impl_->engines)
-          if (engine != nullptr) {
-            engine_wpb = engine->compact_store()->words_per_block();
-            break;
-          }
-        if (wpb->as_uint() != engine_wpb)
-          throw std::invalid_argument(
-              "words_per_block mismatch (pool geometry)");
-        if (window->size() != num_blocks ||
-            pool->size() != num_blocks * engine_wpb)
-          throw std::invalid_argument("window/pool length mismatch");
-        std::vector<std::uint64_t> words(engine_wpb);
-        for (std::size_t b = 0; b < num_blocks; ++b) {
-          for (std::size_t i = 0; i < engine_wpb; ++i)
-            words[i] = pool->items()[b * engine_wpb + i].as_uint();
-          const campaign::JsonValue& w = window->items()[b];
-          const std::int64_t wi =
-              w.as_number() < 0.0 ? -1
-                                  : static_cast<std::int64_t>(w.as_uint());
-          impl_->engines[impl_->block_owner[b]]
-              ->compact_store()
-              ->restore_block(impl_->block_local[b], wi, words.data());
+            "ServeServer: restore checkpoint has no estimator block "
+            "pools but the configured backend is shared_bitmap");
+      const quarantine::StoreArrays& store = *ck.store;
+      const std::size_t num_blocks = impl_->block_owner.size();
+      const std::size_t wpb = impl_->engines[impl_->block_owner[0]]
+                                  ->compact_store()
+                                  ->words_per_block();
+      const auto reject = [](const std::string& what) {
+        throw std::invalid_argument(
+            "ServeServer: restore estimator store: " + what);
+      };
+      if (store.window.size() != num_blocks) reject("block count mismatch");
+      if (store.words_per_block != wpb)
+        reject("words_per_block mismatch (pool geometry)");
+      if (store.pool.size() != num_blocks * wpb)
+        reject("window/pool length mismatch");
+      for (std::size_t b = 0; b < num_blocks; ++b) {
+        try {
+          quarantine::scatter_block(
+              *impl_->engines[impl_->block_owner[b]]->compact_store(),
+              impl_->block_local[b], store, b);
+        } catch (const std::invalid_argument& e) {
+          reject(e.what());
         }
-      } catch (const std::exception& e) {
-        throw std::invalid_argument(
-            std::string("ServeServer: restore estimator store: ") +
-            e.what());
       }
-    } else if (!ck.store.is_null()) {
+    } else if (ck.store) {
       throw std::invalid_argument(
-          "ServeServer: restore checkpoint carries an estimator_store "
-          "but the configured backend is exact");
+          "ServeServer: restore checkpoint carries estimator block "
+          "pools but the configured backend is exact");
     }
     for (std::uint32_t h = 0; h < options.num_hosts; ++h)
       impl_->engines[impl_->owner[h]]->restore_host(
@@ -855,39 +837,15 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
       ck.hosts.records[h] = engine.record(im.local_id[h]);
       ck.hosts.detectors[h] = engine.detector_state(im.local_id[h]);
     }
-    // Shared-bitmap block pools, gathered in *global* block order —
-    // the same document quarantine::store_to_json produces for a
-    // single engine over the stream, so checkpoint bytes stay
-    // shard-count independent (robustness tests assert this).
+    // Shared-bitmap block pools, gathered in *global* block order so
+    // checkpoint bytes stay shard-count independent (robustness tests
+    // assert this).
     if (!im.block_owner.empty()) {
-      using campaign::JsonValue;
-      std::size_t wpb = 0;
-      for (const auto& engine : im.engines)
-        if (engine != nullptr) {
-          wpb = engine->compact_store()->words_per_block();
-          break;
-        }
-      JsonValue window = JsonValue::array();
-      JsonValue pool = JsonValue::array();
-      for (std::size_t b = 0; b < im.block_owner.size(); ++b) {
-        const quarantine::CompactEstimatorStore& store =
-            *im.engines[im.block_owner[b]]->compact_store();
-        const std::size_t lb = im.block_local[b];
-        const std::int64_t w = store.block_window(lb);
-        window.push_back(
-            w < 0 ? JsonValue::number(-1.0)
-                  : JsonValue::integer(static_cast<std::uint64_t>(w)));
-        const std::uint64_t* words = store.block_words(lb);
-        for (std::size_t i = 0; i < wpb; ++i)
-          pool.push_back(JsonValue::integer(words[i]));
-      }
-      JsonValue store_json = JsonValue::object();
-      store_json.set("num_blocks",
-                     JsonValue::integer(im.block_owner.size()));
-      store_json.set("words_per_block", JsonValue::integer(wpb));
-      store_json.set("window", std::move(window));
-      store_json.set("pool", std::move(pool));
-      ck.store = std::move(store_json);
+      ck.store.emplace();
+      for (std::size_t b = 0; b < im.block_owner.size(); ++b)
+        quarantine::gather_block(
+            *ck.store, *im.engines[im.block_owner[b]]->compact_store(),
+            im.block_local[b]);
     }
     return ck;
   };

@@ -1,6 +1,6 @@
-// Campaign engine tests: canonical JSON, content hashing, the artifact
-// cache, the work-stealing pool, DAG scheduling, and the headline
-// determinism matrix — artifacts must be byte-identical across
+// Campaign engine tests: content hashing, the artifact cache, the
+// work-stealing pool, DAG scheduling, and the headline determinism
+// matrix — artifacts must be byte-identical across
 // --jobs 1 / --jobs 8 / cold-vs-warm cache, with a warm rerun
 // reporting every job as a cache hit.
 #include <gtest/gtest.h>
@@ -24,42 +24,6 @@
 
 namespace dq::campaign {
 namespace {
-
-// --- canonical JSON ---
-
-TEST(Json, DumpIsCanonical) {
-  JsonValue o = JsonValue::object();
-  o.set("b", JsonValue::integer(2));
-  o.set("a", JsonValue::number(0.5));
-  JsonValue arr = JsonValue::array();
-  arr.push_back(JsonValue::boolean(true));
-  arr.push_back(JsonValue());
-  arr.push_back(JsonValue::str("x\n\"y\""));
-  o.set("list", std::move(arr));
-  // Insertion order, no whitespace, shortest round-trip numbers,
-  // escaped control characters.
-  EXPECT_EQ(o.dump(), "{\"b\":2,\"a\":0.5,\"list\":[true,null,"
-                      "\"x\\n\\\"y\\\"\"]}");
-}
-
-TEST(Json, ParseRoundTripsDump) {
-  const std::string text =
-      "{\"schema\":1,\"x\":-2.25,\"big\":18446744073709551615,"
-      "\"s\":\"a\\u0041\\t\",\"v\":[1,2.5,false,null,{}]}";
-  const JsonValue parsed = JsonValue::parse(text);
-  EXPECT_EQ(parsed.at("big").as_uint(), 18446744073709551615ULL);
-  EXPECT_EQ(parsed.at("s").as_string(), "aA\t");
-  // dump∘parse is idempotent on canonical text (modulo the A
-  // escape collapsing to its character).
-  EXPECT_EQ(JsonValue::parse(parsed.dump()).dump(), parsed.dump());
-}
-
-TEST(Json, ParseRejectsGarbage) {
-  EXPECT_THROW(JsonValue::parse("{"), std::invalid_argument);
-  EXPECT_THROW(JsonValue::parse("[1,]"), std::invalid_argument);
-  EXPECT_THROW(JsonValue::parse("{} trailing"), std::invalid_argument);
-  EXPECT_THROW(JsonValue::parse("nul"), std::invalid_argument);
-}
 
 // --- hashing and seeds ---
 

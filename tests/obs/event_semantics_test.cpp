@@ -9,16 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 
 #include "campaign/job.hpp"
-#include "golden_flag.hpp"
+#include "golden.hpp"
 #include "obs/ndjson.hpp"
 #include "obs/sink.hpp"
 #include "simulator/runner.hpp"
@@ -146,34 +142,8 @@ TEST(EventSemantics, SummaryMatchesEngineReport) {
   EXPECT_EQ(s.runs, 1u);
 }
 
-std::optional<std::string> read_file(const std::filesystem::path& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
-}
-
 TEST(EventSemantics, NdjsonMatchesGoldenFixture) {
-  const TracedRun& run = traced_run();
-  const std::filesystem::path path =
-      std::filesystem::path(DQ_GOLDEN_DIR) / "obs_star_quarantine.ndjson";
-  if (dq::obs_test::g_update_golden) {
-    std::filesystem::create_directories(path.parent_path());
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << run.ndjson;
-    SUCCEED() << "updated " << path;
-    return;
-  }
-  const std::optional<std::string> golden = read_file(path);
-  ASSERT_TRUE(golden.has_value())
-      << path << " is missing — run dq_obs_test --update-golden and "
-      << "commit the fixture";
-  EXPECT_EQ(run.ndjson, *golden)
-      << "event stream diverged from its fixture. If the behaviour "
-      << "change is intended, regenerate with dq_obs_test "
-      << "--update-golden and commit the diff.";
+  test::expect_golden("obs_star_quarantine.ndjson", traced_run().ndjson);
 }
 
 TEST(RunManyObs, MetricsAndTracesAreThreadCountInvariant) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "quarantine/engine.hpp"
@@ -26,6 +27,25 @@ QuarantineConfig make_config() {
   c.policy.escalation = 2.0;
   c.policy.max_period = 240.0;
   return c;
+}
+
+/// Hotter failure gate than make_config: the synthetic stream below
+/// spreads flows so thin (~1 per host-window) that make_config barely
+/// quarantines, and replay needs strikes, quarantines and releases in
+/// flight at the cuts to be worth checking.
+QuarantineConfig make_replay_config() {
+  QuarantineConfig c = make_config();
+  c.detector.failure_min_attempts = 3;
+  c.detector.failure_ratio_threshold = 0.5;
+  return c;
+}
+
+/// Canonical encoding of `hosts`, the one writer.
+std::string encode(const HostArrays& hosts) {
+  std::string out;
+  campaign::JsonWriter w(out);
+  write_host_arrays(w, hosts);
+  return out;
 }
 
 struct SynthFlow {
@@ -63,6 +83,57 @@ void feed(QuarantineEngine& e, std::uint64_t from, std::uint64_t to) {
   }
 }
 
+/// One engine's state through the snapshot codec, laid out as a serve
+/// checkpoint carries it (serve/checkpoint.hpp): the event count, the
+/// host columns and, under the shared-bitmap backend, the block pools.
+std::string snapshot(const QuarantineEngine& e) {
+  HostArrays hosts;
+  for (std::uint32_t h = 0; h < e.num_hosts(); ++h) {
+    hosts.records.push_back(e.record(h));
+    hosts.detectors.push_back(e.detector_state(h));
+  }
+  std::string out;
+  campaign::JsonWriter w(out);
+  w.begin_object().key("quarantine_events").integer(e.quarantine_events());
+  w.key("hosts");
+  write_host_arrays(w, hosts);
+  if (const CompactEstimatorStore* s = e.compact_store()) {
+    StoreArrays store;
+    for (std::size_t b = 0; b < s->num_blocks(); ++b)
+      gather_block(store, *s, b);
+    w.key("store");
+    write_store(w, store);
+  }
+  w.end_object();
+  return out;
+}
+
+/// Inverse of snapshot() on a freshly constructed engine: block pools
+/// first, since compact host windows are relative to their block's.
+void restore(QuarantineEngine& e, const std::string& bytes) {
+  const campaign::JsonValue doc = campaign::JsonValue::parse(bytes);
+  if (CompactEstimatorStore* s = e.compact_store()) {
+    const StoreArrays store = store_arrays_from_json(doc.at("store"));
+    ASSERT_EQ(store.window.size(), s->num_blocks());
+    for (std::size_t b = 0; b < s->num_blocks(); ++b)
+      scatter_block(*s, b, store, b);
+  }
+  const HostArrays hosts = host_arrays_from_json(doc.at("hosts"));
+  ASSERT_EQ(hosts.records.size(), e.num_hosts());
+  for (std::uint32_t h = 0; h < e.num_hosts(); ++h)
+    e.restore_host(h, hosts.records[h], hosts.detectors[h]);
+  e.add_quarantine_events(doc.at("quarantine_events").as_uint());
+}
+
+/// Hosts mid-way through the state machine: suspected, quarantined,
+/// or carrying strikes.
+std::size_t hosts_in_flight(const QuarantineEngine& e) {
+  std::size_t n = 0;
+  for (std::uint32_t h = 0; h < e.num_hosts(); ++h)
+    n += e.state(h) != HostQState::kFree || e.record(h).strikes > 0;
+  return n;
+}
+
 void expect_records_equal(const QuarantineEngine& a,
                           const QuarantineEngine& b) {
   ASSERT_EQ(a.num_hosts(), b.num_hosts());
@@ -89,17 +160,18 @@ void expect_records_equal(const QuarantineEngine& a,
 
 TEST(QuarantineSnapshot, RestoredEngineReplaysIdenticallyFromAnyPrefix) {
   constexpr std::uint64_t kFlows = 30'000;
-  QuarantineEngine uninterrupted(96, make_config());
+  QuarantineEngine uninterrupted(96, make_replay_config());
   feed(uninterrupted, 0, kFlows);
   ASSERT_GT(uninterrupted.quarantine_events(), 0u);  // non-trivial stream
 
+  std::size_t in_flight_at_cuts = 0;
   for (const std::uint64_t cut : {1ULL, 500ULL, 7'321ULL, 29'999ULL}) {
-    QuarantineEngine prefix(96, make_config());
+    QuarantineEngine prefix(96, make_replay_config());
     feed(prefix, 0, cut);
-    const campaign::JsonValue snap = engine_to_json(prefix);
+    in_flight_at_cuts += hosts_in_flight(prefix);
 
-    QuarantineEngine resumed(96, make_config());
-    restore_engine(resumed, snap);
+    QuarantineEngine resumed(96, make_replay_config());
+    restore(resumed, snapshot(prefix));
     expect_records_equal(prefix, resumed);
     EXPECT_EQ(resumed.quarantine_events(), prefix.quarantine_events());
     EXPECT_EQ(resumed.currently_quarantined(),
@@ -109,6 +181,7 @@ TEST(QuarantineSnapshot, RestoredEngineReplaysIdenticallyFromAnyPrefix) {
     expect_records_equal(uninterrupted, resumed);
     EXPECT_EQ(resumed.quarantine_events(),
               uninterrupted.quarantine_events());
+    EXPECT_EQ(snapshot(resumed), snapshot(uninterrupted)) << "cut " << cut;
 
     // Reports are bit-identical too: same records, same accumulation
     // order (host id order), same event totals.
@@ -124,21 +197,25 @@ TEST(QuarantineSnapshot, RestoredEngineReplaysIdenticallyFromAnyPrefix) {
     EXPECT_EQ(ru.target_quarantine_time, rr.target_quarantine_time);
     EXPECT_EQ(ru.quarantine_events, rr.quarantine_events);
   }
+  EXPECT_GT(in_flight_at_cuts, 0u);  // the cuts split live state
 }
 
 TEST(QuarantineSnapshot, SnapshotOfRestoredEngineIsByteIdentical) {
-  QuarantineEngine e(96, make_config());
+  QuarantineEngine e(96, make_replay_config());
   feed(e, 0, 12'000);
-  const std::string bytes = engine_to_json(e).dump();
+  const std::string bytes = snapshot(e);
 
-  QuarantineEngine restored(96, make_config());
-  restore_engine(restored, engine_to_json(e));
-  EXPECT_EQ(engine_to_json(restored).dump(), bytes);
+  QuarantineEngine restored(96, make_replay_config());
+  restore(restored, bytes);
+  EXPECT_EQ(snapshot(restored), bytes);
 }
 
 TEST(QuarantineSnapshot, HostArraysRoundTripPreservesFullSketchPrecision) {
-  std::vector<HostRecord> records(3);
-  std::vector<DetectorState> detectors(3);
+  HostArrays hosts;
+  hosts.records.resize(3);
+  hosts.detectors.resize(3);
+  std::vector<HostRecord>& records = hosts.records;
+  std::vector<DetectorState>& detectors = hosts.detectors;
   records[1].state = HostQState::kQuarantined;
   records[1].strikes = 2;
   records[1].offenses = 3;
@@ -155,8 +232,9 @@ TEST(QuarantineSnapshot, HostArraysRoundTripPreservesFullSketchPrecision) {
   detectors[1].dest_sketch = 0xffffffffffffffffULL;  // needs 64 bits
   detectors[1].flagged = true;
 
-  const campaign::JsonValue json = host_arrays_to_json(records, detectors);
-  const HostArrays back = host_arrays_from_json(json);
+  const std::string bytes = encode(hosts);
+  const HostArrays back =
+      host_arrays_from_json(campaign::JsonValue::parse(bytes));
   ASSERT_EQ(back.records.size(), 3u);
   EXPECT_EQ(back.records[1].state, HostQState::kQuarantined);
   EXPECT_EQ(back.records[1].release_time, 340.125);
@@ -165,44 +243,28 @@ TEST(QuarantineSnapshot, HostArraysRoundTripPreservesFullSketchPrecision) {
   EXPECT_EQ(back.detectors[1].dest_sketch, 0xffffffffffffffffULL);
   EXPECT_TRUE(back.detectors[1].flagged);
   // And the encoding itself round-trips byte-for-byte.
-  EXPECT_EQ(
-      host_arrays_to_json(back.records, back.detectors).dump(),
-      json.dump());
+  EXPECT_EQ(encode(back), bytes);
 }
 
 TEST(QuarantineSnapshot, RejectsMalformedInput) {
-  QuarantineEngine fresh(4, make_config());
-
-  EXPECT_THROW(restore_engine(fresh, campaign::JsonValue::number(1.0)),
+  // Not a host-arrays object at all.
+  EXPECT_THROW(host_arrays_from_json(campaign::JsonValue::number(1.0)),
                std::invalid_argument);
-  EXPECT_THROW(restore_engine(fresh, campaign::JsonValue::object()),
+  EXPECT_THROW(host_arrays_from_json(campaign::JsonValue::object()),
                std::invalid_argument);
-
-  QuarantineEngine donor(4, make_config());
-  // Wrong host count.
-  {
-    QuarantineEngine bigger(8, make_config());
-    EXPECT_THROW(restore_engine(bigger, engine_to_json(donor)),
-                 std::invalid_argument);
-  }
-  // Wrong config: thresholds differ, resuming would silently diverge.
-  {
-    QuarantineConfig other = make_config();
-    other.policy.base_period = 60.0;
-    QuarantineEngine mismatched(4, other);
-    EXPECT_THROW(restore_engine(mismatched, engine_to_json(donor)),
-                 std::invalid_argument);
-  }
   // Column arrays of unequal length.
-  EXPECT_THROW(
-      host_arrays_to_json(std::vector<HostRecord>(2),
-                          std::vector<DetectorState>(3)),
-      std::invalid_argument);
+  {
+    HostArrays unequal;
+    unequal.records.resize(2);
+    unequal.detectors.resize(3);
+    EXPECT_THROW(encode(unequal), std::invalid_argument);
+  }
   // Out-of-range state enum.
   {
-    std::vector<HostRecord> recs(1);
-    std::vector<DetectorState> dets(1);
-    campaign::JsonValue json = host_arrays_to_json(recs, dets);
+    HostArrays one;
+    one.records.resize(1);
+    one.detectors.resize(1);
+    campaign::JsonValue json = campaign::JsonValue::parse(encode(one));
     campaign::JsonValue bad_states = campaign::JsonValue::array();
     bad_states.push_back(campaign::JsonValue::integer(9));
     json.set("state", std::move(bad_states));
@@ -211,18 +273,12 @@ TEST(QuarantineSnapshot, RejectsMalformedInput) {
 }
 
 // ---------------------------------------------------------------------
-// Shared-bitmap backend: the v2 snapshot carries the block pools in a
-// "store" section, restored before per-host state (host window
-// distances are encoded relative to their block's window).
+// Shared-bitmap backend: the block pools travel in their own section,
+// restored before per-host state (host window distances are encoded
+// relative to their block's window).
 
 QuarantineConfig make_compact_config() {
-  QuarantineConfig c = make_config();
-  // Hotter failure gate than make_config: the synthetic stream spreads
-  // flows so thin (~1 per host-window) that the exact config barely
-  // quarantines, and the pool-confirmation gate needs several strike
-  // windows to guarantee churn worth snapshotting.
-  c.detector.failure_min_attempts = 3;
-  c.detector.failure_ratio_threshold = 0.5;
+  QuarantineConfig c = make_replay_config();
   c.estimator_backend = EstimatorBackend::kSharedBitmap;
   c.compact.block_hosts = 16;  // 96 hosts -> 6 blocks
   c.compact.pool_bits_per_host = 16;
@@ -245,13 +301,14 @@ TEST(QuarantineSnapshot, CompactEngineReplaysIdenticallyFromAnyPrefix) {
   feed(uninterrupted, 0, kFlows);
   ASSERT_GT(uninterrupted.quarantine_events(), 0u);
 
+  std::size_t in_flight_at_cuts = 0;
   for (const std::uint64_t cut : {1ULL, 500ULL, 7'321ULL, 29'999ULL}) {
     QuarantineEngine prefix(96, make_compact_config());
     feed(prefix, 0, cut);
-    const campaign::JsonValue snap = engine_to_json(prefix);
+    in_flight_at_cuts += hosts_in_flight(prefix);
 
     QuarantineEngine resumed(96, make_compact_config());
-    restore_engine(resumed, snap);
+    restore(resumed, snapshot(prefix));
     expect_records_equal(prefix, resumed);
     EXPECT_EQ(resumed.quarantine_events(), prefix.quarantine_events());
 
@@ -273,61 +330,20 @@ TEST(QuarantineSnapshot, CompactEngineReplaysIdenticallyFromAnyPrefix) {
     expect_records_equal(uninterrupted, resumed);
     EXPECT_EQ(resumed.quarantine_events(),
               uninterrupted.quarantine_events());
+    EXPECT_EQ(snapshot(resumed), snapshot(uninterrupted)) << "cut " << cut;
   }
+  EXPECT_GT(in_flight_at_cuts, 0u);  // the cuts split live state
 }
 
 TEST(QuarantineSnapshot, CompactSnapshotOfRestoredEngineIsByteIdentical) {
   QuarantineEngine e(96, make_compact_config());
   feed(e, 0, 12'000);
-  const std::string bytes = engine_to_json(e).dump();
+  const std::string bytes = snapshot(e);
   EXPECT_NE(bytes.find("\"store\""), std::string::npos);
-  EXPECT_NE(bytes.find("\"version\":2"), std::string::npos);
 
   QuarantineEngine restored(96, make_compact_config());
-  restore_engine(restored, engine_to_json(e));
-  EXPECT_EQ(engine_to_json(restored).dump(), bytes);
-}
-
-TEST(QuarantineSnapshot, SnapshotVersionIsRequiredAndChecked) {
-  QuarantineEngine donor(96, make_config());
-  feed(donor, 0, 100);
-  const campaign::JsonValue snap = engine_to_json(donor);
-
-  {
-    QuarantineEngine fresh(96, make_config());
-    try {
-      restore_engine(fresh, without_key(snap, "version"));
-      FAIL() << "missing version accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("pre-v2"), std::string::npos);
-    }
-  }
-  for (const double bad : {1.0, 3.0, 99.0}) {
-    campaign::JsonValue wrong = snap;
-    wrong.set("version", campaign::JsonValue::number(bad));
-    QuarantineEngine fresh(96, make_config());
-    EXPECT_THROW(restore_engine(fresh, wrong), std::invalid_argument);
-  }
-}
-
-TEST(QuarantineSnapshot, BackendMismatchBetweenSnapshotAndEngineRejected) {
-  QuarantineEngine exact(96, make_config());
-  QuarantineEngine compact(96, make_compact_config());
-  feed(exact, 0, 100);
-  feed(compact, 0, 100);
-
-  // Config dumps differ (estimator section), so restore must refuse in
-  // both directions rather than silently dropping or inventing pools.
-  {
-    QuarantineEngine fresh(96, make_compact_config());
-    EXPECT_THROW(restore_engine(fresh, engine_to_json(exact)),
-                 std::invalid_argument);
-  }
-  {
-    QuarantineEngine fresh(96, make_config());
-    EXPECT_THROW(restore_engine(fresh, engine_to_json(compact)),
-                 std::invalid_argument);
-  }
+  restore(restored, bytes);
+  EXPECT_EQ(snapshot(restored), bytes);
 }
 
 TEST(QuarantineSnapshot, CompactRestoreRejectsCorruptStore) {
@@ -337,69 +353,52 @@ TEST(QuarantineSnapshot, CompactRestoreRejectsCorruptStore) {
   cfg.compact.pool_bits_per_host = 6;
   QuarantineEngine donor(96, cfg);
   feed(donor, 0, 5'000);
-  const campaign::JsonValue snap = engine_to_json(donor);
-  const campaign::JsonValue& store = snap.at("store");
+  const campaign::JsonValue store =
+      campaign::JsonValue::parse(snapshot(donor)).at("store");
+  const StoreArrays good = store_arrays_from_json(store);
+  ASSERT_EQ(good.words_per_block, 4u);
 
-  // Missing store section entirely.
-  {
-    QuarantineEngine fresh(96, cfg);
-    EXPECT_THROW(restore_engine(fresh, without_key(snap, "store")),
-                 std::invalid_argument);
-  }
+  // Not a store section, or one missing its pool.
+  EXPECT_THROW(store_arrays_from_json(campaign::JsonValue::number(1.0)),
+               std::invalid_argument);
+  EXPECT_THROW(store_arrays_from_json(without_key(store, "pool")),
+               std::invalid_argument);
   // Truncated pool array (one word short).
   {
     campaign::JsonValue pool = campaign::JsonValue::array();
     const auto& words = store.at("pool").items();
     for (std::size_t i = 0; i + 1 < words.size(); ++i)
       pool.push_back(words[i]);
-    campaign::JsonValue bad_store = without_key(store, "pool");
-    bad_store.set("pool", std::move(pool));
-    campaign::JsonValue bad = snap;
-    bad.set("store", std::move(bad_store));
-    QuarantineEngine fresh(96, cfg);
-    EXPECT_THROW(restore_engine(fresh, bad), std::invalid_argument);
+    campaign::JsonValue bad = without_key(store, "pool");
+    bad.set("pool", std::move(pool));
+    EXPECT_THROW(store_arrays_from_json(bad), std::invalid_argument);
   }
   // Stray bits past the pool tail: 96-bit pools leave the top 32 bits
-  // of each pool's last word permanently zero.
+  // of each pool's last word permanently zero. The error names the
+  // global block even when it lands in another local slot.
   {
-    campaign::JsonValue pool = campaign::JsonValue::array();
-    const auto& words = store.at("pool").items();
-    for (std::size_t i = 0; i < words.size(); ++i) {
-      if (i == 1) {  // block 0, attempts pool, tail word
-        pool.push_back(campaign::JsonValue::integer(
-            words[i].as_uint() | (1ULL << 63)));
-      } else {
-        pool.push_back(words[i]);
-      }
-    }
-    campaign::JsonValue bad_store = without_key(store, "pool");
-    bad_store.set("pool", std::move(pool));
-    campaign::JsonValue bad = snap;
-    bad.set("store", std::move(bad_store));
+    StoreArrays bad = good;
+    bad.pool[5 * 4 + 1] |= std::uint64_t{1} << 63;  // block 5, attempts tail
     QuarantineEngine fresh(96, cfg);
     try {
-      restore_engine(fresh, bad);
+      scatter_block(*fresh.compact_store(), 0, bad, 5);
       FAIL() << "stray tail bits accepted";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("block 0"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("block 5"), std::string::npos)
+          << e.what();
     }
   }
   // Nonzero pool bits in an untouched (window -1) block: snapshot a
   // fresh engine (every block untouched) and flip one pool bit on.
   {
     QuarantineEngine untouched(96, cfg);
-    campaign::JsonValue bad = engine_to_json(untouched);
-    const campaign::JsonValue& zero_store = bad.at("store");
-    ASSERT_LT(zero_store.at("window").items()[0].as_number(), 0.0);
-    campaign::JsonValue pool = campaign::JsonValue::array();
-    pool.push_back(campaign::JsonValue::integer(1));  // block 0, word 0
-    for (std::size_t i = 1; i < zero_store.at("pool").size(); ++i)
-      pool.push_back(campaign::JsonValue::integer(0));
-    campaign::JsonValue bad_store = without_key(zero_store, "pool");
-    bad_store.set("pool", std::move(pool));
-    bad.set("store", std::move(bad_store));
+    StoreArrays bad = store_arrays_from_json(
+        campaign::JsonValue::parse(snapshot(untouched)).at("store"));
+    ASSERT_EQ(bad.window[0], -1);
+    bad.pool[0] = 1;  // block 0, word 0
     QuarantineEngine fresh(96, cfg);
-    EXPECT_THROW(restore_engine(fresh, bad), std::invalid_argument);
+    EXPECT_THROW(scatter_block(*fresh.compact_store(), 0, bad, 0),
+                 std::invalid_argument);
   }
 }
 

@@ -9,7 +9,6 @@
 
 #include "ratelimit/dns_throttle.hpp"
 #include "ratelimit/sliding_window.hpp"
-#include "ratelimit/token_bucket.hpp"
 #include "ratelimit/williamson.hpp"
 #include "stats/rng.hpp"
 
@@ -43,22 +42,6 @@ TEST_P(FuzzSweep, SlidingWindowNeverExceedsLimit) {
     limiter.allow(now, dest);
     ASSERT_LE(limiter.distinct_in_window(now), 10u);
   }
-}
-
-TEST_P(FuzzSweep, TokenBucketEnvelope) {
-  TokenBucket bucket(2.0, 4.0);
-  TrafficGen gen(GetParam());
-  double first = -1.0, last = 0.0;
-  std::uint64_t admitted = 0;
-  for (int i = 0; i < 20000; ++i) {
-    const auto [now, dest] = gen.next();
-    (void)dest;
-    if (first < 0.0) first = now;
-    last = now;
-    admitted += bucket.try_consume(now);
-  }
-  // Long-run envelope: rate * elapsed + burst.
-  EXPECT_LE(static_cast<double>(admitted), 2.0 * (last - first) + 4.0 + 1.0);
 }
 
 TEST_P(FuzzSweep, WilliamsonConservation) {

@@ -1,7 +1,8 @@
 // Chaos/robustness coverage for the serve pipeline: checkpoint/restore
-// byte-identity across shard counts, overload shedding, the stall
-// watchdog, transient-sink retries, and corrupt-checkpoint rejection —
-// all driven through the failpoint registry (serve/failpoints.hpp).
+// byte-identity across shard counts, golden checkpoint bytes, overload
+// shedding, the stall watchdog, transient-sink retries, corrupt- and
+// out-of-range-checkpoint rejection and a seeded checkpoint fuzzer —
+// faults driven through the failpoint registry (serve/failpoints.hpp).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,11 +11,13 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "golden.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/failpoints.hpp"
 #include "serve/server.hpp"
@@ -51,6 +54,19 @@ ServeOptions base_options(std::size_t shards) {
   o.shards = shards;
   o.num_hosts = 512;
   o.quarantine = serve_config();
+  return o;
+}
+
+/// Shared-bitmap backend: checkpoints gain an "estimator_store" section
+/// (the block pools), which must survive shard-count changes and reject
+/// corruption with typed errors.
+ServeOptions compact_options(std::size_t shards) {
+  ServeOptions o = base_options(shards);
+  o.quarantine.estimator_backend =
+      quarantine::EstimatorBackend::kSharedBitmap;
+  o.quarantine.compact.block_hosts = 64;  // 512 hosts -> 8 blocks
+  o.quarantine.compact.pool_bits_per_host = 6;
+  o.quarantine.compact.virtual_bits = 64;
   return o;
 }
 
@@ -99,65 +115,107 @@ struct TempFile {
   std::filesystem::path path;
 };
 
-TEST(ServeRobustness, RestoreIsByteIdenticalAcrossShardCounts) {
+using Options = ServeOptions (*)(std::size_t shards);
+
+/// The final checkpoint of a run of `options` over `synth`.
+std::string checkpoint_after(const ServeOptions& options,
+                             const SyntheticConfig& synth) {
+  TempFile ck("ck");
+  ServeOptions opt = options;
+  opt.checkpoint_path = ck.path.string();
+  run_synthetic(opt, synth);
+  return test::read_file(ck.path);
+}
+
+std::shared_ptr<const CheckpointState> parsed(const std::string& bytes) {
+  return std::make_shared<const CheckpointState>(
+      CheckpointState::from_json(campaign::JsonValue::parse(bytes)));
+}
+
+/// For each cut, checkpoints the first `cut` flows at one shard count
+/// and resumes the stream at another (1 -> 4 and 4 -> 1): prefix +
+/// resumed decisions must equal the uninterrupted run's byte for byte,
+/// summary line included, and so must the final checkpoint.
+void expect_resume_is_identical(Options options) {
   constexpr std::uint64_t kFlows = 20'000;
-  constexpr std::uint64_t kCut = 12'000;
+  TempFile full_ck("full_ck");
+  ServeOptions full_opt = options(1);
+  full_opt.checkpoint_path = full_ck.path.string();
   const std::string full =
-      run_synthetic(base_options(1), synth_config(kFlows)).decisions;
+      run_synthetic(full_opt, synth_config(kFlows)).decisions;
   ASSERT_FALSE(full.empty());
+  const std::string full_checkpoint = test::read_file(full_ck.path);
 
-  // Checkpoint the first kCut flows at one shard count, resume at
-  // another (both directions): prefix + resumed must equal the
-  // uninterrupted stream byte for byte, summary line included.
-  for (const auto& [ck_shards, resume_shards] :
-       {std::pair<std::size_t, std::size_t>{1, 4}, {4, 1}}) {
-    TempFile ck("restore_ck");
-    ServeOptions prefix_opt = base_options(ck_shards);
-    prefix_opt.checkpoint_path = ck.path.string();
-    const RunResult prefix =
-        run_synthetic(prefix_opt, synth_config(kCut));
-    EXPECT_EQ(prefix.summary.flows_ingested, kCut);
+  for (const std::uint64_t cut :
+       {std::uint64_t{1}, std::uint64_t{500}, std::uint64_t{7'321},
+        std::uint64_t{12'000}, kFlows - 1}) {
+    for (const auto& [ck_shards, resume_shards] :
+         {std::pair<std::size_t, std::size_t>{1, 4}, {4, 1}}) {
+      TempFile ck("restore_ck");
+      ServeOptions prefix_opt = options(ck_shards);
+      prefix_opt.checkpoint_path = ck.path.string();
+      const RunResult prefix = run_synthetic(prefix_opt, synth_config(cut));
+      EXPECT_EQ(prefix.summary.flows_ingested, cut);
 
-    ServeOptions resume_opt = base_options(resume_shards);
-    resume_opt.restore = std::make_shared<const CheckpointState>(
-        load_checkpoint_file(ck.path.string()));
-    SyntheticConfig resume_synth = synth_config(kFlows);
-    resume_synth.start_flow = kCut;
-    const RunResult resumed = run_synthetic(resume_opt, resume_synth);
+      TempFile resumed_ck("resumed_ck");
+      ServeOptions resume_opt = options(resume_shards);
+      resume_opt.restore = std::make_shared<const CheckpointState>(
+          load_checkpoint_file(ck.path.string()));
+      resume_opt.checkpoint_path = resumed_ck.path.string();
+      SyntheticConfig resume_synth = synth_config(kFlows);
+      resume_synth.start_flow = cut;
+      const RunResult resumed = run_synthetic(resume_opt, resume_synth);
 
-    EXPECT_EQ(resumed.summary.flows_ingested, kFlows);
-    EXPECT_EQ(resumed.summary.flows_decided, kFlows);
-    EXPECT_EQ(drop_summary_line(prefix.decisions) + resumed.decisions,
-              full)
-        << "checkpoint at " << ck_shards << " shards, resume at "
-        << resume_shards;
+      const std::string where = "cut " + std::to_string(cut) +
+                                ", checkpoint at " +
+                                std::to_string(ck_shards) +
+                                " shards, resume at " +
+                                std::to_string(resume_shards);
+      EXPECT_EQ(resumed.summary.flows_ingested, kFlows) << where;
+      EXPECT_EQ(resumed.summary.flows_decided, kFlows) << where;
+      EXPECT_EQ(drop_summary_line(prefix.decisions) + resumed.decisions,
+                full)
+          << where;
+      EXPECT_EQ(test::read_file(resumed_ck.path), full_checkpoint) << where;
+    }
   }
 }
 
-TEST(ServeRobustness, CheckpointBytesAreShardCountInvariant) {
-  constexpr std::uint64_t kCut = 12'000;
-  std::string first;
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    TempFile ck("invariant_ck");
-    ServeOptions opt = base_options(shards);
-    opt.checkpoint_path = ck.path.string();
-    run_synthetic(opt, synth_config(kCut));
-    std::ifstream in(ck.path);
-    std::stringstream bytes;
-    bytes << in.rdbuf();
-    ASSERT_FALSE(bytes.str().empty());
-    if (first.empty())
-      first = bytes.str();
-    else
-      EXPECT_EQ(bytes.str(), first) << shards << " shards";
-  }
-
-  // And the document round-trips through the typed state exactly.
+/// The checkpoint after 12k flows equals the committed `fixture` at
+/// every shard count, and the typed state re-encodes it exactly.
+void expect_checkpoint_matches_golden(Options options,
+                                      const std::string& fixture) {
+  for (const std::size_t shards : {1u, 2u, 4u})
+    test::expect_golden(
+        fixture, checkpoint_after(options(shards), synth_config(12'000)));
+  const std::string golden = test::read_file(test::golden_dir() / fixture);
   const CheckpointState state =
-      CheckpointState::from_json(campaign::JsonValue::parse(first));
-  EXPECT_EQ(state.flows_ingested, kCut);
+      CheckpointState::from_json(campaign::JsonValue::parse(golden));
+  EXPECT_EQ(state.flows_ingested, 12'000u);
   EXPECT_EQ(state.num_hosts, 512u);
-  EXPECT_EQ(state.to_json().dump() + "\n", first);
+  EXPECT_EQ(state.dump() + "\n", golden);
+}
+
+TEST(ServeRobustness, RestoreIsByteIdenticalAcrossShardCounts) {
+  expect_resume_is_identical(base_options);
+}
+
+TEST(ServeRobustness, CheckpointBytesAreShardCountInvariant) {
+  expect_checkpoint_matches_golden(base_options, "checkpoint_exact.json");
+}
+
+TEST(ServeRobustness, RestoreWithoutNewFlowsRewritesTheSameCheckpoint) {
+  // A restored run that decides nothing further writes back exactly
+  // the state it loaded, at a different shard count, for both backends.
+  for (const Options options : {base_options, compact_options}) {
+    const std::string loaded =
+        checkpoint_after(options(2), synth_config(12'000));
+    ServeOptions resume = options(3);
+    resume.restore = parsed(loaded);
+    SyntheticConfig none = synth_config(12'000);
+    none.start_flow = 12'000;
+    EXPECT_EQ(checkpoint_after(resume, none), loaded);
+  }
 }
 
 TEST(ServeRobustness, PeriodicCheckpointsLandOnFinalState) {
@@ -259,37 +317,87 @@ TEST(ServeRobustness, TornCheckpointWriteIsRejectedOnRestore) {
   EXPECT_EQ(writes, 1u);
 }
 
+/// Copy of `obj` minus one key (JsonValue has no erase).
+campaign::JsonValue without_key(const campaign::JsonValue& obj,
+                                std::string_view key) {
+  campaign::JsonValue out = campaign::JsonValue::object();
+  for (const auto& [k, v] : obj.members())
+    if (k != key) out.set(k, v);
+  return out;
+}
+
+/// Checkpoint document `doc` with `section`.`column`[0] set to `v`.
+campaign::JsonValue with_first_entry(const campaign::JsonValue& doc,
+                                     const char* section, const char* column,
+                                     campaign::JsonValue v) {
+  const campaign::JsonValue& old = doc.at(section).at(column);
+  campaign::JsonValue col = campaign::JsonValue::array();
+  col.push_back(std::move(v));
+  for (std::size_t i = 1; i < old.size(); ++i) col.push_back(old.items()[i]);
+  campaign::JsonValue edited_section = doc.at(section);
+  edited_section.set(column, std::move(col));
+  campaign::JsonValue out = doc;
+  out.set(section, std::move(edited_section));
+  return out;
+}
+
 TEST(ServeRobustness, CorruptCheckpointsRaiseCheckpointError) {
+  const auto expect_rejected = [](const std::string& bytes,
+                                  const std::string& what) {
+    TempFile f("corrupt_ck");
+    std::ofstream(f.path) << bytes;
+    EXPECT_THROW(load_checkpoint_file(f.path.string()), CheckpointError)
+        << what;
+  };
   // Missing file.
   EXPECT_THROW(load_checkpoint_file(temp_file("missing").string()),
                CheckpointError);
-  // Not JSON at all.
-  {
-    TempFile f("garbage_ck");
-    std::ofstream(f.path) << "definitely not json\n";
-    EXPECT_THROW(load_checkpoint_file(f.path.string()), CheckpointError);
+  expect_rejected("definitely not json\n", "not JSON at all");
+  expect_rejected("{\"format\":\"something_else\"}\n", "wrong document");
+
+  using campaign::JsonValue;
+  const std::string exact =
+      test::read_file(test::golden_dir() / "checkpoint_exact.json");
+  expect_rejected(exact.substr(0, exact.size() / 2), "truncated");
+
+  // Only version 2 exists; a missing version is not a guess.
+  const JsonValue doc = JsonValue::parse(exact);
+  expect_rejected(without_key(doc, "version").dump(), "no version");
+  for (const std::uint64_t version : {1u, 3u, 99u}) {
+    JsonValue wrong = doc;
+    wrong.set("version", JsonValue::integer(version));
+    expect_rejected(wrong.dump(), "version " + std::to_string(version));
   }
-  // Valid JSON, wrong document.
-  {
-    TempFile f("wrongdoc_ck");
-    std::ofstream(f.path) << "{\"format\":\"something_else\"}\n";
-    EXPECT_THROW(load_checkpoint_file(f.path.string()), CheckpointError);
-  }
-  // A truncated copy of a real checkpoint.
-  {
-    TempFile good("good_ck");
-    ServeOptions opt = base_options(1);
-    opt.checkpoint_path = good.path.string();
-    run_synthetic(opt, synth_config(5'000));
-    std::ifstream in(good.path);
-    std::stringstream bytes;
-    bytes << in.rdbuf();
-    TempFile torn("truncated_ck");
-    std::ofstream(torn.path)
-        << bytes.str().substr(0, bytes.str().size() / 2);
-    EXPECT_THROW(load_checkpoint_file(torn.path.string()),
-                 CheckpointError);
-  }
+
+  // Values a field cannot hold are rejected, never truncated: 2^32 + 512
+  // would otherwise read back as this checkpoint's own 512 hosts.
+  constexpr std::uint64_t k2to32 = std::uint64_t{1} << 32;
+  JsonValue hosts_overflow = doc;
+  hosts_overflow.set("num_hosts", JsonValue::integer(k2to32 + 512));
+  expect_rejected(hosts_overflow.dump(), "num_hosts 2^32 + 512");
+  for (const char* u32_column :
+       {"strikes", "offenses", "det_contacts", "det_failures"})
+    expect_rejected(
+        with_first_entry(doc, "hosts", u32_column, JsonValue::integer(k2to32))
+            .dump(),
+        std::string(u32_column) + " 2^32");
+  const JsonValue bad_windows[] = {JsonValue::number(-7.0),
+                                   JsonValue::number(1.5),
+                                   JsonValue::integer(std::uint64_t{1} << 63)};
+  for (const JsonValue& w : bad_windows)
+    expect_rejected(with_first_entry(doc, "hosts", "det_window", w).dump(),
+                    "det_window " + w.dump());
+  expect_rejected(
+      with_first_entry(doc, "hosts", "det_flagged", JsonValue::integer(7))
+          .dump(),
+      "det_flagged 7");
+
+  const JsonValue compact = JsonValue::parse(
+      test::read_file(test::golden_dir() / "checkpoint_shared_bitmap.json"));
+  for (const JsonValue& w : bad_windows)
+    expect_rejected(
+        with_first_entry(compact, "estimator_store", "window", w).dump(),
+        "estimator_store window " + w.dump());
 }
 
 TEST(ServeRobustness, DeeplyNestedCheckpointRaisesCheckpointError) {
@@ -304,160 +412,141 @@ TEST(ServeRobustness, DeeplyNestedCheckpointRaisesCheckpointError) {
 }
 
 TEST(ServeRobustness, RestoreValidatesHostCountAndConfig) {
-  TempFile ck("validate_ck");
-  ServeOptions opt = base_options(1);
-  opt.checkpoint_path = ck.path.string();
-  run_synthetic(opt, synth_config(5'000));
-  const auto restore = std::make_shared<const CheckpointState>(
-      load_checkpoint_file(ck.path.string()));
-
+  const auto exact = parsed(
+      test::read_file(test::golden_dir() / "checkpoint_exact.json"));
   {
     ServeOptions bad = base_options(1);
     bad.num_hosts = 1024;  // checkpoint was taken with 512
-    bad.restore = restore;
+    bad.restore = exact;
     EXPECT_THROW(ServeServer{bad}, std::invalid_argument);
   }
   {
     ServeOptions bad = base_options(1);
     bad.quarantine.policy.base_period = 99.0;  // different thresholds
-    bad.restore = restore;
+    bad.restore = exact;
     EXPECT_THROW(ServeServer{bad}, std::invalid_argument);
   }
 }
 
-// ---------------------------------------------------------------------
-// Shared-bitmap backend: checkpoints gain an "estimator_store" section
-// (the block pools), which must survive shard-count changes and reject
-// corruption with typed errors.
+// The checkpoint is the engine's only snapshot document
+// (quarantine/snapshot.hpp encodes its host and block sections); these
+// are its document-level guards.
 
-ServeOptions compact_options(std::size_t shards) {
-  ServeOptions o = base_options(shards);
-  o.quarantine.estimator_backend =
-      quarantine::EstimatorBackend::kSharedBitmap;
-  o.quarantine.compact.block_hosts = 64;  // 512 hosts -> 8 blocks
-  o.quarantine.compact.pool_bits_per_host = 6;
-  o.quarantine.compact.virtual_bits = 64;
-  return o;
+TEST(QuarantineSnapshot, SnapshotVersionIsRequiredAndChecked) {
+  // The writer stamps the current version ...
+  const campaign::JsonValue doc = campaign::JsonValue::parse(
+      parsed(test::read_file(test::golden_dir() / "checkpoint_exact.json"))
+          ->dump());
+  EXPECT_EQ(doc.at("version").as_uint(), kCheckpointVersion);
+
+  // ... and the decoder refuses any other for the version itself, not
+  // for some other field.
+  const auto expect_refused = [](const campaign::JsonValue& bad,
+                                 const std::string& what) {
+    try {
+      CheckpointState::from_json(bad);
+      ADD_FAILURE() << what << " accepted";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  expect_refused(without_key(doc, "version"), "missing version");
+  for (const std::uint64_t version : {1u, 3u, 99u}) {
+    campaign::JsonValue wrong = doc;
+    wrong.set("version", campaign::JsonValue::integer(version));
+    expect_refused(wrong, "version " + std::to_string(version));
+  }
 }
 
-/// Copy of `obj` minus one key (JsonValue has no erase).
-campaign::JsonValue without_key(const campaign::JsonValue& obj,
-                                std::string_view key) {
-  campaign::JsonValue out = campaign::JsonValue::object();
-  for (const auto& [k, v] : obj.members())
-    if (k != key) out.set(k, v);
-  return out;
+TEST(QuarantineSnapshot, BackendMismatchBetweenSnapshotAndEngineRejected) {
+  const auto exact = parsed(
+      test::read_file(test::golden_dir() / "checkpoint_exact.json"));
+  const auto compact = parsed(
+      test::read_file(test::golden_dir() / "checkpoint_shared_bitmap.json"));
+  // The estimator backend is part of the config: neither backend's
+  // checkpoint resumes under the other (pools would be dropped or
+  // invented).
+  {
+    ServeOptions bad = compact_options(1);
+    bad.restore = exact;
+    EXPECT_THROW(ServeServer{bad}, std::invalid_argument);
+  }
+  {
+    ServeOptions bad = base_options(1);
+    bad.restore = compact;
+    EXPECT_THROW(ServeServer{bad}, std::invalid_argument);
+  }
 }
 
 TEST(ServeRobustness, CompactRestoreIsByteIdenticalAcrossShardCounts) {
-  constexpr std::uint64_t kFlows = 20'000;
-  constexpr std::uint64_t kCut = 12'000;
-  const std::string full =
-      run_synthetic(compact_options(1), synth_config(kFlows)).decisions;
-  ASSERT_FALSE(full.empty());
-
-  for (const auto& [ck_shards, resume_shards] :
-       {std::pair<std::size_t, std::size_t>{1, 4}, {4, 1}}) {
-    TempFile ck("compact_restore_ck");
-    ServeOptions prefix_opt = compact_options(ck_shards);
-    prefix_opt.checkpoint_path = ck.path.string();
-    const RunResult prefix =
-        run_synthetic(prefix_opt, synth_config(kCut));
-    EXPECT_EQ(prefix.summary.flows_ingested, kCut);
-
-    ServeOptions resume_opt = compact_options(resume_shards);
-    resume_opt.restore = std::make_shared<const CheckpointState>(
-        load_checkpoint_file(ck.path.string()));
-    SyntheticConfig resume_synth = synth_config(kFlows);
-    resume_synth.start_flow = kCut;
-    const RunResult resumed = run_synthetic(resume_opt, resume_synth);
-
-    EXPECT_EQ(resumed.summary.flows_ingested, kFlows);
-    EXPECT_EQ(drop_summary_line(prefix.decisions) + resumed.decisions,
-              full)
-        << "checkpoint at " << ck_shards << " shards, resume at "
-        << resume_shards;
-  }
+  expect_resume_is_identical(compact_options);
 }
 
 TEST(ServeRobustness, CompactCheckpointBytesAreShardCountInvariant) {
-  constexpr std::uint64_t kCut = 12'000;
-  std::string first;
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    TempFile ck("compact_invariant_ck");
-    ServeOptions opt = compact_options(shards);
-    opt.checkpoint_path = ck.path.string();
-    run_synthetic(opt, synth_config(kCut));
-    std::ifstream in(ck.path);
-    std::stringstream bytes;
-    bytes << in.rdbuf();
-    ASSERT_FALSE(bytes.str().empty());
-    if (first.empty())
-      first = bytes.str();
-    else
-      EXPECT_EQ(bytes.str(), first) << shards << " shards";
-  }
-  EXPECT_NE(first.find("\"estimator_store\""), std::string::npos);
-
-  // The document round-trips through the typed state exactly — the
-  // direct serializer and the JsonValue-tree dump must agree byte for
-  // byte on the store section too.
-  const CheckpointState state =
-      CheckpointState::from_json(campaign::JsonValue::parse(first));
-  EXPECT_FALSE(state.store.is_null());
-  EXPECT_EQ(state.to_json().dump() + "\n", first);
+  expect_checkpoint_matches_golden(compact_options,
+                                   "checkpoint_shared_bitmap.json");
 }
 
 TEST(ServeRobustness, CorruptEstimatorStoreIsRejectedOnRestore) {
-  TempFile ck("compact_corrupt_ck");
-  ServeOptions opt = compact_options(2);
-  opt.checkpoint_path = ck.path.string();
-  run_synthetic(opt, synth_config(5'000));
-  const CheckpointState good = load_checkpoint_file(ck.path.string());
-  ASSERT_FALSE(good.store.is_null());
+  const CheckpointState good = *parsed(
+      checkpoint_after(compact_options(2), synth_config(5'000)));
+  ASSERT_TRUE(good.store.has_value());
+  const auto expect_refused = [](const CheckpointState& bad, Options options,
+                                 const std::string& what) {
+    ServeOptions r = options(2);
+    r.restore = std::make_shared<const CheckpointState>(bad);
+    EXPECT_THROW(ServeServer{r}, std::invalid_argument) << what;
+  };
 
-  // Store section dropped from a compact checkpoint.
+  CheckpointState bad = good;
+  bad.store.reset();
+  expect_refused(bad, compact_options, "store section dropped");
+  bad = good;
+  bad.store->pool.pop_back();
+  expect_refused(bad, compact_options, "truncated pool");
+  bad = good;  // geometry of some other config: one block too many
+  bad.store->window.push_back(-1);
+  bad.store->pool.resize(bad.store->pool.size() + bad.store->words_per_block);
+  expect_refused(bad, compact_options, "block count");
+
+  // 16-host blocks at 6 bits/host make 96-bit pools, so the top 32 bits
+  // of each pool's second word are always zero. A stray bit there is
+  // refused with the *global* block named (block 5 is not block 5 of
+  // its shard at 2 shards).
+  const Options tail_options = [](std::size_t shards) {
+    ServeOptions o = compact_options(shards);
+    o.quarantine.compact.block_hosts = 16;
+    return o;
+  };
+  bad = *parsed(checkpoint_after(tail_options(2), synth_config(5'000)));
+  ASSERT_EQ(bad.store->words_per_block, 4u);
+  bad.store->pool[5 * 4 + 1] |= std::uint64_t{1} << 63;
   {
-    CheckpointState bad = good;
-    bad.store = campaign::JsonValue();
-    ServeOptions r = compact_options(2);
+    ServeOptions r = tail_options(2);
     r.restore = std::make_shared<const CheckpointState>(bad);
-    EXPECT_THROW(ServeServer{r}, std::invalid_argument);
+    try {
+      ServeServer server(r);
+      FAIL() << "stray tail bits accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("block 5:"), std::string::npos)
+          << e.what();
+    }
   }
-  // Truncated pool array.
-  {
-    CheckpointState bad = good;
-    campaign::JsonValue pool = campaign::JsonValue::array();
-    const auto& words = good.store.at("pool").items();
-    for (std::size_t i = 0; i + 1 < words.size(); ++i)
-      pool.push_back(words[i]);
-    campaign::JsonValue store = without_key(good.store, "pool");
-    store.set("pool", std::move(pool));
-    bad.store = std::move(store);
-    ServeOptions r = compact_options(2);
-    r.restore = std::make_shared<const CheckpointState>(bad);
-    EXPECT_THROW(ServeServer{r}, std::invalid_argument);
-  }
-  // Wrong geometry (block count from some other config).
-  {
-    CheckpointState bad = good;
-    campaign::JsonValue store = without_key(good.store, "num_blocks");
-    store.set("num_blocks", campaign::JsonValue::integer(99));
-    bad.store = std::move(store);
-    ServeOptions r = compact_options(2);
-    r.restore = std::make_shared<const CheckpointState>(bad);
-    EXPECT_THROW(ServeServer{r}, std::invalid_argument);
-  }
+
+  // Pool bits in a block that has never seen a flow (window -1).
+  bad = *parsed(checkpoint_after(tail_options(2), synth_config(1)));
+  std::size_t untouched = 0;
+  while (bad.store->window[untouched] != -1) ++untouched;
+  bad.store->pool[untouched * 4] = 1;
+  expect_refused(bad, tail_options, "bits in an untouched block");
 }
 
 TEST(ServeRobustness, EstimatorStoreOnExactCheckpointRejected) {
-  TempFile ck("exact_store_ck");
-  ServeOptions opt = base_options(1);
-  opt.checkpoint_path = ck.path.string();
-  run_synthetic(opt, synth_config(5'000));
-  CheckpointState bad = load_checkpoint_file(ck.path.string());
-  ASSERT_TRUE(bad.store.is_null());
-  bad.store = campaign::JsonValue::object();  // store on an exact engine
+  CheckpointState bad = *parsed(
+      test::read_file(test::golden_dir() / "checkpoint_exact.json"));
+  ASSERT_FALSE(bad.store.has_value());
+  bad.store.emplace();  // store on an exact engine
 
   ServeOptions r = base_options(1);
   r.restore = std::make_shared<const CheckpointState>(bad);
@@ -675,6 +764,96 @@ TEST(ServeRobustness, ServerOptionValidation) {
     opt.checkpoint_interval_flows = 100;  // interval without a path
     EXPECT_THROW(ServeServer{opt}, std::invalid_argument);
   }
+}
+
+// ---------------------------------------------------------------------
+// Seeded mutation fuzzer over checkpoint load and restore. Mutants of
+// the golden checkpoints — byte flips, truncations, inserted nesting
+// and spliced extreme numbers — must fail to load with CheckpointError,
+// or load and then either restore into a ServeServer or be refused with
+// std::invalid_argument. Anything else (another exception, a crash, a
+// sanitizer report) fails.
+
+/// Applies one random mutation to `doc`. Most mutations swap a whole
+/// number for an extreme one, so that many mutants still parse and
+/// reach the decoder and restore validation.
+void mutate(std::string& doc, std::mt19937_64& rng) {
+  static constexpr const char* kNumbers[] = {
+      "18446744073709551616",  // 2^64
+      "9223372036854775808",   // 2^63
+      "4294967296",            // 2^32
+      "65536", "-1", "1e308"};
+  const std::size_t at = rng() % (doc.size() + 1);
+  switch (rng() % 6) {
+    case 0:  // flip bits of one byte
+      if (at < doc.size()) doc[at] ^= static_cast<char>(1 + rng() % 255);
+      break;
+    case 1:
+      doc.resize(at);
+      break;
+    case 2: {  // nesting, sometimes past the parser's depth cap
+      const std::string open = rng() % 2 == 0 ? "[" : "{\"a\":";
+      std::string nest;
+      for (std::uint64_t i = 1 + rng() % 600; i > 0; --i) nest += open;
+      doc.insert(at, nest);
+      break;
+    }
+    default: {  // replace the first number value at or after `at`
+      const auto in = [](std::string_view set, char c) {
+        return set.find(c) != std::string_view::npos;
+      };
+      std::size_t b = at;
+      while (b < doc.size() &&
+             !(b > 0 && in(":,[", doc[b - 1]) && in("-0123456789", doc[b])))
+        ++b;
+      std::size_t e = b;
+      while (e < doc.size() && in("-+.eE0123456789", doc[e])) ++e;
+      doc.replace(b, e - b, kNumbers[rng() % std::size(kNumbers)]);
+    }
+  }
+}
+
+TEST(CheckpointFuzz, MutantsAreRejectedOrRestoredNeverCrash) {
+  struct Seed {
+    std::string bytes;
+    Options options;
+  };
+  const Seed seeds[] = {
+      {test::read_file(test::golden_dir() / "checkpoint_exact.json"),
+       base_options},
+      {test::read_file(test::golden_dir() / "checkpoint_shared_bitmap.json"),
+       compact_options}};
+  TempFile f("fuzz_ck");
+  std::mt19937_64 rng(42);
+  std::size_t rejected = 0, refused = 0, restored = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const Seed& seed = seeds[i % 2];
+    std::string doc = seed.bytes;
+    for (std::uint64_t m = 1 + rng() % 2; m > 0; --m) mutate(doc, rng);
+    std::ofstream(f.path, std::ios::binary | std::ios::trunc) << doc;
+
+    std::shared_ptr<const CheckpointState> state;
+    try {
+      state = std::make_shared<const CheckpointState>(
+          load_checkpoint_file(f.path.string()));
+    } catch (const CheckpointError&) {
+      ++rejected;
+      continue;
+    }
+    ServeOptions options = seed.options(2);
+    options.restore = state;
+    try {
+      ServeServer server(options);
+      ++restored;
+    } catch (const std::invalid_argument&) {
+      ++refused;
+    }
+  }
+  // The mutants reach every layer: the loader, restore validation, and
+  // a successful restore.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(restored, 0u);
 }
 
 }  // namespace

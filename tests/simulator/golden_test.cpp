@@ -4,43 +4,20 @@
 // ordering, RNG draw order, a new counter — shows up as a fixture
 // diff here before it shows up as a silently shifted figure.
 //
-// Regenerating after an INTENDED behaviour change:
-//
-//   ./build/tests/dq_golden_test --update-golden
-//
-// rewrites every fixture in place (the source tree's tests/data/golden,
-// baked in via DQ_GOLDEN_DIR); commit the diff alongside the change
-// that caused it, and say in the commit message why the trajectories
-// moved. A missing fixture fails the test rather than auto-creating,
-// so CI can never mint its own baseline.
+// Regenerate after an INTENDED behaviour change with
+// `./build/tests/dq_golden_test --update-golden` (see golden.hpp).
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
 
 #include "campaign/job.hpp"
 #include "campaign/result_io.hpp"
+#include "golden.hpp"
 #include "simulator/sharded_sim.hpp"
 #include "simulator/worm_sim.hpp"
 
 namespace dq::sim {
 namespace {
-
-bool g_update_golden = false;
-
-std::filesystem::path golden_dir() { return DQ_GOLDEN_DIR; }
-
-std::optional<std::string> read_file(const std::filesystem::path& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
-}
 
 void check_golden(const std::string& name,
                   const campaign::TopologySpec& topology,
@@ -51,24 +28,7 @@ void check_golden(const std::string& name,
   const std::string fresh =
       campaign::run_result_to_json(result).dump() + "\n";
 
-  const std::filesystem::path path = golden_dir() / (name + ".json");
-  if (g_update_golden) {
-    std::filesystem::create_directories(golden_dir());
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << fresh;
-    SUCCEED() << "updated " << path;
-    return;
-  }
-
-  const std::optional<std::string> golden = read_file(path);
-  ASSERT_TRUE(golden.has_value())
-      << path << " is missing — run dq_golden_test --update-golden and "
-      << "commit the fixture";
-  EXPECT_EQ(fresh, *golden)
-      << name << " trajectory diverged from its fixture. If the "
-      << "behaviour change is intended, regenerate with "
-      << "dq_golden_test --update-golden and commit the diff.";
+  test::expect_golden(name + ".json", fresh);
 }
 
 /// Sharded-engine fixtures additionally pin the engine's shard-count
@@ -89,24 +49,7 @@ void check_sharded_golden(const std::string& name,
       << name << ": 1-shard and 3-shard trajectories differ — the "
       << "sharded engine's determinism contract is broken.";
 
-  const std::filesystem::path path = golden_dir() / (name + ".json");
-  if (g_update_golden) {
-    std::filesystem::create_directories(golden_dir());
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << fresh;
-    SUCCEED() << "updated " << path;
-    return;
-  }
-
-  const std::optional<std::string> golden = read_file(path);
-  ASSERT_TRUE(golden.has_value())
-      << path << " is missing — run dq_golden_test --update-golden and "
-      << "commit the fixture";
-  EXPECT_EQ(fresh, *golden)
-      << name << " trajectory diverged from its fixture. If the "
-      << "behaviour change is intended, regenerate with "
-      << "dq_golden_test --update-golden and commit the diff.";
+  test::expect_golden(name + ".json", fresh);
 }
 
 TEST(Golden, StarNoRateLimiting) {
@@ -232,17 +175,3 @@ TEST(Golden, ShardedQuarantine) {
 
 }  // namespace
 }  // namespace dq::sim
-
-int main(int argc, char** argv) {
-  // Filter our flag out before gtest sees the command line.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--update-golden") == 0) {
-      dq::sim::g_update_golden = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}
