@@ -14,14 +14,14 @@
 // metrics+trace-ring, asserts the three produce identical trajectories,
 // and fails (exit 1) when the instrumented runs exceed generous
 // overhead bounds relative to obs-off. bench/data/BENCH_obs.json is
-// written from this mode and also records the pre-PR tick-loop baseline
-// for the <3% obs-off regression check.
+// written from this mode.
 //
 // `--scale_json[=PATH]` is the nodes-scaling gate for the sharded
 // engine: for each N on the curve (10⁴, 10⁵, 10⁶) it builds a BA(N, 2)
 // network, runs ShardedSimulation at 1 shard and at the hardware shard
 // count, asserts the two trajectories are identical, and fails
-// (exit 1) if throughput drops below a generous node-ticks/sec floor.
+// (exit 1) if throughput drops below a generous node-ticks/sec floor
+// or the all-pairs network build exceeds a per-node-pair time ceiling.
 // bench/data/BENCH_scale.json is written from this mode.
 // `--scale_json_small[=PATH]` runs the same gate on a 5·10³/5·10⁴
 // curve for the CI fast lane.
@@ -288,13 +288,6 @@ int run_perf_json(const char* path) {
 
 // ---- --obs_json mode ----
 
-/// Pre-PR sparse10k baseline (perf_microbench --perf_json on the seed
-/// revision, same machine class as the checked-in BENCH_tickloop.json).
-/// The obs-off run must stay within kOffRegressionBound of this.
-constexpr double kPreprTicksPerSec = 653355.6;
-constexpr double kPreprSecondsTotal = 0.000076528;
-constexpr double kOffRegressionBound = 1.03;
-
 /// In-process overhead bounds, asserted every run. The sparse run is
 /// ~75us, so even best-of timing carries a few percent of scheduler
 /// noise — the bounds are deliberately generous; the measured ratios
@@ -484,10 +477,6 @@ int run_obs_json(const char* path) {
                "  \"spans\": {\"scenario\": \"sharded20k\", "
                "\"seconds_off\": %.9f, \"seconds_on\": %.9f, "
                "\"overhead_vs_off\": %.4f, \"spans_captured\": %llu},\n"
-               "  \"prepr_baseline\": {\"seconds_total\": %.9f, "
-               "\"ticks_per_sec\": %.1f},\n"
-               "  \"off_vs_prepr_ratio\": %.4f,\n"
-               "  \"off_regression_bound\": %.2f,\n"
                "  \"bounds\": {\"metrics\": %.2f, \"trace\": %.2f, "
                "\"spans\": %.2f},\n"
                "  \"pass\": %s\n"
@@ -501,9 +490,6 @@ int run_obs_json(const char* path) {
                static_cast<unsigned long long>(trace.events),
                spans_off.seconds, spans_on.seconds, spans_ratio,
                static_cast<unsigned long long>(spans_on.events),
-               kPreprSecondsTotal, kPreprTicksPerSec,
-               kPreprTicksPerSec / off_tps,
-               kOffRegressionBound,
                kMetricsOverheadBound, kTraceOverheadBound,
                kSpanOverheadBound,
                ok ? "true" : "false");
@@ -519,6 +505,14 @@ int run_obs_json(const char* path) {
 /// accidental return to O(N²) work per tick, not scheduler noise.
 constexpr double kScaleThroughputFloor = 1.0e6;
 
+/// Ceiling on the all-pairs network build (graph + routing table +
+/// dense hop table), in nanoseconds per ordered node pair. The
+/// per-destination routing build measures 45–55 ns/pair at 5·10³–10⁴
+/// nodes on a 4-vCPU Xeon VM; the hop-by-hop path walk it replaced took
+/// 380–490, so the gate fails on a return to per-pair path walks
+/// without tripping on noise.
+constexpr double kBuildCeilingNsPerPair = 200.0;
+
 struct ScalePoint {
   std::size_t nodes = 0;
   std::uint64_t ticks = 0;
@@ -529,6 +523,15 @@ struct ScalePoint {
   double seconds_build = 0.0;  ///< graph + network (routing) construction
   double seconds_run = 0.0;    ///< multi-shard simulation wall time
   double node_ticks_per_sec = 0.0;
+  /// Scan packets the worm sent per wall second. Only infected nodes
+  /// scan, so this is the work the run did; n·ticks/s overstates it.
+  double scan_packets_per_sec = 0.0;
+
+  /// Build time per ordered node pair, the all-pairs table's unit.
+  double build_ns_per_pair() const {
+    return seconds_build * 1e9 /
+           (static_cast<double>(nodes) * static_cast<double>(nodes - 1));
+  }
 };
 
 /// One point on the nodes-scaling curve: build BA(n, 2), run the
@@ -573,6 +576,8 @@ ScalePoint run_scale_point(std::size_t n, std::size_t shards) {
   point.node_ticks_per_sec = static_cast<double>(n) *
                              static_cast<double>(point.ticks) /
                              point.seconds_run;
+  point.scan_packets_per_sec =
+      static_cast<double>(point.total_scan_packets) / point.seconds_run;
   return point;
 }
 
@@ -583,9 +588,9 @@ int run_scale_json(const char* path, bool small) {
     return 1;
   }
 
-  // The small curve keeps its dense-table point at 5k nodes: all-pairs
-  // construction is cubic-ish in practice and 10k costs ~40s, too slow
-  // for the fast lane.
+  // The small curve keeps its all-pairs point at 5k nodes: the build is
+  // O(n·(n+E)), ~1.1 s at 5k against ~4.5 s at 10k, and the fast lane
+  // wants the shorter one.
   const std::vector<std::size_t> curve =
       small ? std::vector<std::size_t>{5'000, 50'000}
             : std::vector<std::size_t>{10'000, 100'000, 1'000'000};
@@ -611,6 +616,15 @@ int run_scale_json(const char* path, bool small) {
                    n, point.node_ticks_per_sec, kScaleThroughputFloor);
       ok = false;
     }
+    if (!point.tree_routed &&
+        point.build_ns_per_pair() > kBuildCeilingNsPerPair) {
+      std::fprintf(stderr,
+                   "perf_microbench: %zu-node all-pairs build %.3f s "
+                   "(%.0f ns/pair) exceeds ceiling %.0f ns/pair\n",
+                   n, point.seconds_build, point.build_ns_per_pair(),
+                   kBuildCeilingNsPerPair);
+      ok = false;
+    }
     points.push_back(point);
   }
 
@@ -620,25 +634,34 @@ int run_scale_json(const char* path, bool small) {
                "  \"variant\": \"%s\",\n"
                "  \"shards\": %zu,\n"
                "  \"throughput_floor_node_ticks_per_sec\": %.0f,\n"
+               "  \"build_ceiling_ns_per_pair\": %.0f,\n"
                "  \"points\": [\n",
-               small ? "small" : "full", shards, kScaleThroughputFloor);
+               small ? "small" : "full", shards, kScaleThroughputFloor,
+               kBuildCeilingNsPerPair);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const ScalePoint& p = points[i];
+    // The per-pair figure only describes the all-pairs build.
+    char per_pair[32] = "null";
+    if (!p.tree_routed)
+      std::snprintf(per_pair, sizeof per_pair, "%.1f", p.build_ns_per_pair());
     std::fprintf(out,
                  "    {\"nodes\": %zu, \"ticks\": %llu, "
                  "\"final_ever_infected\": %llu, "
                  "\"total_scan_packets\": %llu, "
                  "\"tree_routed\": %s, "
                  "\"identical_across_shards\": %s, "
-                 "\"seconds_build\": %.6f, \"seconds_run\": %.6f, "
-                 "\"node_ticks_per_sec\": %.1f}%s\n",
+                 "\"seconds_build\": %.6f, \"build_ns_per_pair\": %s, "
+                 "\"seconds_run\": %.6f, "
+                 "\"node_ticks_per_sec\": %.1f, "
+                 "\"scan_packets_per_sec\": %.1f}%s\n",
                  p.nodes,
                  static_cast<unsigned long long>(p.ticks),
                  static_cast<unsigned long long>(p.final_ever_infected),
                  static_cast<unsigned long long>(p.total_scan_packets),
                  p.tree_routed ? "true" : "false",
                  p.identical_across_shards ? "true" : "false",
-                 p.seconds_build, p.seconds_run, p.node_ticks_per_sec,
+                 p.seconds_build, per_pair, p.seconds_run,
+                 p.node_ticks_per_sec, p.scan_packets_per_sec,
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out,

@@ -1,7 +1,6 @@
 #include "graph/routing.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 
@@ -14,36 +13,78 @@ constexpr std::uint32_t kUnreachable =
 
 RoutingTable::RoutingTable(const Graph& g) : n_(g.num_nodes()) {
   if (n_ == 0) throw std::invalid_argument("RoutingTable: empty graph");
-  dist_.assign(n_ * n_, kUnreachable);
-  next_.assign(n_ * n_, 0);
 
-  // BFS from every source. Neighbors are scanned in ascending id order
-  // so the chosen parent (and hence next hop) is deterministic.
-  std::vector<NodeId> sorted_neighbors;
-  for (NodeId src = 0; src < n_; ++src) {
-    dist_[index(src, src)] = 0;
-    next_[index(src, src)] = src;
-    std::deque<NodeId> queue = {src};
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop_front();
-      sorted_neighbors.assign(g.neighbors(u).begin(), g.neighbors(u).end());
-      std::sort(sorted_neighbors.begin(), sorted_neighbors.end());
-      for (NodeId v : sorted_neighbors) {
-        if (dist_[index(src, v)] != kUnreachable) continue;
-        dist_[index(src, v)] = dist_[index(src, u)] + 1;
-        // First hop out of src toward v: either v itself (if u is src)
-        // or whatever the first hop toward u was.
-        next_[index(src, v)] = (u == src) ? v : next_[index(src, u)];
-        queue.push_back(v);
-      }
-    }
-    for (NodeId v = 0; v < n_; ++v)
-      if (dist_[index(src, v)] == kUnreachable)
-        throw std::invalid_argument("RoutingTable: graph is disconnected");
+  // CSR adjacency, rows sorted by neighbor id, so the first neighbor
+  // one hop closer to a destination is also the lowest-id one.
+  std::vector<std::size_t> row(n_ + 1, 0);
+  for (NodeId u = 0; u < n_; ++u) row[u + 1] = row[u] + g.degree(u);
+  std::vector<NodeId> adj(row[n_]);
+  for (NodeId u = 0; u < n_; ++u) {
+    const auto nbrs = g.neighbors(u);
+    std::copy(nbrs.begin(), nbrs.end(), adj.begin() + row[u]);
+    std::sort(adj.begin() + row[u], adj.begin() + row[u + 1]);
   }
 
-  compute_link_loads(g);
+  // Links sorted by (a, b) fall out of the sorted rows; link_of maps
+  // each directed CSR entry to its undirected link's ordinal.
+  link_row_.assign(n_ + 1, 0);
+  for (NodeId a = 0; a < n_; ++a) {
+    for (std::size_t p = row[a]; p < row[a + 1]; ++p)
+      if (a < adj[p]) links_.push_back({a, adj[p]});
+    link_row_[a + 1] = links_.size();
+  }
+  std::vector<std::uint32_t> link_of(adj.size());
+  for (NodeId u = 0; u < n_; ++u)
+    for (std::size_t p = row[u]; p < row[u + 1]; ++p)
+      link_of[p] = static_cast<std::uint32_t>(
+          link_ordinal(make_link_key(u, adj[p])));
+  link_load_.assign(links_.size(), 0);
+  transit_.assign(n_, 0);
+  next_.resize(n_ * n_);
+
+  std::vector<std::uint32_t> dist(n_);
+  std::vector<NodeId> order(n_ + 1);      // BFS order from dst (+1 slack)
+  std::vector<std::uint32_t> subtree(n_); // sources routed through a node
+  for (NodeId dst = 0; dst < n_; ++dst) {
+    std::fill(dist.begin(), dist.end(), kUnreachable);
+    dist[dst] = 0;
+    order[0] = dst;
+    std::size_t tail = 1;
+    for (std::size_t head = 0; head < tail; ++head) {
+      const NodeId u = order[head];
+      const std::uint32_t d = dist[u] + 1;
+      // Branch-free relaxation: every neighbor is written to the queue
+      // slot past the tail, which only advances for a fresh one.
+      for (std::size_t p = row[u]; p < row[u + 1]; ++p) {
+        const NodeId v = adj[p];
+        const bool fresh = dist[v] == kUnreachable;
+        dist[v] = fresh ? d : dist[v];
+        order[tail] = v;
+        tail += fresh;
+      }
+    }
+    if (tail != n_)
+      throw std::invalid_argument("RoutingTable: graph is disconnected");
+
+    // Reverse BFS order visits a node only after every node routed
+    // through it, so subtree[u] is final when u hands it to its next
+    // hop: that many sources cross u's link toward dst, and all but u
+    // itself transit u.
+    std::fill(subtree.begin(), subtree.end(), 1);
+    for (std::size_t i = n_; i-- > 1;) {
+      const NodeId u = order[i];
+      std::size_t p = row[u];
+      while (dist[adj[p]] + 1 != dist[u]) ++p;
+      const NodeId hop = adj[p];
+      next_[index(u, dst)] = hop;
+      subtree[hop] += subtree[u];
+      link_load_[link_of[p]] += subtree[u];
+      transit_[u] += subtree[u] - 1;
+    }
+    next_[index(dst, dst)] = dst;
+  }
+  total_load_ = 0;
+  for (std::uint64_t l : link_load_) total_load_ += l;
 }
 
 std::optional<NodeId> RoutingTable::next_hop(NodeId from, NodeId to) const {
@@ -54,6 +95,7 @@ std::optional<NodeId> RoutingTable::next_hop(NodeId from, NodeId to) const {
 }
 
 std::vector<NodeId> RoutingTable::path(NodeId from, NodeId to) const {
+  if (from >= n_ || to >= n_) throw std::out_of_range("RoutingTable::path");
   std::vector<NodeId> p = {from};
   NodeId cur = from;
   while (cur != to) {
@@ -80,55 +122,11 @@ std::size_t RoutingTable::link_ordinal(const LinkKey& key) const noexcept {
   return links_.size();
 }
 
-void RoutingTable::compute_link_loads(const Graph& g) {
-  links_.clear();
-  for (NodeId a = 0; a < n_; ++a)
-    for (NodeId b : g.neighbors(a))
-      if (a < b) links_.push_back({a, b});
-  std::sort(links_.begin(), links_.end(), [](const LinkKey& x, const LinkKey& y) {
-    return x.a != y.a ? x.a < y.a : x.b < y.b;
-  });
-  link_load_.assign(links_.size(), 0);
-  link_row_.assign(n_ + 1, 0);
-  for (const LinkKey& l : links_) ++link_row_[l.a + 1];
-  for (std::size_t a = 0; a < n_; ++a) link_row_[a + 1] += link_row_[a];
-
-  // The per-hop link lookup dominates construction on large graphs
-  // (O(V^2 · path length) hops in total); the row-sliced binary search
-  // beats a hash probe on both locality and speed.
-  for (NodeId src = 0; src < n_; ++src)
-    for (NodeId dst = 0; dst < n_; ++dst) {
-      if (src == dst) continue;
-      NodeId cur = src;
-      while (cur != dst) {
-        const NodeId nxt = next_[index(cur, dst)];
-        ++link_load_[link_ordinal(make_link_key(cur, nxt))];
-        cur = nxt;
-      }
-    }
-  total_load_ = 0;
-  for (std::uint64_t l : link_load_) total_load_ += l;
-}
-
 std::uint64_t RoutingTable::link_load(const LinkKey& link) const {
   const std::size_t i = link_ordinal(link);
   if (i == links_.size())
     throw std::invalid_argument("RoutingTable::link_load: unknown link");
   return link_load_[i];
-}
-
-std::vector<std::uint64_t> RoutingTable::node_transit_loads() const {
-  std::vector<std::uint64_t> loads(n_, 0);
-  for (NodeId src = 0; src < n_; ++src)
-    for (NodeId dst = 0; dst < n_; ++dst) {
-      if (src == dst) continue;
-      NodeId cur = next_[index(src, dst)];
-      while (cur != dst) {
-        ++loads[cur];
-        cur = next_[index(cur, dst)];
-      }
-    }
-  return loads;
 }
 
 double RoutingTable::path_coverage(const std::vector<NodeId>& hosts,

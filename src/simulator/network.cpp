@@ -8,8 +8,10 @@ namespace dq::sim {
 
 namespace {
 
-/// All-pairs table within budget? 8 bytes per ordered pair (uint32
-/// distance + uint32 next hop in graph::RoutingTable).
+/// All-pairs table within budget? 8 bytes per ordered pair: the uint32
+/// next hop graph::RoutingTable keeps plus the uint32 first link of the
+/// dense hop table built beside it (see index_links), which puts the
+/// switch-over to tree routing at 11,585 nodes for the 1 GiB default.
 bool routing_table_fits(std::size_t n, const NetworkOptions& options) {
   return n == 0 || n <= options.routing_table_bytes / (n * 8);
 }

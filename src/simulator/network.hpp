@@ -35,8 +35,8 @@ using graph::NodeId;
 /// letting million-node graphs construct in bounded memory. Tests
 /// shrink the budgets to force a specific backend on small graphs.
 struct NetworkOptions {
-  /// Budget for the all-pairs routing table (8 bytes per ordered node
-  /// pair: distance + next hop). Above it, tree routing.
+  /// Budget for the all-pairs routing (8 bytes per ordered node pair:
+  /// next hop + dense first link). Above it, tree routing.
   std::size_t routing_table_bytes = std::size_t{1} << 30;
   /// Budget for the dense per-(at,dest) first-link table (4 bytes per
   /// ordered pair); only ever built when the all-pairs table exists.

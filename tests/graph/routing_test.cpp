@@ -2,11 +2,171 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <limits>
+#include <map>
+#include <string>
+#include <utility>
+
 #include "graph/builders.hpp"
 #include "graph/roles.hpp"
 
 namespace dq::graph {
 namespace {
+
+/// The straightforward all-pairs build the table must agree with: a BFS
+/// from every source scanning neighbors in ascending id order, and
+/// link and transit counts from walking every routed path hop by hop.
+struct ReferenceRouting {
+  std::size_t n;
+  std::vector<std::uint32_t> dist;  // n*n, indexed from*n+to
+  std::vector<NodeId> next;         // n*n, self when from==to
+
+  explicit ReferenceRouting(const Graph& g)
+      : n(g.num_nodes()),
+        dist(n * n, std::numeric_limits<std::uint32_t>::max()),
+        next(n * n, 0) {
+    std::vector<NodeId> sorted_neighbors;
+    for (NodeId src = 0; src < n; ++src) {
+      dist[at(src, src)] = 0;
+      next[at(src, src)] = src;
+      std::deque<NodeId> queue = {src};
+      while (!queue.empty()) {
+        const NodeId u = queue.front();
+        queue.pop_front();
+        sorted_neighbors.assign(g.neighbors(u).begin(), g.neighbors(u).end());
+        std::sort(sorted_neighbors.begin(), sorted_neighbors.end());
+        for (NodeId v : sorted_neighbors) {
+          if (dist[at(src, v)] != std::numeric_limits<std::uint32_t>::max())
+            continue;
+          dist[at(src, v)] = dist[at(src, u)] + 1;
+          next[at(src, v)] = (u == src) ? v : next[at(src, u)];
+          queue.push_back(v);
+        }
+      }
+    }
+  }
+
+  std::size_t at(NodeId from, NodeId to) const {
+    return static_cast<std::size_t>(from) * n + to;
+  }
+
+  /// Path count per undirected link, keyed by (smaller, larger) end.
+  std::map<std::pair<NodeId, NodeId>, std::uint64_t> link_loads() const {
+    std::map<std::pair<NodeId, NodeId>, std::uint64_t> loads;
+    for (NodeId src = 0; src < n; ++src)
+      for (NodeId dst = 0; dst < n; ++dst)
+        for (NodeId cur = src; cur != dst;) {
+          const NodeId nxt = next[at(cur, dst)];
+          const LinkKey key = make_link_key(cur, nxt);
+          ++loads[{key.a, key.b}];
+          cur = nxt;
+        }
+    return loads;
+  }
+
+  std::vector<std::uint64_t> transit_loads() const {
+    std::vector<std::uint64_t> loads(n, 0);
+    for (NodeId src = 0; src < n; ++src)
+      for (NodeId dst = 0; dst < n; ++dst) {
+        if (src == dst) continue;
+        for (NodeId cur = next[at(src, dst)]; cur != dst;
+             cur = next[at(cur, dst)])
+          ++loads[cur];
+      }
+    return loads;
+  }
+};
+
+/// Hops on the routed path from `from` to `to`.
+std::size_t hops(const RoutingTable& rt, NodeId from, NodeId to) {
+  return rt.path(from, to).size() - 1;
+}
+
+/// Asserts every query of the table equals the reference build on `g`.
+void expect_matches_reference(const Graph& g, const std::string& label) {
+  SCOPED_TRACE(label);
+  const RoutingTable rt(g);
+  const ReferenceRouting ref(g);
+  const std::size_t n = g.num_nodes();
+  ASSERT_EQ(rt.num_nodes(), n);
+
+  std::size_t hop_mismatches = 0, dist_mismatches = 0;
+  for (NodeId from = 0; from < n; ++from)
+    for (NodeId to = 0; to < n; ++to) {
+      if (hops(rt, from, to) != ref.dist[ref.at(from, to)])
+        ++dist_mismatches;
+      if (from != to && rt.next_hop_raw(from, to) != ref.next[ref.at(from, to)])
+        ++hop_mismatches;
+    }
+  EXPECT_EQ(dist_mismatches, 0u);
+  EXPECT_EQ(hop_mismatches, 0u);
+
+  const auto loads = ref.link_loads();
+  std::uint64_t total = 0;
+  for (NodeId a = 0; a < n; ++a)
+    for (NodeId b : g.neighbors(a)) {
+      if (b < a) continue;
+      const auto it = loads.find({a, b});
+      const std::uint64_t load = it == loads.end() ? 0 : it->second;
+      EXPECT_EQ(rt.link_load(make_link_key(a, b)), load)
+          << "link " << a << "-" << b;
+      total += load;
+    }
+  EXPECT_EQ(rt.total_link_load(), total);
+
+  EXPECT_EQ(rt.node_transit_loads(), ref.transit_loads());
+}
+
+TEST(RoutingTableReference, DeterministicFamiliesAgree) {
+  expect_matches_reference(make_star(2), "star 2");
+  expect_matches_reference(make_star(9), "star 9");
+  expect_matches_reference(make_ring(9), "odd ring 9");
+  expect_matches_reference(make_ring(31), "odd ring 31");
+  expect_matches_reference(make_ring(10), "even ring 10");
+  expect_matches_reference(make_ring(32), "even ring 32");
+  expect_matches_reference(make_complete(1), "complete 1");
+  expect_matches_reference(make_complete(12), "complete 12");
+}
+
+TEST(RoutingTableReference, BarabasiAlbertAgrees) {
+  for (std::size_t m : {1u, 2u, 3u})
+    for (std::uint64_t seed : {3u, 11u}) {
+      Rng rng(seed);
+      expect_matches_reference(
+          make_barabasi_albert(120, m, rng),
+          "BA m=" + std::to_string(m) + " seed " + std::to_string(seed));
+    }
+}
+
+TEST(RoutingTableReference, RandomGraphsAgree) {
+  for (std::uint64_t seed : {5u, 17u}) {
+    Rng rng(seed);
+    Graph er = make_erdos_renyi(90, 0.05, rng);
+    ensure_connected(er);
+    expect_matches_reference(er, "ER seed " + std::to_string(seed));
+    Graph wax = make_waxman(90, 0.6, 0.2, rng);
+    ensure_connected(wax);
+    expect_matches_reference(wax, "Waxman seed " + std::to_string(seed));
+  }
+}
+
+TEST(RoutingTableReference, HierarchicalTopologiesAgree) {
+  for (std::uint64_t seed : {2u, 9u}) {
+    Rng rng(seed);
+    expect_matches_reference(make_subnet_topology(6, 8, rng).graph,
+                             "subnet seed " + std::to_string(seed));
+    expect_matches_reference(make_transit_stub(2, 3, 2, 5, rng).graph,
+                             "transit-stub seed " + std::to_string(seed));
+  }
+}
+
+TEST(RoutingTable, PathRejectsOutOfRangeEndpoints) {
+  const RoutingTable rt(make_star(5));
+  EXPECT_THROW(rt.path(0, 5), std::out_of_range);
+  EXPECT_THROW(rt.path(7, 1), std::out_of_range);
+}
 
 TEST(RoutingTable, RejectsDisconnected) {
   Graph g(3);
@@ -17,9 +177,9 @@ TEST(RoutingTable, RejectsDisconnected) {
 TEST(RoutingTable, StarDistances) {
   const Graph g = make_star(5);
   const RoutingTable rt(g);
-  EXPECT_EQ(rt.distance(0, 0), 0u);
-  EXPECT_EQ(rt.distance(0, 3), 1u);
-  EXPECT_EQ(rt.distance(1, 4), 2u);
+  EXPECT_EQ(hops(rt, 0, 0), 0u);
+  EXPECT_EQ(hops(rt, 0, 3), 1u);
+  EXPECT_EQ(hops(rt, 1, 4), 2u);
 }
 
 TEST(RoutingTable, StarNextHopsGoThroughHub) {
@@ -34,6 +194,7 @@ TEST(RoutingTable, PathEndpointsAndContinuity) {
   Rng rng(1);
   const Graph g = make_barabasi_albert(60, 2, rng);
   const RoutingTable rt(g);
+  const ReferenceRouting ref(g);
   for (NodeId src : {0u, 17u, 42u}) {
     for (NodeId dst : {5u, 33u, 59u}) {
       const auto path = rt.path(src, dst);
@@ -42,7 +203,7 @@ TEST(RoutingTable, PathEndpointsAndContinuity) {
       EXPECT_EQ(path.back(), dst);
       for (std::size_t i = 0; i + 1 < path.size(); ++i)
         EXPECT_TRUE(g.has_edge(path[i], path[i + 1]));
-      EXPECT_EQ(path.size(), rt.distance(src, dst) + 1u);
+      EXPECT_EQ(path.size(), ref.dist[ref.at(src, dst)] + 1u);
     }
   }
 }
@@ -50,9 +211,9 @@ TEST(RoutingTable, PathEndpointsAndContinuity) {
 TEST(RoutingTable, RingDistancesAreMinimal) {
   const Graph g = make_ring(8);
   const RoutingTable rt(g);
-  EXPECT_EQ(rt.distance(0, 4), 4u);
-  EXPECT_EQ(rt.distance(0, 7), 1u);
-  EXPECT_EQ(rt.distance(2, 6), 4u);
+  EXPECT_EQ(hops(rt, 0, 4), 4u);
+  EXPECT_EQ(hops(rt, 0, 7), 1u);
+  EXPECT_EQ(hops(rt, 2, 6), 4u);
 }
 
 TEST(RoutingTable, StarLinkLoads) {
