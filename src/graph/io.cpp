@@ -1,13 +1,26 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
-#include <vector>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace dq::graph {
+
+namespace {
+
+/// A node id: the whole field is an unsigned decimal (no sign).
+bool parse_id(std::string_view field, std::uint64_t& id) {
+  const char* const last = field.data() + field.size();
+  const auto [end, ec] = std::from_chars(field.data(), last, id);
+  return ec == std::errc{} && end == last;
+}
+
+}  // namespace
 
 Graph parse_edge_list(const std::string& text) {
   std::istringstream in(text);
@@ -24,20 +37,19 @@ Graph parse_edge_list(const std::string& text) {
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
-    const std::size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos || line[start] == '#') continue;
-    std::istringstream fields(line);
-    std::uint64_t raw_a = 0, raw_b = 0;
-    if (!(fields >> raw_a >> raw_b)) {
-      throw std::invalid_argument(
-          "parse_edge_list: malformed line " + std::to_string(line_number) +
-          ": " + line);
-    }
-    std::string extra;
-    if (fields >> extra && !extra.empty() && extra[0] != '#')
+    // '#' starts a comment, whole-line or trailing.
+    std::istringstream fields(line.substr(0, line.find('#')));
+    std::string field_a, field_b, extra;
+    if (!(fields >> field_a)) continue;  // blank or comment
+    if (fields >> field_b >> extra)
       throw std::invalid_argument(
           "parse_edge_list: trailing tokens on line " +
           std::to_string(line_number));
+    std::uint64_t raw_a = 0, raw_b = 0;
+    if (!parse_id(field_a, raw_a) || !parse_id(field_b, raw_b))
+      throw std::invalid_argument(
+          "parse_edge_list: malformed line " + std::to_string(line_number) +
+          ": " + line);
     const NodeId a = intern(raw_a);
     const NodeId b = intern(raw_b);
     if (a == b) continue;           // self-loops: skip

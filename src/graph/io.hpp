@@ -10,8 +10,9 @@
 
 namespace dq::graph {
 
-/// Parses an undirected edge list: one "u v" pair per line, '#' lines
-/// are comments, blank lines ignored. Node ids need not be dense —
+/// Parses an undirected edge list: one "u v" pair of unsigned decimal
+/// ids per line; '#' starts a comment (whole-line or trailing), blank
+/// lines are ignored. Node ids need not be dense —
 /// they are remapped to [0, n) in first-appearance order. Duplicate
 /// edges and self-loops in the input are skipped (real AS dumps contain
 /// both). Throws std::invalid_argument on malformed lines.

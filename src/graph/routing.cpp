@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace dq::graph {
 
@@ -11,36 +12,60 @@ constexpr std::uint32_t kUnreachable =
     std::numeric_limits<std::uint32_t>::max();
 }
 
-RoutingTable::RoutingTable(const Graph& g) : n_(g.num_nodes()) {
+LinkIndex::LinkIndex(const Graph& g) : row_(g.num_nodes() + 1, 0) {
+  const std::size_t n = g.num_nodes();
+  for (NodeId u = 0; u < n; ++u) row_[u + 1] = row_[u] + g.degree(u);
+  ends_.reserve(g.num_edges());
+  nbr_.resize(row_[n]);
+  nbr_link_.resize(row_[n]);
+
+  // Number each link as its smaller end's adjacency list reaches it and
+  // file it under both ends.
+  std::vector<std::size_t> fill(row_.begin(), row_.end() - 1);
+  for (NodeId a = 0; a < n; ++a)
+    for (NodeId b : g.neighbors(a)) {
+      if (b < a) continue;
+      const auto l = static_cast<std::uint32_t>(ends_.size());
+      ends_.push_back({a, b});
+      nbr_[fill[a]] = b;
+      nbr_link_[fill[a]++] = l;
+      nbr_[fill[b]] = a;
+      nbr_link_[fill[b]++] = l;
+    }
+
+  // Sort each row by neighbour id, carrying the link numbers along.
+  std::vector<std::pair<NodeId, std::uint32_t>> entries;
+  for (NodeId u = 0; u < n; ++u) {
+    entries.clear();
+    for (std::size_t p = row_[u]; p < row_[u + 1]; ++p)
+      entries.emplace_back(nbr_[p], nbr_link_[p]);
+    std::sort(entries.begin(), entries.end());
+    for (std::size_t p = row_[u], i = 0; p < row_[u + 1]; ++p, ++i) {
+      nbr_[p] = entries[i].first;
+      nbr_link_[p] = entries[i].second;
+    }
+  }
+}
+
+std::size_t LinkIndex::find(NodeId a, NodeId b) const noexcept {
+  if (std::size_t{a} + 1 >= row_.size()) return size();
+  const auto first = nbr_.begin() + row_[a];
+  const auto last = nbr_.begin() + row_[a + 1];
+  const auto it = std::lower_bound(first, last, b);
+  return it != last && *it == b ? nbr_link_[it - nbr_.begin()] : size();
+}
+
+RoutingTable::RoutingTable(const Graph& g) : links_(g), n_(g.num_nodes()) {
   if (n_ == 0) throw std::invalid_argument("RoutingTable: empty graph");
 
-  // CSR adjacency, rows sorted by neighbor id, so the first neighbor
-  // one hop closer to a destination is also the lowest-id one.
-  std::vector<std::size_t> row(n_ + 1, 0);
-  for (NodeId u = 0; u < n_; ++u) row[u + 1] = row[u] + g.degree(u);
-  std::vector<NodeId> adj(row[n_]);
-  for (NodeId u = 0; u < n_; ++u) {
-    const auto nbrs = g.neighbors(u);
-    std::copy(nbrs.begin(), nbrs.end(), adj.begin() + row[u]);
-    std::sort(adj.begin() + row[u], adj.begin() + row[u + 1]);
-  }
-
-  // Links sorted by (a, b) fall out of the sorted rows; link_of maps
-  // each directed CSR entry to its undirected link's ordinal.
-  link_row_.assign(n_ + 1, 0);
-  for (NodeId a = 0; a < n_; ++a) {
-    for (std::size_t p = row[a]; p < row[a + 1]; ++p)
-      if (a < adj[p]) links_.push_back({a, adj[p]});
-    link_row_[a + 1] = links_.size();
-  }
-  std::vector<std::uint32_t> link_of(adj.size());
-  for (NodeId u = 0; u < n_; ++u)
-    for (std::size_t p = row[u]; p < row[u + 1]; ++p)
-      link_of[p] = static_cast<std::uint32_t>(
-          link_ordinal(make_link_key(u, adj[p])));
+  // Rows sorted by neighbor id, so the first neighbor one hop closer to
+  // a destination is also the lowest-id one.
+  const std::vector<std::size_t>& row = links_.offsets();
+  const std::vector<NodeId>& adj = links_.neighbors();
+  const std::vector<std::uint32_t>& link_of = links_.entry_links();
   link_load_.assign(links_.size(), 0);
   transit_.assign(n_, 0);
-  next_.resize(n_ * n_);
+  first_.resize(n_ * n_);
 
   std::vector<std::uint32_t> dist(n_);
   std::vector<NodeId> order(n_ + 1);      // BFS order from dst (+1 slack)
@@ -75,64 +100,22 @@ RoutingTable::RoutingTable(const Graph& g) : n_(g.num_nodes()) {
       const NodeId u = order[i];
       std::size_t p = row[u];
       while (dist[adj[p]] + 1 != dist[u]) ++p;
-      const NodeId hop = adj[p];
-      next_[index(u, dst)] = hop;
-      subtree[hop] += subtree[u];
+      first_[static_cast<std::size_t>(u) * n_ + dst] = link_of[p];
+      subtree[adj[p]] += subtree[u];
       link_load_[link_of[p]] += subtree[u];
       transit_[u] += subtree[u] - 1;
     }
-    next_[index(dst, dst)] = dst;
   }
   total_load_ = 0;
   for (std::uint64_t l : link_load_) total_load_ += l;
-}
-
-std::optional<NodeId> RoutingTable::next_hop(NodeId from, NodeId to) const {
-  if (from >= n_ || to >= n_)
-    throw std::out_of_range("RoutingTable::next_hop");
-  if (from == to) return std::nullopt;
-  return next_[index(from, to)];
-}
-
-std::vector<NodeId> RoutingTable::path(NodeId from, NodeId to) const {
-  if (from >= n_ || to >= n_) throw std::out_of_range("RoutingTable::path");
-  std::vector<NodeId> p = {from};
-  NodeId cur = from;
-  while (cur != to) {
-    cur = next_[index(cur, to)];
-    p.push_back(cur);
-  }
-  return p;
-}
-
-std::size_t RoutingTable::link_ordinal(const LinkKey& key) const noexcept {
-  if (key.a >= link_row_.size() - 1) return links_.size();
-  // links_ is sorted by (a, b), so each smaller-endpoint row is a
-  // contiguous slice ordered by b.
-  std::size_t lo = link_row_[key.a];
-  std::size_t hi = link_row_[key.a + 1];
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (links_[mid].b < key.b)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  if (lo < link_row_[key.a + 1] && links_[lo].b == key.b) return lo;
-  return links_.size();
-}
-
-std::uint64_t RoutingTable::link_load(const LinkKey& link) const {
-  const std::size_t i = link_ordinal(link);
-  if (i == links_.size())
-    throw std::invalid_argument("RoutingTable::link_load: unknown link");
-  return link_load_[i];
 }
 
 double RoutingTable::path_coverage(const std::vector<NodeId>& hosts,
                                    const std::vector<char>& via) const {
   if (via.size() != n_)
     throw std::invalid_argument("RoutingTable::path_coverage: via size");
+  for (NodeId h : hosts)
+    if (h >= n_) throw std::out_of_range("RoutingTable::path_coverage: host");
   std::uint64_t covered = 0, total = 0;
   for (NodeId src : hosts)
     for (NodeId dst : hosts) {
@@ -140,7 +123,7 @@ double RoutingTable::path_coverage(const std::vector<NodeId>& hosts,
       ++total;
       NodeId cur = src;
       while (cur != dst) {
-        const NodeId nxt = next_[index(cur, dst)];
+        const NodeId nxt = links_.other_end(first_link(cur, dst), cur);
         if (nxt != dst && via[nxt]) {
           ++covered;
           break;

@@ -1,19 +1,18 @@
 #include "simulator/network.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace dq::sim {
 
 namespace {
 
-/// All-pairs table within budget? 8 bytes per ordered pair: the uint32
-/// next hop graph::RoutingTable keeps plus the uint32 first link of the
-/// dense hop table built beside it (see index_links), which puts the
-/// switch-over to tree routing at 11,585 nodes for the 1 GiB default.
+/// All-pairs table within budget? 4 bytes per ordered pair, the uint32
+/// first link graph::RoutingTable keeps, which puts the switch-over to
+/// tree routing at 11,585 nodes for the 512 MiB default.
 bool routing_table_fits(std::size_t n, const NetworkOptions& options) {
-  return n == 0 || n <= options.routing_table_bytes / (n * 8);
+  return n == 0 || n <= options.routing_table_bytes / (n * 4);
 }
 
 std::unique_ptr<graph::RoutingTable> maybe_build_routing(
@@ -27,27 +26,24 @@ std::unique_ptr<graph::RoutingTable> maybe_build_routing(
 Network::Network(graph::Graph g, double backbone_fraction,
                  double edge_fraction, NetworkOptions options)
     : graph_(std::move(g)),
-      options_(options),
-      routing_(maybe_build_routing(graph_, options_)),
+      routing_(maybe_build_routing(graph_, options)),
       roles_(graph::assign_roles(graph_, backbone_fraction, edge_fraction)) {
-  index_links();
+  if (routing_ == nullptr) build_tree_routing();
 }
 
 Network::Network(graph::Graph g, graph::RoleAssignment roles,
                  NetworkOptions options)
     : graph_(std::move(g)),
-      options_(options),
-      routing_(maybe_build_routing(graph_, options_)),
+      routing_(maybe_build_routing(graph_, options)),
       roles_(std::move(roles)) {
   if (roles_.role.size() != graph_.num_nodes())
     throw std::invalid_argument("Network: role assignment size mismatch");
-  index_links();
+  if (routing_ == nullptr) build_tree_routing();
 }
 
 Network::Network(graph::SubnetTopology topo, NetworkOptions options)
     : graph_(std::move(topo.graph)),
-      options_(options),
-      routing_(maybe_build_routing(graph_, options_)) {
+      routing_(maybe_build_routing(graph_, options)) {
   // Gateways are the edge routers; everything else is a host. The
   // backbone role is attached to the gateways' interconnect links via
   // link_touches_role on kEdgeRouter, so no separate backbone nodes.
@@ -61,7 +57,7 @@ Network::Network(graph::SubnetTopology topo, NetworkOptions options)
 
   subnet_of_ = std::move(topo.subnet_of);
   subnet_members_ = std::move(topo.members);
-  index_links();
+  if (routing_ == nullptr) build_tree_routing();
 }
 
 const graph::RoutingTable& Network::routing() const {
@@ -73,92 +69,22 @@ const graph::RoutingTable& Network::routing() const {
   return *routing_;
 }
 
-void Network::index_links() {
-  const std::size_t n = graph_.num_nodes();
-  links_.clear();
-  for (NodeId a = 0; a < n; ++a)
-    for (NodeId b : graph_.neighbors(a))
-      if (a < b) links_.push_back({a, b});
-
-  // CSR adjacency with link indices, both directions, rows sorted by
-  // neighbor id so adj_link can binary-search.
-  adj_offset_.assign(n + 1, 0);
-  for (const graph::LinkKey& l : links_) {
-    ++adj_offset_[l.a + 1];
-    ++adj_offset_[l.b + 1];
-  }
-  for (std::size_t v = 0; v < n; ++v) adj_offset_[v + 1] += adj_offset_[v];
-  adj_.resize(links_.size() * 2);
-  {
-    std::vector<std::size_t> cursor(adj_offset_.begin(),
-                                    adj_offset_.end() - 1);
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-      const graph::LinkKey& l = links_[i];
-      adj_[cursor[l.a]++] = {l.b, static_cast<std::uint32_t>(i)};
-      adj_[cursor[l.b]++] = {l.a, static_cast<std::uint32_t>(i)};
-    }
-  }
-  for (std::size_t v = 0; v < n; ++v)
-    std::sort(adj_.begin() + adj_offset_[v], adj_.begin() + adj_offset_[v + 1],
-              [](const AdjEntry& x, const AdjEntry& y) {
-                return x.neighbor < y.neighbor;
-              });
-
-  link_loads_.assign(links_.size(), 0);
-  if (routing_ == nullptr) build_tree_routing();
-
-  std::uint64_t total = 0;
-  if (routing_ != nullptr) {
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-      link_loads_[i] = routing_->link_load(links_[i]);
-      total += link_loads_[i];
-    }
-  } else {
-    for (std::uint64_t load : link_loads_) total += load;  // tree loads
-  }
-  total_link_load_ = total;
-  mean_link_load_ =
-      links_.empty() ? 0.0
-                     : static_cast<double>(total) /
-                           static_cast<double>(links_.size());
-
-  // Dense next-link table: for every (at, dest) pair, the link crossed
-  // on the first hop. One array read replaces the per-hop hash probe
-  // the forwarding loop used to pay. Needs the all-pairs table.
-  hop_link_.clear();
-  if (routing_ != nullptr && n >= 2 &&
-      n <= options_.dense_hop_table_bytes / (n * sizeof(std::uint32_t))) {
-    hop_link_.resize(n * n);
-    std::vector<std::uint32_t> link_of(n, 0);
-    for (NodeId from = 0; from < n; ++from) {
-      for (std::size_t e = adj_offset_[from]; e < adj_offset_[from + 1]; ++e)
-        link_of[adj_[e].neighbor] = adj_[e].link;
-      std::uint32_t* row = hop_link_.data() + static_cast<std::size_t>(from) * n;
-      for (NodeId to = 0; to < n; ++to)
-        if (to != from) row[to] = link_of[routing_->next_hop_raw(from, to)];
-    }
-  }
-}
-
 void Network::build_tree_routing() {
   const std::size_t n = graph_.num_nodes();
+  tree_links_ = graph::LinkIndex(graph_);
   if (n == 0) return;
+  const std::vector<std::size_t>& row = tree_links_.offsets();
+  const std::vector<NodeId>& adj = tree_links_.neighbors();
+  const std::vector<std::uint32_t>& link_of = tree_links_.entry_links();
 
   // Root at the highest-degree node (ties → lowest id) so the tree's
   // trunk coincides with the hub the role assignment makes backbone.
   NodeId root = 0;
-  std::size_t best_degree = adj_offset_[1] - adj_offset_[0];
-  for (NodeId v = 1; v < n; ++v) {
-    const std::size_t d = adj_offset_[v + 1] - adj_offset_[v];
-    if (d > best_degree) {
-      best_degree = d;
-      root = v;
-    }
-  }
-  tree_root_ = root;
+  for (NodeId v = 1; v < n; ++v)
+    if (row[v + 1] - row[v] > row[root + 1] - row[root]) root = v;
 
-  // BFS over the CSR rows (already sorted by neighbor id, so the tree
-  // is deterministic for a given graph).
+  // BFS over the adjacency rows (sorted by neighbor id, so the tree is
+  // deterministic for a given graph).
   tree_parent_.assign(n, root);
   tree_parent_link_.assign(n, 0);
   std::vector<NodeId> order;
@@ -168,13 +94,13 @@ void Network::build_tree_routing() {
   order.push_back(root);
   for (std::size_t head = 0; head < order.size(); ++head) {
     const NodeId v = order[head];
-    for (std::size_t e = adj_offset_[v]; e < adj_offset_[v + 1]; ++e) {
-      const AdjEntry& a = adj_[e];
-      if (visited[a.neighbor]) continue;
-      visited[a.neighbor] = 1;
-      tree_parent_[a.neighbor] = v;
-      tree_parent_link_[a.neighbor] = a.link;
-      order.push_back(a.neighbor);
+    for (std::size_t e = row[v]; e < row[v + 1]; ++e) {
+      const NodeId u = adj[e];
+      if (visited[u]) continue;
+      visited[u] = 1;
+      tree_parent_[u] = v;
+      tree_parent_link_[u] = link_of[e];
+      order.push_back(u);
     }
   }
   if (order.size() != n)
@@ -221,25 +147,14 @@ void Network::build_tree_routing() {
 
   // Tree link loads: a tree edge to a subtree of s nodes carries every
   // ordered pair crossing it, 2·s·(N−s); non-tree links carry nothing.
+  tree_link_loads_.assign(tree_links_.size(), 0);
   for (NodeId v = 0; v < n; ++v) {
     if (v == root) continue;
     const std::uint64_t s = subtree[v];
-    link_loads_[tree_parent_link_[v]] =
+    tree_link_loads_[tree_parent_link_[v]] =
         2 * s * (static_cast<std::uint64_t>(n) - s);
+    tree_total_link_load_ += tree_link_loads_[tree_parent_link_[v]];
   }
-}
-
-std::size_t Network::link_index(NodeId a, NodeId b) const {
-  if (a >= graph_.num_nodes() || b >= graph_.num_nodes() || a == b)
-    throw std::invalid_argument("Network::link_index: no such link");
-  const std::size_t lo = adj_offset_[a];
-  const std::size_t hi = adj_offset_[a + 1];
-  const auto it = std::lower_bound(
-      adj_.begin() + lo, adj_.begin() + hi, b,
-      [](const AdjEntry& e, NodeId key) { return e.neighbor < key; });
-  if (it == adj_.begin() + hi || it->neighbor != b)
-    throw std::invalid_argument("Network::link_index: no such link");
-  return it->link;
 }
 
 std::optional<std::size_t> Network::subnet_of(NodeId n) const {
@@ -253,7 +168,7 @@ const std::vector<NodeId>& Network::subnet_members(std::size_t subnet) const {
 
 bool Network::link_touches_role(std::size_t index,
                                 graph::NodeRole role) const {
-  const graph::LinkKey& l = links_.at(index);
+  const graph::LinkKey& l = link(index);
   return roles_.role.at(l.a) == role || roles_.role.at(l.b) == role;
 }
 
@@ -261,7 +176,7 @@ bool Network::link_is_backbone(std::size_t index) const {
   if (link_touches_role(index, graph::NodeRole::kBackboneRouter))
     return true;
   if (!has_subnets()) return false;
-  const graph::LinkKey& l = links_.at(index);
+  const graph::LinkKey& l = link(index);
   return roles_.role.at(l.a) == graph::NodeRole::kEdgeRouter &&
          roles_.role.at(l.b) == graph::NodeRole::kEdgeRouter;
 }

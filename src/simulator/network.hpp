@@ -1,10 +1,11 @@
 // Network: the static substrate a worm runs over — topology, routing,
-// node roles, optional subnet structure, and link indexing.
+// node roles, optional subnet structure, and link numbering.
 //
 // Routing has two backends chosen by memory budget:
-//   * all-pairs — the BFS next-hop table plus (on small nets) a dense
-//     per-(at,dest) hop-link table; exact shortest paths, O(N²) memory,
-//     shared across every run of a configuration.
+//   * all-pairs — graph::RoutingTable's first link of every route
+//     (4 bytes per ordered pair), its link loads and its link
+//     numbering; exact shortest paths, shared across every run of a
+//     configuration.
 //   * shortest-path tree — above the all-pairs budget the network keeps
 //     only a BFS tree rooted at the highest-degree node (parent
 //     pointers, Euler-tour intervals, a child index), so a million-node
@@ -12,9 +13,10 @@
 //     then down. Tree paths are exact on trees and stars and a
 //     hub-biased approximation elsewhere — the trade the scale tier
 //     accepts for bounded memory.
+// Both number links with graph::LinkIndex, so link ids, and the order
+// the simulator drains link queues in, do not depend on the backend.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -29,18 +31,15 @@ namespace dq::sim {
 
 using graph::NodeId;
 
-/// Memory budgets steering which routing structures a Network builds.
-/// Defaults keep every historical configuration (≤ ~11.5k nodes for
-/// the all-pairs table) on the exact shortest-path backend while
-/// letting million-node graphs construct in bounded memory. Tests
-/// shrink the budgets to force a specific backend on small graphs.
+/// Memory budget steering which routing backend a Network builds. The
+/// default keeps every historical configuration (≤ 11,585 nodes) on
+/// the exact all-pairs backend while letting million-node graphs
+/// construct in bounded memory. Tests shrink it to force tree routing
+/// on small graphs.
 struct NetworkOptions {
-  /// Budget for the all-pairs routing (8 bytes per ordered node pair:
-  /// next hop + dense first link). Above it, tree routing.
-  std::size_t routing_table_bytes = std::size_t{1} << 30;
-  /// Budget for the dense per-(at,dest) first-link table (4 bytes per
-  /// ordered pair); only ever built when the all-pairs table exists.
-  std::size_t dense_hop_table_bytes = std::size_t{1} << 30;
+  /// Budget for the all-pairs table (4 bytes per ordered node pair: the
+  /// first link of its route). Above it, tree routing.
+  std::size_t routing_table_bytes = std::size_t{1} << 29;
 };
 
 /// Immutable network substrate shared across simulation runs.
@@ -76,15 +75,12 @@ class Network {
   const graph::RoleAssignment& roles() const noexcept { return roles_; }
 
   std::size_t num_nodes() const noexcept { return graph_.num_nodes(); }
-  std::size_t num_links() const noexcept { return links_.size(); }
+  std::size_t num_links() const noexcept { return links().size(); }
 
   /// Link endpoints by link index.
   const graph::LinkKey& link(std::size_t index) const {
-    return links_.at(index);
+    return links().link(index);
   }
-
-  /// Index of the undirected link {a,b}; throws if absent.
-  std::size_t link_index(NodeId a, NodeId b) const;
 
   /// One routed hop: the next node toward a destination and the link
   /// crossed to reach it.
@@ -94,22 +90,14 @@ class Network {
   };
 
   /// Next hop and traversed link from `at` toward `dest` in a single
-  /// lookup — the simulator's per-hop fast path. On networks small
-  /// enough for the dense table (see index_links) this is one array
-  /// read; with the all-pairs table it is a next-hop read plus a
-  /// binary search over the node's adjacency row; on tree-routed
+  /// lookup — the simulator's per-hop fast path. With the all-pairs
+  /// table it is one read of the route's first link; on tree-routed
   /// networks it is an Euler-interval test plus a child binary search.
   /// Precondition: at != dest, both in range.
   HopStep hop_toward(NodeId at, NodeId dest) const noexcept {
-    if (!hop_link_.empty()) {
-      const std::uint32_t l =
-          hop_link_[static_cast<std::size_t>(at) * graph_.num_nodes() + dest];
-      const graph::LinkKey& key = links_[l];
-      return {key.a == at ? key.b : key.a, l};
-    }
     if (routing_ != nullptr) {
-      const NodeId next = routing_->next_hop_raw(at, dest);
-      return {next, adj_link(at, next)};
+      const std::uint32_t l = routing_->first_link(at, dest);
+      return {routing_->links().other_end(l, at), l};
     }
     return tree_hop(at, dest);
   }
@@ -118,15 +106,16 @@ class Network {
   /// backend) or the tree-edge pair count 2·s·(N−s) (tree backend,
   /// where s is the child-side subtree size; non-tree links carry 0).
   std::uint64_t link_load(std::size_t index) const {
-    return link_loads_.at(index);
+    return (routing_ != nullptr ? routing_->link_loads() : tree_link_loads_)
+        .at(index);
   }
 
   /// Sum of link_load over all links — the normalizer for the paper's
   /// routing-entry link-weight rule, available on both backends.
-  std::uint64_t total_link_load() const noexcept { return total_link_load_; }
-
-  /// Mean link load across all links (>= 1 path on connected graphs).
-  double mean_link_load() const noexcept { return mean_link_load_; }
+  std::uint64_t total_link_load() const noexcept {
+    return routing_ != nullptr ? routing_->total_link_load()
+                               : tree_total_link_load_;
+  }
 
   /// Subnet id of a node, if the topology has subnets.
   std::optional<std::size_t> subnet_of(NodeId n) const;
@@ -163,35 +152,13 @@ class Network {
   }
 
  private:
-  /// Entry of the per-node adjacency rows: a neighbor and the index of
-  /// the link reaching it. Rows are sorted by neighbor id.
-  struct AdjEntry {
-    NodeId neighbor;
-    std::uint32_t link;
-  };
-
-  void index_links();
-  void build_tree_routing();
-
-  /// Link index between adjacent nodes via the CSR rows; noexcept fast
-  /// path that assumes the link exists (adjacency comes from routing).
-  /// A violated precondition used to read past the row end (or the
-  /// whole array) silently; debug builds die on the assert instead.
-  std::uint32_t adj_link(NodeId a, NodeId b) const noexcept {
-    std::size_t lo = adj_offset_[a];
-    const std::size_t row_end = adj_offset_[a + 1];
-    std::size_t hi = row_end;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (adj_[mid].neighbor < b)
-        lo = mid + 1;
-      else
-        hi = mid;
-    }
-    assert(lo < row_end && adj_[lo].neighbor == b &&
-           "Network::adj_link: nodes are not adjacent");
-    return adj_[lo].link;
+  /// The link numbering: the all-pairs table's, or the tree backend's
+  /// own (the same numbering, built from the same graph).
+  const graph::LinkIndex& links() const noexcept {
+    return routing_ != nullptr ? routing_->links() : tree_links_;
   }
+
+  void build_tree_routing();
 
   /// Tree-backend hop: descend when dest sits in at's subtree (Euler
   /// interval test + binary search over at's children, sorted by
@@ -217,24 +184,16 @@ class Network {
   }
 
   graph::Graph graph_;
-  NetworkOptions options_;
+  /// The all-pairs table; null on tree-routed networks.
   std::unique_ptr<graph::RoutingTable> routing_;
   graph::RoleAssignment roles_;
-  std::vector<graph::LinkKey> links_;
-  std::vector<std::uint64_t> link_loads_;
-  std::uint64_t total_link_load_ = 0;
-  double mean_link_load_ = 0.0;
-  /// CSR adjacency (both directions of every link), rows sorted by
-  /// neighbor id: adj_[adj_offset_[v] .. adj_offset_[v+1]).
-  std::vector<std::size_t> adj_offset_;
-  std::vector<AdjEntry> adj_;
-  /// Dense per-(at,dest) link table (empty above the memory cap): the
-  /// link crossed first when routing from `at` to `dest`.
-  std::vector<std::uint32_t> hop_link_;
   /// Tree-routing state (built only when the all-pairs table is over
-  /// budget). parent of the root is the root itself; tout = tin +
-  /// subtree size, so [tin, tout) is the node's Euler interval.
-  NodeId tree_root_ = 0;
+  /// budget, which otherwise owns the link numbering and loads).
+  /// parent of the root is the root itself; tout = tin + subtree size,
+  /// so [tin, tout) is the node's Euler interval.
+  graph::LinkIndex tree_links_;
+  std::vector<std::uint64_t> tree_link_loads_;
+  std::uint64_t tree_total_link_load_ = 0;
   std::vector<NodeId> tree_parent_;
   std::vector<std::uint32_t> tree_parent_link_;
   std::vector<std::uint32_t> tree_tin_;

@@ -22,6 +22,15 @@ TEST(EdgeListIo, ParsesBasicList) {
   EXPECT_EQ(g.num_nodes(), 3u);
   EXPECT_EQ(g.num_edges(), 3u);
   EXPECT_TRUE(g.is_connected());
+
+  // Tabs, trailing comments and CRLF line ends.
+  const Graph h = parse_edge_list(
+      "1\t2\n"
+      "  2 3   # trailing comment\n"
+      "3 1#tight comment\r\n"
+      "\t\n");
+  EXPECT_EQ(h.num_nodes(), 3u);
+  EXPECT_EQ(h.num_edges(), 3u);
 }
 
 TEST(EdgeListIo, RemapsSparseIds) {
@@ -42,7 +51,18 @@ TEST(EdgeListIo, RejectsMalformedLines) {
   EXPECT_THROW(parse_edge_list("1\n"), std::invalid_argument);
   EXPECT_THROW(parse_edge_list("a b\n"), std::invalid_argument);
   EXPECT_THROW(parse_edge_list("1 2 3\n"), std::invalid_argument);
+  // A sign is not an id: "-1" used to wrap to 2^64-1, a phantom node.
+  for (const char* line : {"-1 2", "1 -2"}) {
+    try {
+      parse_edge_list(std::string("0 1\n") + line + "\n");
+      ADD_FAILURE() << "accepted \"" << line << '"';
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
 }
+
 
 TEST(EdgeListIo, RoundTripPreservesStructure) {
   // Parsing remaps ids in first-appearance order, so the round trip is
@@ -116,11 +136,7 @@ TEST(TransitStub, AllStubTrafficCrossesTransit) {
     if (topo.domain_of[v] == 0) a = v;
     if (topo.domain_of[v] == 3) b = v;
   }
-  const auto path = routing.path(a, b);
-  bool crosses = false;
-  for (std::size_t i = 1; i + 1 < path.size(); ++i)
-    crosses = crosses || via[path[i]];
-  EXPECT_TRUE(crosses);
+  EXPECT_DOUBLE_EQ(routing.path_coverage({a, b}, via), 1.0);
 }
 
 TEST(TransitStub, Validation) {
