@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     for (std::size_t r = 0; r < options.sim_runs; ++r) {
       sim::SimulationConfig one = cfg;
       one.seed = sim::run_seed(cfg.seed, r);
-      const sim::RunResult result = sim::WormSimulation(net, one).run();
+      const sim::RunResult result = sim::ShardedSimulation(net, one, 1).run();
       detect += result.detection_tick < 0 ? cfg.max_ticks
                                           : result.detection_tick;
       infected_at_detect +=

@@ -22,7 +22,7 @@
 #include "bench_util.hpp"
 #include "epidemic/branching.hpp"
 #include "graph/builders.hpp"
-#include "simulator/worm_sim.hpp"
+#include "simulator/sharded_sim.hpp"
 
 int main(int argc, char** argv) {
   using namespace dq;
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
       cfg.immunization.patch_susceptibles = false;  // SIR recovery
       cfg.max_ticks = 150.0;
       cfg.seed = options.seed + trial;
-      const sim::RunResult result = sim::WormSimulation(net, cfg).run();
+      const sim::RunResult result = sim::ShardedSimulation(net, cfg, 1).run();
       if (result.ever_infected.back_value() < 0.10) ++extinct;
     }
     const double measured =

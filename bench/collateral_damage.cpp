@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     for (std::size_t r = 0; r < runs; ++r) {
       sim::SimulationConfig one = cfg;
       one.seed = sim::run_seed(cfg.seed, r);
-      const sim::RunResult result = sim::WormSimulation(net, one).run();
+      const sim::RunResult result = sim::ShardedSimulation(net, one, 1).run();
       const double t = result.ever_infected.time_to_reach(0.5);
       t50 += (t < 0 ? cfg.max_ticks : t);
       const double sent = static_cast<double>(result.legit_sent);

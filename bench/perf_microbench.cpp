@@ -57,7 +57,6 @@
 #include "serve/server.hpp"
 #include "serve/source.hpp"
 #include "simulator/sharded_sim.hpp"
-#include "simulator/worm_sim.hpp"
 #include "stats/hash.hpp"
 #include "stats/rng.hpp"
 #include "trace/analysis.hpp"
@@ -108,7 +107,7 @@ void BM_RoutingTableBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutingTableBuild)->Arg(200)->Arg(1000);
 
-void BM_WormSimulationRun(benchmark::State& state) {
+void BM_SimulationRun(benchmark::State& state) {
   Rng rng(7);
   const sim::Network net(graph::make_barabasi_albert(1000, 2, rng));
   for (auto _ : state) {
@@ -116,13 +115,13 @@ void BM_WormSimulationRun(benchmark::State& state) {
     cfg.worm.contact_rate = 0.8;
     cfg.max_ticks = 50.0;
     cfg.seed = 3;
-    sim::WormSimulation sim(net, cfg);
+    sim::ShardedSimulation sim(net, cfg, /*num_shards=*/1);
     benchmark::DoNotOptimize(sim.run());
   }
 }
-BENCHMARK(BM_WormSimulationRun);
+BENCHMARK(BM_SimulationRun);
 
-void BM_WormSimulationBackboneRl(benchmark::State& state) {
+void BM_SimulationBackboneRl(benchmark::State& state) {
   Rng rng(7);
   const sim::Network net(graph::make_barabasi_albert(1000, 2, rng));
   for (auto _ : state) {
@@ -131,11 +130,11 @@ void BM_WormSimulationBackboneRl(benchmark::State& state) {
     cfg.max_ticks = 50.0;
     cfg.seed = 3;
     cfg.deployment.backbone_limited = true;
-    sim::WormSimulation sim(net, cfg);
+    sim::ShardedSimulation sim(net, cfg, /*num_shards=*/1);
     benchmark::DoNotOptimize(sim.run());
   }
 }
-BENCHMARK(BM_WormSimulationBackboneRl);
+BENCHMARK(BM_SimulationBackboneRl);
 
 void BM_WilliamsonSubmit(benchmark::State& state) {
   ratelimit::WilliamsonThrottle throttle(ratelimit::WilliamsonConfig{});
@@ -262,9 +261,9 @@ SparseSample run_sparse_sample(const sim::Network& net,
     // path a campaign job sees.
     obs::MultiRunSink sink(
         1, mode == ObsMode::kTrace ? obs::kDefaultRingCapacity : 0);
-    sim::WormSimulation sim(net, cfg,
-                            mode == ObsMode::kOff ? obs::Sink{}
-                                                  : sink.run_sink(0));
+    sim::ShardedSimulation sim(net, cfg, /*num_shards=*/1,
+                               mode == ObsMode::kOff ? obs::Sink{}
+                                                     : sink.run_sink(0));
     const auto start = clock::now();
     const sim::RunResult result = sim.run();
     sample.seconds +=
@@ -343,13 +342,10 @@ int run_perf_json(const char* path) {
                "    \"queue_releases\": %.3f,\n"
                "    \"seconds_run\": %.9f,\n"
                "    \"seconds_total\": %.9f,\n"
-               "    \"seconds_queues\": %.9f,\n"
-               "    \"seconds_immunization\": %.9f,\n"
-               "    \"seconds_predator\": %.9f,\n"
                "    \"seconds_emit\": %.9f,\n"
                "    \"seconds_forward\": %.9f,\n"
-               "    \"seconds_record\": %.9f,\n"
-               "    \"seconds_quarantine\": %.9f\n"
+               "    \"seconds_apply\": %.9f,\n"
+               "    \"seconds_record\": %.9f\n"
                "  }\n"
                "}\n",
                kSparseNodes, kSparseSamples, runs,
@@ -362,10 +358,9 @@ int run_perf_json(const char* path) {
                static_cast<double>(p.link_hops) / n,
                static_cast<double>(p.queue_events) / n,
                static_cast<double>(p.queue_releases) / n, best.seconds / n,
-               p.total_seconds() / n, p.seconds_queues / n,
-               p.seconds_immunization / n, p.seconds_predator / n,
-               p.seconds_emit / n, p.seconds_forward / n,
-               p.seconds_record / n, p.seconds_quarantine / n);
+               p.total_seconds() / n, p.seconds_emit / n,
+               p.seconds_forward / n, p.seconds_apply / n,
+               p.seconds_record / n);
   if (out != stdout) std::fclose(out);
   return 0;
 }

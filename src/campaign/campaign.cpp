@@ -37,6 +37,21 @@ void notify(const RunOptions& options, std::size_t index,
   options.on_job_event(event);
 }
 
+/// Decodes artifact bytes into the outcome's payload (simulation result
+/// and metrics snapshot, or figure). Throws on bytes that do not parse
+/// or do not match the job's artifact schema.
+void decode_artifact(const JobConfig& config, const std::string& bytes,
+                     JobOutcome& outcome) {
+  const JsonValue parsed = JsonValue::parse(bytes);
+  if (config.kind == JobConfig::Kind::kSimulation) {
+    outcome.sim_result = averaged_result_from_json(parsed);
+    if (const JsonValue* metrics = parsed.find("metrics"))
+      outcome.metrics = *metrics;
+  } else {
+    outcome.figure = figure_from_json(parsed);
+  }
+}
+
 /// Job names use '/' for scenario scoping; flatten for the filesystem.
 std::string trace_file_name(const std::string& job_name) {
   std::string out = job_name;
@@ -100,9 +115,19 @@ JobOutcome execute_job(const std::string& name, const JobConfig& config,
     if (options.use_cache) {
       const obs::Span span(spans, "cache_lookup");
       if (std::optional<std::string> bytes = cache.load(outcome.hash)) {
-        outcome.artifact = std::move(*bytes);
-        outcome.cache_hit = true;
-        notify(options, index, name, JobPhase::kCacheHit, /*cache_hit=*/true);
+        // Consumers see exactly what the artifact records. An artifact
+        // that does not parse or decode (an OS crash after an
+        // un-fsync'd store can leave a truncated one) is a miss: the
+        // job recomputes and overwrites it, and the manifest counts it.
+        try {
+          decode_artifact(config, *bytes, outcome);
+          outcome.artifact = std::move(*bytes);
+          outcome.cache_hit = true;
+          notify(options, index, name, JobPhase::kCacheHit,
+                 /*cache_hit=*/true);
+        } catch (const std::exception&) {
+          outcome.cache_corrupt = true;
+        }
       }
     }
     if (!outcome.cache_hit) {
@@ -152,17 +177,7 @@ JobOutcome execute_job(const std::string& name, const JobConfig& config,
         outcome.artifact = figure_to_json(fig).dump();
       }
       if (options.use_cache) cache.store(outcome.hash, outcome.artifact);
-    }
-    // Parse the payload back from the artifact bytes (for hits and
-    // misses alike) so consumers always see exactly what the artifact
-    // records — a corrupt cache file fails here, loudly.
-    const JsonValue parsed = JsonValue::parse(outcome.artifact);
-    if (config.kind == JobConfig::Kind::kSimulation) {
-      outcome.sim_result = averaged_result_from_json(parsed);
-      if (const JsonValue* metrics = parsed.find("metrics"))
-        outcome.metrics = *metrics;
-    } else {
-      outcome.figure = figure_from_json(parsed);
+      decode_artifact(config, outcome.artifact, outcome);
     }
   } catch (const std::exception& e) {
     outcome.error = e.what();
@@ -253,6 +268,7 @@ JsonValue build_manifest(const std::vector<JobOutcome>& outcomes,
                              ? "simulation"
                              : "analytical"));
     o.set("cache_hit", JsonValue::boolean(outcome.cache_hit));
+    o.set("cache_corrupt", JsonValue::boolean(outcome.cache_corrupt));
     o.set("wall_seconds", JsonValue::number(outcome.wall_seconds));
     o.set("artifact",
           JsonValue::str(options.use_cache
@@ -288,7 +304,9 @@ JsonValue build_manifest(const std::vector<JobOutcome>& outcomes,
 
 JsonValue merge_outcome_metrics(const std::vector<JobOutcome>& outcomes) {
   JsonValue total;
+  std::uint64_t corrupt = 0;
   for (const JobOutcome& outcome : outcomes) {
+    corrupt += outcome.cache_corrupt;
     if (!outcome.ok()) continue;
     obs::MetricsRegistry::merge_snapshot(total, outcome.metrics);
   }
@@ -299,6 +317,13 @@ JsonValue merge_outcome_metrics(const std::vector<JobOutcome>& outcomes) {
     total.set("counters", JsonValue::object());
     total.set("gauges", JsonValue::object());
     total.set("histograms", JsonValue::object());
+  }
+  if (corrupt > 0) {
+    JsonValue counters = JsonValue::object();
+    counters.set("campaign.cache_corrupt", JsonValue::integer(corrupt));
+    JsonValue part = JsonValue::object();
+    part.set("counters", std::move(counters));
+    obs::MetricsRegistry::merge_snapshot(total, part);
   }
   return total;
 }

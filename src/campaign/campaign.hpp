@@ -32,6 +32,9 @@ struct JobOutcome {
   JobConfig config;
   std::uint64_t hash = 0;
   bool cache_hit = false;
+  /// A cached artifact failed to parse or decode and was recomputed
+  /// and overwritten (counted as `campaign.cache_corrupt`).
+  bool cache_corrupt = false;
   double wall_seconds = 0.0;       ///< manifest-only; never in artifact
   std::string artifact;            ///< canonical JSON bytes
   std::optional<sim::AveragedResult> sim_result;
@@ -133,7 +136,9 @@ JsonValue build_manifest(const std::vector<JobOutcome>& outcomes,
                          const RunOptions& options, double total_wall_seconds);
 
 /// Merged deterministic metrics across successful jobs (the manifest's
-/// "metrics" object, exposed for `dqctl campaign run --metrics-out`).
+/// "metrics" object, exposed for `dqctl campaign run --metrics-out`),
+/// plus a `campaign.cache_corrupt` counter when any cached artifact had
+/// to be recomputed.
 JsonValue merge_outcome_metrics(const std::vector<JobOutcome>& outcomes);
 
 }  // namespace dq::campaign

@@ -180,9 +180,11 @@ JsonValue sim_config_to_json(const sim::SimulationConfig& c) {
 
 JsonValue job_config_to_json(const JobConfig& config) {
   JsonValue o = JsonValue::object();
-  // Schema version: bump when the canonical form changes, so stale
-  // cache artifacts from an older layout can never alias a new hash.
-  o.set("schema", JsonValue::integer(1));
+  // Schema version: bump when the canonical form changes, or when the
+  // engine's output changes without any config field changing (2: the
+  // one-engine port), so stale cache artifacts can never alias a new
+  // hash.
+  o.set("schema", JsonValue::integer(2));
   if (config.kind == JobConfig::Kind::kAnalyticalFigure) {
     o.set("kind", JsonValue::str("analytical"));
     o.set("figure_id", JsonValue::str(config.figure_id));

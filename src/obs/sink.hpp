@@ -15,7 +15,8 @@
 
 namespace dq::obs {
 
-/// Per-run event/metric sink handed to WormSimulation, the quarantine
+/// Per-run event/metric sink handed to the simulation engine (which
+/// traces only at one shard: the ring has one writer), the quarantine
 /// engine, and the trace replay. Default-constructed ({}) it is the
 /// null sink: emit() is a single branch and metrics is nullptr.
 struct Sink {

@@ -11,8 +11,8 @@
 //     pointers, Euler-tour intervals, a child index), so a million-node
 //     graph routes in O(N) memory: up to the lowest common ancestor,
 //     then down. Tree paths are exact on trees and stars and a
-//     hub-biased approximation elsewhere — the trade the scale tier
-//     accepts for bounded memory.
+//     hub-biased approximation elsewhere — the trade million-node runs
+//     accept for bounded memory.
 // Both number links with graph::LinkIndex, so link ids, and the order
 // the simulator drains link queues in, do not depend on the backend.
 #pragma once

@@ -19,7 +19,9 @@ AveragedResult run_many(const Network& net, const SimulationConfig& base,
     SimulationConfig cfg = base;
     cfg.seed = run_seed(base.seed, r);
     const obs::Sink sink = obs != nullptr ? obs->run_sink(r) : obs::Sink{};
-    return WormSimulation(net, cfg, sink).run();
+    // Parallelism comes from running many runs at once, so each run
+    // takes one shard (which also lets it carry a trace sink).
+    return ShardedSimulation(net, cfg, /*num_shards=*/1, sink).run();
   };
 
   std::vector<RunResult> results(runs);

@@ -8,7 +8,7 @@
 #include "obs/sink.hpp"
 #include "simulator/config.hpp"
 #include "simulator/network.hpp"
-#include "simulator/worm_sim.hpp"
+#include "simulator/sharded_sim.hpp"
 #include "stats/hash.hpp"
 #include "stats/timeseries.hpp"
 
@@ -61,9 +61,10 @@ struct AveragedResult {
 };
 
 /// Runs `runs` independent simulations (run r seeded with
-/// run_seed(base.seed, r)) and averages the curves. Runs execute concurrently (the shared
-/// Network is read-only) up to `max_parallelism` threads; 0 means use
-/// the hardware concurrency, 1 forces serial execution. Results are
+/// run_seed(base.seed, r)), each a one-shard ShardedSimulation, and
+/// averages the curves. Runs execute concurrently (the shared Network
+/// is read-only) up to `max_parallelism` threads; 0 means use the
+/// hardware concurrency, 1 forces serial execution. Results are
 /// identical regardless of parallelism — every run's RNG stream is
 /// fixed by its seed. Throws std::invalid_argument on runs == 0.
 ///

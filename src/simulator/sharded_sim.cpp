@@ -1,8 +1,10 @@
 #include "simulator/sharded_sim.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "stats/hash.hpp"
@@ -12,13 +14,15 @@ namespace dq::sim {
 
 namespace {
 
-// Substream salts: each random purpose (initial placement, host
-// filters, per-tick emission, per-tick immunization) gets its own
-// mix64 root so no two purposes ever share a draw.
+// Substream salts: each random purpose gets its own mix64 root (of the
+// config seed) so no two purposes ever share a draw.
 constexpr std::uint64_t kInitSalt = 0x27d4eb2f165667c5ULL;
 constexpr std::uint64_t kFilterSalt = 0x94d049bb133111ebULL;
 constexpr std::uint64_t kEmitSalt = 0x9b1a6f0c5d3e2a71ULL;
 constexpr std::uint64_t kImmSalt = 0x6c62272e07bb0142ULL;
+constexpr std::uint64_t kPredatorSalt = 0x3c6ef372fe94f82bULL;
+constexpr std::uint64_t kPredatorSeedSalt = 0xa54ff53a5f1d36f1ULL;
+constexpr std::uint64_t kLegitSalt = 0x510e527fade682d1ULL;
 // Odd strides decorrelating the tick / node dimensions before the
 // mix64 avalanche.
 constexpr std::uint64_t kTickStride = 0x9E3779B97F4A7C15ULL;
@@ -33,13 +37,13 @@ Rng node_rng(std::uint64_t tick_base, NodeId v) {
 
 worm::TargetSelector make_selector(const Network& net,
                                    const SimulationConfig& config) {
-  worm::TargetSelectorConfig sc;
-  sc.strategy = config.worm.selection;
-  sc.local_bias = config.worm.local_bias;
-  sc.hitlist_size = config.worm.hitlist_size;
-  const auto* subnet_of = net.has_subnets() ? &net.subnet_ids() : nullptr;
-  const auto* members = net.has_subnets() ? &net.subnet_lists() : nullptr;
-  return worm::TargetSelector(sc, net.num_nodes(), subnet_of, members,
+  const worm::TargetSelectorConfig sc{config.worm.selection,
+                                      config.worm.local_bias,
+                                      config.worm.hitlist_size};
+  const bool subnets = net.has_subnets();
+  return worm::TargetSelector(sc, net.num_nodes(),
+                              subnets ? &net.subnet_ids() : nullptr,
+                              subnets ? &net.subnet_lists() : nullptr,
                               config.seed ^ 0xd1b54a32d192ed03ULL);
 }
 
@@ -59,11 +63,17 @@ ShardedSimulation::ShardedSimulation(const Network& net,
   ever_.assign(n, 0);
   filtered_.assign(n, 0);
   infected_tick_.assign(n, -1.0);
+  if (config_.predator.enabled) predator_tick_.assign(n, -1.0);
   susceptible_count_ = n;
 
   if (num_shards == 0)
     num_shards = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   num_shards = std::min(num_shards, n);
+  // The trace ring has one writer: per-event tracing needs one shard
+  // (trajectories do not depend on the shard count, so nothing is lost).
+  if (obs_.trace != nullptr && num_shards > 1)
+    throw std::invalid_argument(
+        "ShardedSimulation: a trace sink needs exactly one shard");
   // Under the shared-bitmap quarantine backend, shard boundaries are
   // rounded to estimator-block multiples so a block's bit pool never
   // straddles two engines — shard-local node id v - begin then keeps
@@ -87,97 +97,97 @@ ShardedSimulation::ShardedSimulation(const Network& net,
     }
     sh.begin = static_cast<NodeId>(begin);
     sh.end = static_cast<NodeId>(end);
-    sh.outbox.resize(num_shards);
-    if (config_.quarantine.enabled && sh.end > sh.begin)
+    for (auto& box : sh.outbox) box.resize(num_shards);
+    if (config_.quarantine.enabled && sh.end > sh.begin) {
       sh.quarantine.emplace(sh.end - sh.begin, config_.quarantine);
+      if (obs_) sh.quarantine->set_obs(obs_);
+    }
   }
   quarantine_armed_ =
       config_.quarantine.enabled && !config_.quarantine.start_on_detection;
 
-  emit_stream_ = mix64(config_.seed ^ kEmitSalt);
-  imm_stream_ = mix64(config_.seed ^ kImmSalt);
+  const auto& dep = config_.deployment;
+  forwarding_ = dep.edge_router_limited || dep.backbone_limited ||
+                dep.node_forward_cap.has_value() ||
+                config_.response.kind != ResponseConfig::Kind::kNone;
 
   assign_host_filters();
+  assign_link_capacities();
   place_initial_infections();
   record();
 }
 
 void ShardedSimulation::validate_config() const {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("ShardedSimulation: ") + what);
+  };
   const auto& worm_cfg = config_.worm;
-  if (worm_cfg.contact_rate <= 0.0)
-    throw std::invalid_argument("ShardedSimulation: contact rate must be > 0");
+  if (worm_cfg.contact_rate <= 0.0) fail("contact rate must be > 0");
   if (worm_cfg.filtered_contact_rate < 0.0 ||
       worm_cfg.filtered_contact_rate > worm_cfg.contact_rate)
-    throw std::invalid_argument(
-        "ShardedSimulation: filtered rate must be in [0, contact rate]");
+    fail("filtered rate must be in [0, contact rate]");
   if (worm_cfg.local_bias < 0.0 || worm_cfg.local_bias > 1.0)
-    throw std::invalid_argument("ShardedSimulation: local bias in [0,1]");
+    fail("local bias in [0,1]");
   if (worm_cfg.initial_infected == 0 ||
       worm_cfg.initial_infected >= net_.num_nodes())
-    throw std::invalid_argument(
-        "ShardedSimulation: initial infected in [1, num_nodes)");
+    fail("initial infected in [1, num_nodes)");
   if (worm_cfg.hit_probability <= 0.0 || worm_cfg.hit_probability > 1.0)
-    throw std::invalid_argument("ShardedSimulation: hit probability in (0,1]");
-  if (worm_cfg.selection != worm::ScanStrategy::kRandom &&
-      worm_cfg.selection != worm::ScanStrategy::kLocalPreferential)
-    throw std::invalid_argument(
-        "ShardedSimulation: only the memoryless scan strategies (random, "
-        "local-preferential) are shardable; cursor-based strategies need "
-        "WormSimulation");
+    fail("hit probability in (0,1]");
   const auto& dep = config_.deployment;
   if (dep.host_filter_fraction < 0.0 || dep.host_filter_fraction > 1.0)
-    throw std::invalid_argument(
-        "ShardedSimulation: host filter fraction in [0,1]");
-  if (dep.edge_router_limited || dep.backbone_limited || dep.node_forward_cap)
-    throw std::invalid_argument(
-        "ShardedSimulation: link/node rate limiting is serial (global FIFO "
-        "drain order); use WormSimulation");
-  if (config_.response.kind != ResponseConfig::Kind::kNone)
-    throw std::invalid_argument(
-        "ShardedSimulation: blacklist/content-filter responses are not "
-        "supported; use WormSimulation");
-  if (config_.legit.rate_per_node != 0.0)
-    throw std::invalid_argument(
-        "ShardedSimulation: legitimate background traffic is not supported; "
-        "use WormSimulation");
-  if (config_.predator.enabled)
-    throw std::invalid_argument(
-        "ShardedSimulation: the predator counter-worm is not supported; use "
-        "WormSimulation");
+    fail("host filter fraction in [0,1]");
+  if ((dep.edge_router_limited || dep.backbone_limited) &&
+      (dep.base_link_capacity <= 0.0 || dep.min_link_capacity <= 0.0))
+    fail("limited links need positive base and floor capacities");
+  if (dep.node_forward_cap) {
+    if (dep.node_forward_cap->first >= net_.num_nodes())
+      fail("node forward cap out of range");
+    if (dep.node_forward_cap->second == 0)
+      fail("node forward budget must be >= 1");
+  }
+  const auto& response = config_.response;
+  if (response.kind != ResponseConfig::Kind::kNone) {
+    if (response.reaction_time < 0.0)
+      fail("response reaction time must be >= 0");
+    if (response.start_on_detection && !config_.detector.enabled)
+      fail("response start_on_detection needs the detector");
+  }
   if (config_.quarantine.enabled) {
     config_.quarantine.validate();
     if (config_.quarantine.start_on_detection && !config_.detector.enabled)
-      throw std::invalid_argument(
-          "ShardedSimulation: quarantine start_on_detection needs the "
-          "detector");
+      fail("quarantine start_on_detection needs the detector");
   }
   if (config_.detector.enabled) {
     if (config_.detector.observe_probability <= 0.0 ||
         config_.detector.observe_probability > 1.0)
-      throw std::invalid_argument(
-          "ShardedSimulation: detector observe probability in (0,1]");
+      fail("detector observe probability in (0,1]");
     if (config_.detector.threshold == 0)
-      throw std::invalid_argument(
-          "ShardedSimulation: detector threshold must be >= 1");
+      fail("detector threshold must be >= 1");
   }
   const auto& imm = config_.immunization;
   if (imm.enabled) {
-    if (imm.rate <= 0.0 || imm.rate > 1.0)
-      throw std::invalid_argument("ShardedSimulation: immunization rate (0,1]");
+    if (imm.rate <= 0.0 || imm.rate > 1.0) fail("immunization rate (0,1]");
     if (imm.start_on_detection && !config_.detector.enabled)
-      throw std::invalid_argument(
-          "ShardedSimulation: start_on_detection needs the detector");
+      fail("start_on_detection needs the detector");
     if (!imm.start_on_detection && !imm.start_at_tick &&
         (imm.start_at_infected_fraction <= 0.0 ||
          imm.start_at_infected_fraction > 1.0))
-      throw std::invalid_argument(
-          "ShardedSimulation: immunization start fraction in (0,1]");
+      fail("immunization start fraction in (0,1]");
   }
-  if (config_.max_ticks <= 0.0)
-    throw std::invalid_argument("ShardedSimulation: max_ticks must be > 0");
+  if (config_.legit.rate_per_node < 0.0)
+    fail("legit traffic rate must be >= 0");
+  const auto& pred = config_.predator;
+  if (pred.enabled) {
+    if (pred.contact_rate <= 0.0) fail("predator contact rate must be > 0");
+    if (pred.start_tick < 0.0 || pred.patch_delay < 0.0)
+      fail("predator timings must be >= 0");
+    if (pred.initial == 0) fail("predator needs at least one seed");
+  }
+  if (config_.max_ticks <= 0.0) fail("max_ticks must be > 0");
 }
 
 std::size_t ShardedSimulation::shard_of(NodeId v) const noexcept {
+  if (shards_.size() == 1) return 0;
   // begin[s] = floor(s*n/S), so v*S/n lands within one of v's shard.
   std::size_t s = static_cast<std::size_t>(v) * shards_.size() /
                   net_.num_nodes();
@@ -190,6 +200,8 @@ std::size_t ShardedSimulation::shard_of(NodeId v) const noexcept {
 void ShardedSimulation::assign_host_filters() {
   const double q = config_.deployment.host_filter_fraction;
   if (q <= 0.0) return;
+  // Filters go on end hosts only ("rate limiting at 5% of the end
+  // hosts"); routers get link-level limits instead.
   std::vector<NodeId> hosts = net_.roles().hosts;
   Rng rng(mix64(config_.seed ^ kFilterSalt));
   rng.shuffle(hosts);
@@ -197,6 +209,39 @@ void ShardedSimulation::assign_host_filters() {
       std::llround(q * static_cast<double>(hosts.size())));
   for (std::size_t i = 0; i < count && i < hosts.size(); ++i)
     filtered_[hosts[i]] = 1;
+}
+
+void ShardedSimulation::assign_link_capacities() {
+  if (!forwarding_) return;
+  const std::size_t links = net_.num_links();
+  link_capacity_.assign(links, 0.0);
+  link_credit_.assign(links, 0.0);
+  link_queue_.resize(links);
+  accrual_flag_.assign(links, 0);
+  queued_flag_.assign(links, 0);
+  const auto& dep = config_.deployment;
+  if (!dep.edge_router_limited && !dep.backbone_limited) return;
+  for (std::size_t l = 0; l < links; ++l) {
+    const bool limit = (dep.edge_router_limited && net_.link_is_edge(l)) ||
+                       (dep.backbone_limited && net_.link_is_backbone(l));
+    if (!limit) continue;
+    double capacity = dep.base_link_capacity;
+    if (dep.weight_by_routing_load && net_.total_link_load() > 0) {
+      // The paper's rule: "a link weight that is proportional to the
+      // number of routing table entries the link occupies", multiplied
+      // into the base rate — i.e. the link's share of all routing
+      // entries, so heavily used links keep the most throughput.
+      capacity *= static_cast<double>(net_.link_load(l)) /
+                  static_cast<double>(net_.total_link_load());
+    }
+    link_capacity_[l] = std::max(dep.min_link_capacity, capacity);
+    // Start with one tick's allowance as spendable credit.
+    link_credit_[l] = link_capacity_[l];
+    // Fractional-capacity links start below their burst cap and must
+    // accrue from the first tick on.
+    if (link_credit_[l] < std::max(1.0, link_capacity_[l]))
+      mark_accrual(static_cast<std::uint32_t>(l));
+  }
 }
 
 void ShardedSimulation::place_initial_infections() {
@@ -213,6 +258,7 @@ void ShardedSimulation::place_initial_infections() {
     ++ever_count_;
     --susceptible_count_;
     shards_[shard_of(v)].infected.push_back(v);
+    trace(v, obs::EventKind::kInfection);
   }
   for (Shard& sh : shards_)
     std::sort(sh.infected.begin(), sh.infected.end());
@@ -231,146 +277,459 @@ void ShardedSimulation::parallel_shards(Fn&& fn) {
   for (std::thread& t : pool) t.join();
 }
 
-void ShardedSimulation::phase_emit(Shard& shard, std::uint64_t emit_base,
-                                   std::uint64_t imm_base) {
-  // Reset this tick's deltas and hand back the outboxes phase B of the
-  // previous tick consumed.
-  shard.scan_packets = 0;
-  shard.sightings = 0;
-  shard.quarantine_dropped = 0;
-  shard.delivered = 0;
-  shard.new_infections = 0;
-  shard.immunized_infected = 0;
-  shard.immunized_susceptible = 0;
-  for (auto& box : shard.outbox) box.clear();
+void ShardedSimulation::release_predator() {
+  // Serial: the seeds are a global draw over every node the
+  // counter-worm can take at its release tick.
+  predator_released_ = true;
+  std::vector<NodeId> candidates;
+  for (NodeId v = 0; v < net_.num_nodes(); ++v)
+    if (state_[v] == NodeState::kSusceptible ||
+        state_[v] == NodeState::kInfected)
+      candidates.push_back(v);
+  Rng rng(mix64(config_.seed ^ kPredatorSeedSalt));
+  rng.shuffle(candidates);
+  const std::size_t seeds = std::min<std::size_t>(config_.predator.initial,
+                                                  candidates.size());
+  for (std::size_t i = 0; i < seeds; ++i) {
+    const NodeId v = candidates[i];
+    if (state_[v] == NodeState::kInfected)
+      --infected_count_;
+    else
+      --susceptible_count_;
+    state_[v] = NodeState::kPredator;
+    predator_tick_[v] = tick_;
+    ++predator_count_;
+    shards_[shard_of(v)].predators.push_back(v);
+    trace(v, obs::EventKind::kPredatorTake);
+  }
+  for (Shard& sh : shards_)
+    std::sort(sh.predators.begin(), sh.predators.end());
+}
+
+void ShardedSimulation::immunize(Shard& shard, std::uint64_t imm_base) {
+  const auto& imm = config_.immunization;
+  std::size_t out = 0;
+  for (const NodeId v : shard.alive) {
+    if (state_[v] == NodeState::kRemoved) continue;  // compact away
+    if (state_[v] == NodeState::kSusceptible && !imm.patch_susceptibles) {
+      shard.alive[out++] = v;
+      continue;
+    }
+    Rng rng = node_rng(imm_base, v);
+    if (rng.bernoulli(imm.rate)) {
+      ++shard.d.immunized[static_cast<std::size_t>(state_[v])];
+      state_[v] = NodeState::kRemoved;
+      trace(v, obs::EventKind::kImmunization);
+      continue;
+    }
+    shard.alive[out++] = v;
+  }
+  shard.alive.resize(out);
+}
+
+void ShardedSimulation::queue_packet(Shard& shard, PacketKind kind,
+                                     NodeId v, NodeId dest) {
+  const auto k = static_cast<std::size_t>(kind);
+  if (forwarding_) {
+    shard.fresh[k].push_back({v, dest});
+    return;
+  }
+  shard.outbox[k][shard_of(dest)].push_back({v, dest});
+  // Nothing in flight: the contact's fate is known at emission, so the
+  // sender's detector records it now. A drop at a quarantined
+  // destination is charged to the quarantine, not the sender: a few
+  // isolated hosts must not make their peers' traffic look anomalous.
+  if (shard.quarantine && quarantine_armed_)
+    shard.quarantine->observe(v - shard.begin,
+                              static_cast<std::uint64_t>(dest), tick_,
+                              /*failed=*/false);
+}
+
+template <typename PickDest>
+void ShardedSimulation::emit_from(Shard& shard, NodeId v, PacketKind kind,
+                                  double rate, Rng& rng, PickDest&& pick) {
+  const auto& qpolicy = config_.quarantine.policy;
+  const std::uint32_t local = v - shard.begin;
+  const bool q = shard.quarantine && shard.quarantine->quarantined(local);
+  // A throttled host's scans slow down; its legitimate traffic does not.
+  if (q && kind != PacketKind::kLegit &&
+      qpolicy.treatment == quarantine::Treatment::kThrottle)
+    rate = std::min(rate, qpolicy.throttle_rate);
+  const std::uint64_t attempts = rng.poisson(rate);
+  if (q && qpolicy.treatment == quarantine::Treatment::kDropAll) {
+    // Full isolation: everything dies at the host's own uplink. No
+    // destinations are drawn — the packets never exist.
+    if (kind == PacketKind::kLegit) {
+      shard.d.legit_sent += attempts;
+      shard.d.legit_quarantine_dropped += attempts;
+    } else {
+      shard.d.quarantine_dropped += attempts;
+    }
+    if (attempts > 0)
+      trace(v, obs::EventKind::kQuarantineDrop, /*a=*/0,
+            static_cast<std::uint8_t>(kind), attempts);
+    return;
+  }
+  // Scans sweep the address space; legitimate packets go to live hosts.
+  const double hit = config_.worm.hit_probability;
+  const bool sparse = kind != PacketKind::kLegit && hit < 1.0;
+  for (std::uint64_t a = 0; a < attempts; ++a) {
+    if (sparse && !rng.bernoulli(hit)) {
+      // Address-space miss: no packet enters the network, but the
+      // attempt is a failed connection the sender's detector sees. The
+      // synthetic dead-address key comes from the node's own stream.
+      if (shard.quarantine && quarantine_armed_)
+        shard.quarantine->observe(local, rng.next_u64(), tick_,
+                                  /*failed=*/true);
+      continue;
+    }
+    queue_packet(shard, kind, v, pick());
+  }
+}
+
+void ShardedSimulation::phase_emit(Shard& shard, std::uint64_t tick_index) {
+  // Reset this tick's deltas and hand back the buffers the previous
+  // tick consumed.
+  shard.d = {};
+  for (auto& boxes : shard.outbox)
+    for (auto& box : boxes) box.clear();
+  for (auto& fresh : shard.fresh) fresh.clear();
 
   if (shard.quarantine) shard.quarantine->advance_to(tick_);
-
-  const auto& imm = config_.immunization;
-  if (immunizing_) {
-    if (!shard.alive_ready) {
-      shard.alive.clear();
-      for (NodeId v = shard.begin; v < shard.end; ++v)
-        if (state_[v] != NodeState::kRemoved) shard.alive.push_back(v);
-      shard.alive_ready = true;
-    }
-    std::size_t out = 0;
-    for (const NodeId v : shard.alive) {
-      if (state_[v] == NodeState::kRemoved) continue;  // compact away
-      if (state_[v] == NodeState::kSusceptible && !imm.patch_susceptibles) {
-        shard.alive[out++] = v;
-        continue;
-      }
-      Rng rng = node_rng(imm_base, v);
-      if (rng.bernoulli(imm.rate)) {
-        if (state_[v] == NodeState::kInfected)
-          ++shard.immunized_infected;
-        else
-          ++shard.immunized_susceptible;
-        state_[v] = NodeState::kRemoved;
-        continue;
-      }
-      shard.alive[out++] = v;
-    }
-    shard.alive.resize(out);
-  }
+  // Per-purpose tick bases: every per-node Rng of this tick hangs off
+  // one of these via node_rng.
+  const auto base = [&](std::uint64_t salt) {
+    return mix64(mix64(config_.seed ^ salt) ^ (kTickStride * tick_index));
+  };
+  if (immunizing_) immunize(shard, base(kImmSalt));
 
   const auto& detector = config_.detector;
-  const double hit = config_.worm.hit_probability;
-  const bool sparse = hit < 1.0;  // gate: no extra draws when dense
   const bool draw_sightings = detector.enabled && detection_tick_ < 0.0;
-  const auto& qpolicy = config_.quarantine.policy;
-
+  const std::uint64_t emit_base = base(kEmitSalt);
   std::size_t out = 0;
   for (const NodeId v : shard.infected) {
     if (state_[v] != NodeState::kInfected) continue;  // compact away
     shard.infected[out++] = v;
     Rng rng = node_rng(emit_base, v);
-    double rate = filtered_[v] ? config_.worm.filtered_contact_rate
-                               : config_.worm.contact_rate;
-    const std::uint32_t local = v - shard.begin;
-    const bool q = shard.quarantine && shard.quarantine->quarantined(local);
-    if (q && qpolicy.treatment == quarantine::Treatment::kThrottle)
-      rate = std::min(rate, qpolicy.throttle_rate);
-    const std::uint64_t attempts = rng.poisson(rate);
-    if (q && qpolicy.treatment == quarantine::Treatment::kDropAll) {
-      // Full isolation: scans die at the host's own uplink.
-      shard.quarantine_dropped += attempts;
-      continue;
-    }
-    for (std::uint64_t a = 0; a < attempts; ++a) {
-      if (sparse && !rng.bernoulli(hit)) {
-        // Address-space miss: a failed connection the quarantine
-        // detector sees. The synthetic dead-address key comes from the
-        // node's own stream (the serial engine's global miss counter
-        // is inherently unshardable).
-        if (shard.quarantine && quarantine_armed_)
-          shard.quarantine->observe(local, rng.next_u64(), tick_,
-                                    /*failed=*/true);
-        continue;
-      }
-      const NodeId dest = selector_.pick_stateless(v, rng);
-      shard.outbox[shard_of(dest)].push_back({v, dest});
-      ++shard.scan_packets;
-      // The sender's detector records the completed attempt at
-      // emission (the scale tier has no limiters that could still
-      // drop it in flight; a drop at a quarantined destination is
-      // charged to the quarantine, not the sender — see deliver() in
-      // worm_sim.cpp for the rationale).
-      if (shard.quarantine && quarantine_armed_)
-        shard.quarantine->observe(local,
-                                  static_cast<std::uint64_t>(dest),
-                                  tick_, /*failed=*/false);
+    const double rate = filtered_[v] ? config_.worm.filtered_contact_rate
+                                     : config_.worm.contact_rate;
+    emit_from(shard, v, PacketKind::kWorm, rate, rng, [&] {
+      const NodeId dest = selector_.pick(v, rng);
+      ++shard.d.scan_packets;
       if (draw_sightings && rng.bernoulli(detector.observe_probability))
-        ++shard.sightings;
-    }
+        ++shard.d.sightings;
+      return dest;
+    });
   }
   shard.infected.resize(out);
+
+  // Predator scans and legitimate packets go to uniform random peers
+  // (Welchia swept address ranges like its prey).
+  const auto random_peer = [n = static_cast<NodeId>(net_.num_nodes())](
+                               NodeId v, Rng& rng) {
+    NodeId dest;
+    do {
+      dest = static_cast<NodeId>(rng.uniform_int(n));
+    } while (dest == v);
+    return dest;
+  };
+  if (config_.predator.enabled) {
+    // Patch due predators; the rest scan.
+    const std::uint64_t pred_base = base(kPredatorSalt);
+    out = 0;
+    for (const NodeId v : shard.predators) {
+      if (state_[v] != NodeState::kPredator) continue;  // compact away
+      if (tick_ - predator_tick_[v] >= config_.predator.patch_delay) {
+        state_[v] = NodeState::kRemoved;
+        ++shard.d.predator_patched;
+        continue;
+      }
+      shard.predators[out++] = v;
+      Rng rng = node_rng(pred_base, v);
+      emit_from(shard, v, PacketKind::kPredator, config_.predator.contact_rate,
+                rng, [&] { return random_peer(v, rng); });
+    }
+    shard.predators.resize(out);
+  }
+
+  if (config_.legit.rate_per_node > 0.0) {
+    const std::uint64_t legit_base = base(kLegitSalt);
+    for (NodeId v = shard.begin; v < shard.end; ++v) {
+      Rng rng = node_rng(legit_base, v);
+      emit_from(shard, v, PacketKind::kLegit, config_.legit.rate_per_node,
+                rng, [&] {
+                  ++shard.d.legit_sent;
+                  return random_peer(v, rng);
+                });
+    }
+  }
+}
+
+void ShardedSimulation::observe(NodeId host, std::uint64_t key, bool failed) {
+  if (!quarantine_armed_) return;
+  Shard& shard = shards_[shard_of(host)];
+  if (shard.quarantine)
+    shard.quarantine->observe(host - shard.begin, key, tick_, failed);
+}
+
+void ShardedSimulation::mark_accrual(std::uint32_t link) {
+  if (accrual_flag_[link]) return;
+  accrual_flag_[link] = 1;
+  accrual_links_.push_back(link);
+}
+
+void ShardedSimulation::park_link(std::uint32_t link, const InFlight& p) {
+  link_queue_[link].push_back(p);
+  ++result_.perf.queue_events;
+  trace(link, obs::EventKind::kQueuePark);
+  if (queued_flag_[link]) return;
+  queued_flag_[link] = 1;
+  if (in_link_drain_ && link > drain_pass_[drain_pos_]) {
+    // Still ahead of the drain cursor: splice into the live pass so
+    // the drain stays one ascending sweep over the queued links.
+    drain_pass_.insert(
+        std::upper_bound(drain_pass_.begin() +
+                             static_cast<std::ptrdiff_t>(drain_pos_ + 1),
+                         drain_pass_.end(), link),
+        link);
+  } else {
+    queued_links_.push_back(link);
+  }
+}
+
+bool ShardedSimulation::response_drops(const InFlight& p,
+                                       std::size_t link) const {
+  const auto& response = config_.response;
+  if (response.kind == ResponseConfig::Kind::kNone) return false;
+  if (!response.filters_everywhere && !net_.link_is_backbone(link))
+    return false;
+  if (response.kind == ResponseConfig::Kind::kBlacklist) {
+    // Blacklists are per-source: everything the identified host sends
+    // is discarded, worm scans and legitimate packets alike. The
+    // reaction clock runs from the source's infection, or from the
+    // alarm if that is later (identification cannot precede it).
+    double clock_start = infected_tick_[p.src];
+    if (clock_start < 0.0) return false;
+    if (response.start_on_detection) {
+      if (detection_tick_ < 0.0) return false;
+      clock_start = std::max(clock_start, detection_tick_);
+    }
+    return tick_ >= clock_start + response.reaction_time;
+  }
+  // Content filter: the signature matches only the main worm's
+  // payload; legitimate packets and the counter-worm pass. Signature
+  // extraction starts at the alarm when start_on_detection is set,
+  // otherwise at the first infection (tick 0).
+  if (p.kind != PacketKind::kWorm) return false;
+  if (response.start_on_detection)
+    return detection_tick_ >= 0.0 &&
+           tick_ >= detection_tick_ + response.reaction_time;
+  return tick_ >= response.reaction_time;
+}
+
+void ShardedSimulation::forward(InFlight p) {
+  // Traverse the remaining path within this tick, consuming limiter
+  // budgets. The first exhausted limiter parks the packet in its FIFO;
+  // an active response filter may discard it outright.
+  ++result_.perf.packets_forwarded;
+  const auto& cap = config_.deployment.node_forward_cap;  // (hub, budget)
+  while (p.at != p.dest) {
+    // Node-level forwarding cap (the star hub experiment).
+    if (cap && p.at == cap->first) {
+      if (node_cap_used_ >= cap->second) {
+        node_queue_.push_back(p);
+        ++result_.perf.queue_events;
+        trace(cap->first, obs::EventKind::kQueuePark, /*a=*/1);
+        return;
+      }
+      ++node_cap_used_;
+    }
+
+    const Network::HopStep hop = net_.hop_toward(p.at, p.dest);
+    if (response_drops(p, hop.link)) {
+      if (p.kind == PacketKind::kLegit)
+        ++result_.legit_dropped;
+      else
+        ++result_.worm_packets_dropped;
+      trace(p.src, obs::EventKind::kResponseDrop, /*a=*/0,
+            static_cast<std::uint8_t>(p.kind), hop.link);
+      // A filtered connection never completes: the sender's detector
+      // sees it as a failure.
+      observe(p.src, p.dest, /*failed=*/true);
+      return;
+    }
+    if (link_capacity_[hop.link] != 0.0) {
+      if (link_credit_[hop.link] < 1.0) {
+        park_link(hop.link, p);
+        return;
+      }
+      link_credit_[hop.link] -= 1.0;
+      mark_accrual(hop.link);
+    }
+    ++result_.perf.link_hops;
+    p.at = hop.next;
+  }
+  // Delivered: the contact completed, so the sender's detector records
+  // it now; phase B applies its effect at the destination.
+  observe(p.src, p.dest, /*failed=*/false);
+  shards_[shard_of(p.dest)].inbox.push_back(p);
+}
+
+void ShardedSimulation::phase_forward() {
+  // New tick: limited links below their burst cap accrue one tick's
+  // capacity as credit (clamped so idle links cannot bank an unbounded
+  // burst). Only links that spent credit — or fractional-capacity links
+  // still climbing toward one whole packet — are on the accrual list.
+  std::size_t out = 0;
+  for (const std::uint32_t l : accrual_links_) {
+    const double burst = std::max(1.0, link_capacity_[l]);
+    link_credit_[l] = std::min(link_credit_[l] + link_capacity_[l], burst);
+    if (link_credit_[l] < burst)
+      accrual_links_[out++] = l;  // still short of a full burst
+    else
+      accrual_flag_[l] = 0;
+  }
+  accrual_links_.resize(out);
+  node_cap_used_ = 0;
+
+  const auto release = [&](std::deque<InFlight>& fifo, std::uint32_t site,
+                           std::uint8_t at_hub) {
+    const InFlight p = fifo.front();
+    fifo.pop_front();
+    ++result_.perf.queue_releases;
+    trace(site, obs::EventKind::kQueueRelease, at_hub);
+    forward(p);
+  };
+  // Hub-capped packets drain oldest-first; a released packet that
+  // re-parks at the hub goes to the back of the same FIFO. (Only a
+  // configured hub cap ever queues here.)
+  const auto& cap = config_.deployment.node_forward_cap;
+  while (!node_queue_.empty() && node_cap_used_ < cap->second)
+    release(node_queue_, cap->first, 1);
+
+  // Link FIFOs drain in ascending link-index order over the links that
+  // actually hold packets. A link gaining packets mid-pass joins the
+  // live pass when still ahead of the cursor (park_link).
+  drain_pass_.swap(queued_links_);
+  std::sort(drain_pass_.begin(), drain_pass_.end());
+  in_link_drain_ = true;
+  for (drain_pos_ = 0; drain_pos_ < drain_pass_.size(); ++drain_pos_) {
+    const std::uint32_t l = drain_pass_[drain_pos_];
+    while (!link_queue_[l].empty() && link_credit_[l] >= 1.0)
+      release(link_queue_[l], l, 0);
+    if (link_queue_[l].empty())
+      queued_flag_[l] = 0;
+    else
+      queued_links_.push_back(l);  // still blocked; retry next tick
+  }
+  in_link_drain_ = false;
+  drain_pass_.clear();
+
+  // This tick's fresh packets in canonical order: worm, predator,
+  // legit; each by ascending source (shards are ascending id ranges)
+  // and emission sequence.
+  const auto tick = static_cast<std::uint32_t>(tick_);
+  for (std::size_t k = 0; k < kKinds; ++k)
+    for (const Shard& sh : shards_)
+      for (const Packet& p : sh.fresh[k])
+        forward({p.src, p.dest, p.src, tick, static_cast<PacketKind>(k)});
+}
+
+void ShardedSimulation::apply(Shard& shard, PacketKind kind, NodeId dest,
+                              std::uint32_t emit_tick) {
+  if (shard.quarantine &&
+      config_.quarantine.policy.treatment ==
+          quarantine::Treatment::kDropAll &&
+      shard.quarantine->quarantined(dest - shard.begin)) {
+    // Inbound packet blocked at an isolated destination.
+    if (kind == PacketKind::kLegit)
+      ++shard.d.legit_quarantine_dropped;
+    else
+      ++shard.d.quarantine_dropped;
+    trace(dest, obs::EventKind::kQuarantineDrop, /*a=*/1,
+          static_cast<std::uint8_t>(kind), 1);
+    return;
+  }
+  switch (kind) {
+    case PacketKind::kWorm:
+      if (state_[dest] != NodeState::kSusceptible) return;
+      state_[dest] = NodeState::kInfected;
+      infected_tick_[dest] = tick_;
+      ever_[dest] = 1;
+      shard.pending.push_back(dest);
+      ++shard.d.new_infections;
+      trace(dest, obs::EventKind::kInfection);
+      return;
+    case PacketKind::kPredator:
+      if (state_[dest] == NodeState::kSusceptible)
+        ++shard.d.predator_from_susceptible;
+      else if (state_[dest] == NodeState::kInfected)
+        ++shard.d.predator_from_infected;
+      else
+        return;
+      state_[dest] = NodeState::kPredator;
+      predator_tick_[dest] = tick_;
+      shard.pending_predators.push_back(dest);
+      trace(dest, obs::EventKind::kPredatorTake);
+      return;
+    case PacketKind::kLegit: {
+      ++shard.d.legit_delivered;
+      const double delay = tick_ - static_cast<double>(emit_tick);
+      shard.d.legit_delay_sum += delay;
+      shard.d.legit_delay_max = std::max(shard.d.legit_delay_max, delay);
+      return;
+    }
+  }
 }
 
 void ShardedSimulation::phase_apply(Shard& shard) {
-  const std::size_t self =
-      static_cast<std::size_t>(&shard - shards_.data());
-  const bool drop_all =
-      shard.quarantine &&
-      config_.quarantine.policy.treatment == quarantine::Treatment::kDropAll;
-  // Ascending source shard + per-shard emission order = ascending
-  // source node id globally, whatever the shard count.
-  for (const Shard& src : shards_) {
-    for (const Packet& p : src.outbox[self]) {
-      ++shard.delivered;
-      if (drop_all &&
-          shard.quarantine->quarantined(p.dest - shard.begin)) {
-        // Inbound scan blocked at an isolated destination.
-        ++shard.quarantine_dropped;
-        continue;
-      }
-      if (state_[p.dest] != NodeState::kSusceptible) continue;
-      state_[p.dest] = NodeState::kInfected;
-      infected_tick_[p.dest] = tick_;
-      ever_[p.dest] = 1;
-      shard.pending.push_back(p.dest);
-      ++shard.new_infections;
-    }
+  if (forwarding_) {
+    for (const InFlight& p : shard.inbox)
+      apply(shard, p.kind, p.dest, p.emit_tick);
+    shard.inbox.clear();
+  } else {
+    // Canonical order restricted to this range: kind, then ascending
+    // source shard + per-shard emission order = ascending source node
+    // id globally, whatever the shard count.
+    const std::size_t self =
+        static_cast<std::size_t>(&shard - shards_.data());
+    const auto tick = static_cast<std::uint32_t>(tick_);
+    for (std::size_t k = 0; k < kKinds; ++k)
+      for (const Shard& src : shards_)
+        for (const Packet& p : src.outbox[k][self]) {
+          ++shard.d.delivered;
+          apply(shard, static_cast<PacketKind>(k), p.dest, tick);
+        }
   }
-  if (!shard.pending.empty()) {
-    std::sort(shard.pending.begin(), shard.pending.end());
-    shard.merge_scratch.resize(shard.infected.size() + shard.pending.size());
-    std::merge(shard.infected.begin(), shard.infected.end(),
-               shard.pending.begin(), shard.pending.end(),
+  const auto merge = [&](std::vector<NodeId>& list,
+                         std::vector<NodeId>& pending) {
+    if (pending.empty()) return;
+    std::sort(pending.begin(), pending.end());
+    shard.merge_scratch.resize(list.size() + pending.size());
+    std::merge(list.begin(), list.end(), pending.begin(), pending.end(),
                shard.merge_scratch.begin());
-    shard.infected.swap(shard.merge_scratch);
-    shard.pending.clear();
-  }
+    list.swap(shard.merge_scratch);
+    pending.clear();
+  };
+  merge(shard.infected, shard.pending);
+  merge(shard.predators, shard.pending_predators);
 }
 
 void ShardedSimulation::step() {
+  using clock = std::chrono::steady_clock;
+  const auto lap = [](clock::time_point& t) {
+    const auto now = clock::now();
+    const std::chrono::duration<double> d = now - t;
+    t = now;
+    return d.count();
+  };
+  auto t = clock::now();
   tick_ += 1.0;
   ++tick_index_;
 
   // Serial pre-phase: tick-granularity control decisions from last
-  // tick's state (the serial engine can flip these mid-phase; here
-  // they are frozen for the whole tick so shards need no coordination).
+  // tick's state, frozen for the whole tick so shards need no
+  // coordination.
   if (config_.quarantine.enabled && !quarantine_armed_ &&
       detection_tick_ >= 0.0)
     quarantine_armed_ = true;
@@ -388,40 +747,56 @@ void ShardedSimulation::step() {
     if (due) {
       immunizing_ = true;
       result_.immunization_start_tick = tick_;
+      trace(0, obs::EventKind::kImmunizationStart);
+      for (Shard& sh : shards_)
+        for (NodeId v = sh.begin; v < sh.end; ++v)
+          if (state_[v] != NodeState::kRemoved) sh.alive.push_back(v);
     }
   }
-
-  const std::uint64_t emit_base =
-      mix64(emit_stream_ ^ (kTickStride * tick_index_));
-  const std::uint64_t imm_base =
-      mix64(imm_stream_ ^ (kTickStride * tick_index_));
+  if (config_.predator.enabled && !predator_released_ &&
+      tick_ >= config_.predator.start_tick)
+    release_predator();
 
   // Per-phase spans (obs_.spans; null when profiling is off) time the
-  // two parallel phases and the serial merges separately — the merge /
+  // parallel phases and the serial merges separately — the merge /
   // phase ratio is the scaling diagnostic. Spans read only the clock,
   // never RNG or sim state, so profiled runs stay byte-identical.
   {
     const obs::Span span(obs_.spans, "emit");
-    parallel_shards(
-        [&](Shard& sh) { phase_emit(sh, emit_base, imm_base); });
+    parallel_shards([&](Shard& sh) { phase_emit(sh, tick_index_); });
   }
 
   {
     const obs::Span span(obs_.spans, "merge_emit");
     // Serial merge A: fold emission deltas in ascending shard order.
     for (const Shard& sh : shards_) {
-      result_.total_scan_packets += sh.scan_packets;
-      detector_sightings_ += sh.sightings;
-      infected_count_ -= sh.immunized_infected;
-      susceptible_count_ -= sh.immunized_susceptible;
-      removed_count_ += sh.immunized_infected + sh.immunized_susceptible;
+      const Shard::Deltas& d = sh.d;
+      const auto immunized = [&](NodeState s) {
+        return d.immunized[static_cast<std::size_t>(s)];
+      };
+      result_.total_scan_packets += d.scan_packets;
+      detector_sightings_ += d.sightings;
+      susceptible_count_ -= immunized(NodeState::kSusceptible);
+      infected_count_ -= immunized(NodeState::kInfected);
+      predator_count_ -= immunized(NodeState::kPredator) + d.predator_patched;
+      removed_count_ += immunized(NodeState::kSusceptible) +
+                        immunized(NodeState::kInfected) +
+                        immunized(NodeState::kPredator) + d.predator_patched;
     }
     if (config_.detector.enabled && detection_tick_ < 0.0 &&
         detector_sightings_ >= config_.detector.threshold) {
       detection_tick_ = tick_;
       result_.detection_tick = tick_;
+      trace(0, obs::EventKind::kDetectorAlarm, 0, 0, detector_sightings_);
     }
   }
+  result_.perf.seconds_emit += lap(t);
+
+  if (forwarding_) {
+    const obs::Span span(obs_.spans, "forward");
+    phase_forward();
+  }
+  result_.perf.seconds_forward += lap(t);
 
   {
     const obs::Span span(obs_.spans, "apply");
@@ -432,18 +807,29 @@ void ShardedSimulation::step() {
     const obs::Span span(obs_.spans, "merge_apply");
     // Serial merge B: fold delivery deltas.
     for (const Shard& sh : shards_) {
-      result_.perf.packets_forwarded += sh.delivered;
-      result_.quarantine_dropped_packets += sh.quarantine_dropped;
-      infected_count_ += sh.new_infections;
-      ever_count_ += sh.new_infections;
-      susceptible_count_ -= sh.new_infections;
+      const Shard::Deltas& d = sh.d;
+      result_.perf.packets_forwarded += d.delivered;
+      result_.quarantine_dropped_packets += d.quarantine_dropped;
+      ever_count_ += d.new_infections;
+      infected_count_ += d.new_infections;
+      infected_count_ -= d.predator_from_infected;
+      susceptible_count_ -= d.new_infections + d.predator_from_susceptible;
+      predator_count_ += d.predator_from_susceptible + d.predator_from_infected;
+      result_.legit_sent += d.legit_sent;
+      result_.legit_delivered += d.legit_delivered;
+      result_.legit_quarantine_dropped += d.legit_quarantine_dropped;
+      legit_delay_sum_ += d.legit_delay_sum;
+      result_.max_legit_delay =
+          std::max(result_.max_legit_delay, d.legit_delay_max);
     }
   }
+  result_.perf.seconds_apply += lap(t);
 
   {
     const obs::Span span(obs_.spans, "record");
     record();
   }
+  result_.perf.seconds_record += lap(t);
   ++result_.perf.ticks;
 }
 
@@ -453,6 +839,9 @@ void ShardedSimulation::record() {
                                static_cast<double>(infected_count_) / n);
   result_.ever_infected.push(tick_, static_cast<double>(ever_count_) / n);
   result_.removed.push(tick_, static_cast<double>(removed_count_) / n);
+  if (config_.predator.enabled)
+    result_.predator_infected.push(
+        tick_, static_cast<double>(predator_count_) / n);
   if (seed_subnet_) {
     const auto& members = net_.subnet_members(*seed_subnet_);
     std::size_t ever = 0;
@@ -464,79 +853,72 @@ void ShardedSimulation::record() {
 }
 
 bool ShardedSimulation::saturated() const {
-  if (!config_.stop_when_saturated) return false;
-  if (config_.immunization.enabled) return false;
-  return susceptible_count_ == 0;
+  // Nothing can change once no susceptible host remains, unless
+  // immunization or the predator still moves nodes. With legit traffic
+  // the run continues so collateral metrics cover the full horizon.
+  return config_.stop_when_saturated && !config_.immunization.enabled &&
+         config_.legit.rate_per_node <= 0.0 && !config_.predator.enabled &&
+         susceptible_count_ == 0;
 }
 
 quarantine::QuarantineReport ShardedSimulation::quarantine_report() const {
-  // One pass over hosts in global id order — exactly the accumulation
-  // order (and float result) an unsharded QuarantineEngine::report
-  // produces, so the report is invariant in the shard count.
-  quarantine::QuarantineReport out;
-  double latency_sum = 0.0;
+  // Host records in global id order: the accumulation order (and float
+  // result) of one unsharded engine, so the report is invariant in the
+  // shard count. Ground truth: a host is a target iff the worm ever
+  // took it, with its infection tick as the detection-latency
+  // reference point.
+  std::vector<quarantine::HostRecord> records;
+  records.reserve(net_.num_nodes());
+  std::uint64_t events = 0;
   for (const Shard& sh : shards_) {
-    if (!sh.quarantine) continue;  // block-rounding emptied this shard
-    for (NodeId v = sh.begin; v < sh.end; ++v) {
-      const std::uint32_t local = v - sh.begin;
-      const quarantine::HostRecord& rec = sh.quarantine->record(local);
-      if (infected_tick_[v] >= 0.0) {
-        ++out.target_hosts;
-        out.target_quarantine_time +=
-            sh.quarantine->quarantine_time(local, tick_);
-        if (rec.first_quarantined >= 0.0) {
-          out.detected_targets += 1.0;
-          latency_sum +=
-              std::max(0.0, rec.first_quarantined - infected_tick_[v]);
-        }
-      } else {
-        ++out.benign_hosts;
-        if (rec.offenses > 0) {
-          out.false_positive_hosts += 1.0;
-          out.benign_quarantine_time +=
-              sh.quarantine->quarantine_time(local, tick_);
-        }
-      }
-    }
-    out.quarantine_events +=
-        static_cast<double>(sh.quarantine->quarantine_events());
+    if (!sh.quarantine) continue;  // block rounding emptied this shard
+    for (NodeId v = sh.begin; v < sh.end; ++v)
+      records.push_back(sh.quarantine->record(v - sh.begin));
+    events += sh.quarantine->quarantine_events();
   }
-  if (out.target_hosts > 0)
-    out.detection_rate =
-        out.detected_targets / static_cast<double>(out.target_hosts);
-  if (out.detected_targets > 0.0)
-    out.mean_detection_latency = latency_sum / out.detected_targets;
-  if (out.benign_hosts > 0)
-    out.false_positive_rate =
-        out.false_positive_hosts / static_cast<double>(out.benign_hosts);
-  if (out.false_positive_hosts > 0.0)
-    out.mean_benign_quarantine_time =
-        out.benign_quarantine_time / out.false_positive_hosts;
-  return out;
+  return quarantine::report_from_records(records, infected_tick_, tick_,
+                                         events);
 }
 
 void ShardedSimulation::flush_metrics() {
   if (obs_.metrics == nullptr) return;
+  // One batched flush per run: relaxed counter adds commute, so totals
+  // across a run_many batch are identical at any thread count.
   obs::MetricsRegistry& m = *obs_.metrics;
   m.counter("sim.runs").add(1);
   m.counter("sim.ticks").add(result_.perf.ticks);
   m.counter("sim.packets_forwarded").add(result_.perf.packets_forwarded);
+  m.counter("sim.link_hops").add(result_.perf.link_hops);
+  m.counter("sim.queue_events").add(result_.perf.queue_events);
+  m.counter("sim.queue_releases").add(result_.perf.queue_releases);
   m.counter("sim.scan_packets").add(result_.total_scan_packets);
   m.counter("sim.infections").add(ever_count_);
+  m.counter("sim.worm_packets_dropped").add(result_.worm_packets_dropped);
+  m.counter("sim.legit.sent").add(result_.legit_sent);
+  m.counter("sim.legit.delivered").add(result_.legit_delivered);
+  m.counter("sim.legit.dropped").add(result_.legit_dropped);
   m.histogram("sim.run_ticks").record(result_.perf.ticks);
   if (config_.quarantine.enabled) {
-    std::uint64_t events = 0;
-    for (const Shard& sh : shards_)
-      if (sh.quarantine) events += sh.quarantine->quarantine_events();
-    m.counter("quarantine.events").add(events);
+    m.counter("quarantine.events")
+        .add(static_cast<std::uint64_t>(result_.quarantine.quarantine_events));
     m.counter("quarantine.dropped_packets")
         .add(result_.quarantine_dropped_packets);
+    m.counter("quarantine.legit_dropped")
+        .add(result_.legit_quarantine_dropped);
   }
+  // Wall-clock timing is flagged kWallClock so deterministic snapshots
+  // (cached artifacts) never include it.
+  m.histogram("sim.run_micros", obs::Determinism::kWallClock)
+      .record(static_cast<std::uint64_t>(result_.perf.total_seconds() * 1e6));
 }
 
 RunResult ShardedSimulation::run() {
   while (tick_ < config_.max_ticks && !saturated()) step();
   result_.final_ever_infected_count = ever_count_;
+  result_.total_queued_packet_events = result_.perf.queue_events;
+  if (result_.legit_delivered > 0)
+    result_.mean_legit_delay =
+        legit_delay_sum_ / static_cast<double>(result_.legit_delivered);
   if (config_.quarantine.enabled) result_.quarantine = quarantine_report();
   flush_metrics();
   return result_;

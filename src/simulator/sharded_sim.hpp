@@ -1,46 +1,31 @@
-// ShardedSimulation: the million-node tick core.
+// Packet-level worm propagation simulator — Section 5.4's experiment
+// engine, rebuilt from scratch (the paper used ns-2 as its substrate).
+// One engine runs every mechanism at every size, from the 200-node star
+// to 10⁶-node graphs, and its output is *byte-identical at any shard
+// count*: node state is flat arrays split into contiguous id ranges
+// (shards), each owned by one thread during the parallel phases, and
+// every random decision a node makes on a tick comes from its own
+// counter-based substream, so threading cannot reorder a draw.
 //
-// WormSimulation models every mechanism in the paper but walks one
-// RNG stream through one thread — fine at 10³–10⁴ nodes, hopeless at
-// 10⁶. This engine trades the serial engine's full feature surface
-// for a struct-of-arrays layout and a sharded tick loop whose output
-// is *byte-identical at any shard count*:
-//
-//   * Node state is flat arrays (uint8 state/ever/filtered, double
-//     infection tick) — no per-node objects, no pointer chasing.
-//   * Nodes are pre-partitioned into contiguous id ranges (shards), so
-//     each shard's infected frontier, pending queue, and quarantine
-//     detectors live in a cache-local slab owned by one thread.
-//   * Every random decision a node makes on a tick comes from its own
-//     counter-based substream: Rng(mix64(tick_base ^ stride·(v+1))).
-//     No draw order is shared across nodes, so threading cannot
-//     reorder the stream — the same trick run_many uses per run,
-//     pushed down to per-node granularity.
-//   * The tick is two parallel phases around serial merge points.
-//     Phase A (per source shard): quarantine releases, immunization,
-//     scan emission into per-destination-shard outboxes. Serial merge:
-//     detector sightings and counter deltas fold in ascending shard
-//     order. Phase B (per destination shard): inbound packets apply in
-//     ascending source-node order — the concatenation of outboxes in
-//     ascending source-shard order is the same global sequence no
-//     matter how many shards produced it.
-//
-// Scope: the scale tier supports random / local-preferential
-// scanning, host filters, sparse address space (hit_probability),
-// the dark-space detector, immunization, and dynamic quarantine
-// (drop-all and throttle). Mechanisms that are inherently serial —
-// link rate limiting (one global FIFO drain order), node forward
-// caps, blacklist/content-filter responses, legitimate traffic,
-// the predator — stay on WormSimulation and are rejected at
-// construction. Detection is evaluated at tick granularity (the
-// serial engine can fire mid-emission), and successful contacts feed
-// a host's quarantine detector at emission rather than delivery, so
-// the two engines' trajectories are close but not bit-equal; the
-// sharded engine's own fixtures pin ITS contract.
+// One tick (docs/SIMULATOR.md has the full contract):
+//   0. serial pre-phase — arm the quarantine, start immunization,
+//      release the predator;
+//   A. emit (parallel per shard) — quarantine releases, immunization,
+//      predator patching, worm / predator / legitimate emission;
+//   merge A (serial) — counters and the dark-space alarm, at tick
+//      granularity;
+//   F. forward (serial; only with a link limiter, the hub cap or a
+//      response) — credit accrual, FIFO drains, then fresh packets in
+//      canonical order (worm, predator, legit; each by ascending source
+//      and emission sequence) walk their paths until delivered, queued
+//      or dropped;
+//   B. apply (parallel per shard) — deliveries take effect in delivery
+//      order, so a node infected at tick t first scans at t+1;
+//   merge B and record (serial).
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -48,22 +33,113 @@
 #include "quarantine/engine.hpp"
 #include "simulator/config.hpp"
 #include "simulator/network.hpp"
-#include "simulator/worm_sim.hpp"
+#include "stats/timeseries.hpp"
 #include "worm/target_selector.hpp"
 
 namespace dq::sim {
 
+enum class NodeState : std::uint8_t {
+  kSusceptible,
+  kInfected,   ///< carrying the main worm
+  kPredator,   ///< carrying the counter-worm (pre-patch)
+  kRemoved,
+};
+
+/// Tick-loop telemetry for one run: raw event counters plus wall time
+/// per tick phase. Cheap enough to collect unconditionally, and
+/// entirely outside the RNG stream, so trajectories are unaffected.
+struct PerfCounters {
+  std::uint64_t ticks = 0;  ///< step() calls
+  /// Packets routed toward a destination: every fresh packet plus
+  /// every queue release.
+  std::uint64_t packets_forwarded = 0;
+  /// Link traversals walked by the forward phase. Runs with nothing in
+  /// flight deliver without walking paths and count none.
+  std::uint64_t link_hops = 0;
+  std::uint64_t queue_events = 0;    ///< packets parked in a limiter FIFO
+  std::uint64_t queue_releases = 0;  ///< packets popped from a FIFO
+
+  double seconds_emit = 0.0;     ///< pre-phase, phase A and merge A
+  double seconds_forward = 0.0;  ///< forward phase
+  double seconds_apply = 0.0;    ///< phase B and merge B
+  double seconds_record = 0.0;   ///< metric recording
+
+  double total_seconds() const noexcept {
+    return seconds_emit + seconds_forward + seconds_apply + seconds_record;
+  }
+
+  PerfCounters& operator+=(const PerfCounters& o) noexcept {
+    ticks += o.ticks;
+    packets_forwarded += o.packets_forwarded;
+    link_hops += o.link_hops;
+    queue_events += o.queue_events;
+    queue_releases += o.queue_releases;
+    seconds_emit += o.seconds_emit;
+    seconds_forward += o.seconds_forward;
+    seconds_apply += o.seconds_apply;
+    seconds_record += o.seconds_record;
+    return *this;
+  }
+};
+
+/// Result of a single simulation run.
+struct RunResult {
+  TimeSeries active_infected;  ///< fraction infected (and not removed)
+  TimeSeries ever_infected;    ///< fraction ever infected (Fig. 8's metric)
+  TimeSeries removed;          ///< fraction patched/removed
+  /// On subnet topologies: fraction of the seed subnet's members ever
+  /// infected — the "spread within a subnet" metric of Figures 3(b)/5.
+  /// Empty when the topology has no subnets.
+  TimeSeries seed_subnet_infected;
+  /// Fraction of nodes currently carrying the counter-worm (empty
+  /// unless the predator is enabled).
+  TimeSeries predator_infected;
+  double immunization_start_tick = -1.0;  ///< -1 when never started
+  /// Tick at which the dark-space detector raised its alarm (-1 never).
+  double detection_tick = -1.0;
+  std::uint64_t total_scan_packets = 0;
+  std::uint64_t total_queued_packet_events = 0;
+  /// Worm packets dropped by blacklists / content filters.
+  std::uint64_t worm_packets_dropped = 0;
+  std::uint64_t final_ever_infected_count = 0;
+
+  // Legitimate-traffic collateral metrics (when legit.rate_per_node>0).
+  std::uint64_t legit_sent = 0;
+  std::uint64_t legit_delivered = 0;
+  /// Legitimate packets destroyed by a per-source blacklist.
+  std::uint64_t legit_dropped = 0;
+  /// Mean ticks a delivered legitimate packet spent queued (0 = clean).
+  double mean_legit_delay = 0.0;
+  double max_legit_delay = 0.0;
+
+  // Dynamic-quarantine outcome (all zero unless quarantine.enabled).
+  /// Detection latency / FP rate / penalty report, labeled by each
+  /// host's infection tick.
+  quarantine::QuarantineReport quarantine;
+  /// Worm + predator packets suppressed by quarantine (outbound drops
+  /// of isolated hosts, plus inbound scans blocked at an isolated
+  /// destination).
+  std::uint64_t quarantine_dropped_packets = 0;
+  /// Legitimate packets destroyed by quarantine isolation.
+  std::uint64_t legit_quarantine_dropped = 0;
+
+  /// Tick-loop counters and per-phase wall time for this run.
+  PerfCounters perf;
+};
+
 /// One worm outbreak over a shared Network, sharded across threads.
-/// Produces the same RunResult shape as WormSimulation; trajectories
-/// are a pure function of (network, config) — independent of
-/// num_shards and of how the OS schedules the shard threads.
+/// Trajectories are a pure function of (network, config) — independent
+/// of num_shards and of how the OS schedules the shard threads.
 class ShardedSimulation {
  public:
   /// num_shards == 0 picks the hardware concurrency. The network must
-  /// outlive the simulation. The sink only receives the end-of-run
-  /// metrics flush (per-event tracing would serialize the shards).
-  /// Throws std::invalid_argument for configs outside the scale tier
-  /// (see file comment).
+  /// outlive the simulation. The sink receives a metrics flush at the
+  /// end of run() and, at one shard only, per-event trace records
+  /// (obs/events.hpp) as they happen; it never touches the RNG stream,
+  /// so trajectories are identical with observability on or off. Pass
+  /// it at construction: initial infections fire at tick 0. Throws
+  /// std::invalid_argument for an invalid config or for a trace sink
+  /// with more than one shard.
   ShardedSimulation(const Network& net, const SimulationConfig& config,
                     std::size_t num_shards = 0, obs::Sink obs = {});
 
@@ -74,26 +150,42 @@ class ShardedSimulation {
   /// tick 0 with initial infections placed.
   void step();
   double tick() const noexcept { return tick_; }
-  std::size_t num_shards() const noexcept { return shards_.size(); }
   NodeState state(NodeId v) const { return state_.at(v); }
   std::uint64_t ever_infected_count() const noexcept { return ever_count_; }
   std::uint64_t active_infected_count() const noexcept {
     return infected_count_;
   }
-  bool detector_fired() const noexcept { return detection_tick_ >= 0.0; }
+  bool host_filtered(NodeId v) const { return filtered_.at(v) != 0; }
+
+  /// Per-tick capacity assigned to a link (0 = unlimited; may be
+  /// fractional); exposed so tests can verify the weighting rule.
+  double link_capacity(std::size_t link) const {
+    return link_capacity_.empty() ? 0.0 : link_capacity_.at(link);
+  }
 
  private:
-  /// A scan in flight between phases. The full path is implied by the
-  /// network's routing; with no limiters in the scale tier the packet
-  /// reaches its destination within the tick, so only the endpoints
-  /// travel between shards.
+  enum class PacketKind : std::uint8_t { kWorm, kPredator, kLegit };
+  static constexpr std::size_t kKinds = 3;
+
+  /// A fresh packet between phases: only the endpoints travel, since
+  /// the path is implied by the network's routing.
   struct Packet {
     NodeId src;
     NodeId dest;
   };
 
+  /// A packet in the forward phase: where it is, where it goes, who
+  /// sent it (for blacklisting) and when (for legit-delay accounting).
+  struct InFlight {
+    NodeId at;
+    NodeId dest;
+    NodeId src;
+    std::uint32_t emit_tick;
+    PacketKind kind;
+  };
+
   /// Everything one thread owns: a contiguous node range plus the
-  /// frontier, outboxes, quarantine slab, and per-tick counter deltas
+  /// frontiers, outboxes, quarantine slab, and per-tick counter deltas
   /// that belong to it. No other thread reads or writes any of this
   /// between merge points.
   struct Shard {
@@ -105,40 +197,89 @@ class ShardedSimulation {
     /// Nodes infected during the current phase B, merged into
     /// `infected` (sorted) at the end of the phase.
     std::vector<NodeId> pending;
+    /// Predator nodes in this range, ascending, with their pending
+    /// batch (same discipline as infected/pending).
+    std::vector<NodeId> predators;
+    std::vector<NodeId> pending_predators;
     std::vector<NodeId> merge_scratch;
-    /// outbox[d]: packets emitted this tick for destination shard d.
-    std::vector<std::vector<Packet>> outbox;
+    /// outbox[kind][d]: packets emitted this tick for destination
+    /// shard d, when nothing is in flight.
+    std::vector<std::vector<Packet>> outbox[kKinds];
+    /// fresh[kind]: this tick's packets in emission order, when the
+    /// forward phase routes them.
+    std::vector<Packet> fresh[kKinds];
+    /// Packets the forward phase delivered to this range, in delivery
+    /// order.
+    std::vector<InFlight> inbox;
     /// Quarantine slab for this range (host h ↦ local index h-begin);
     /// engaged iff config.quarantine.enabled.
     std::optional<quarantine::QuarantineEngine> quarantine;
     /// Immunization walk list (not-yet-removed nodes in this range),
-    /// built on the first immunizing tick.
+    /// built when immunization starts.
     std::vector<NodeId> alive;
-    bool alive_ready = false;
 
-    // Per-tick deltas, folded serially in ascending shard order.
-    std::uint64_t scan_packets = 0;
-    std::uint64_t sightings = 0;
-    std::uint64_t quarantine_dropped = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t new_infections = 0;
-    std::uint64_t immunized_infected = 0;
-    std::uint64_t immunized_susceptible = 0;
+    /// Per-tick deltas, reset in phase A and folded serially in
+    /// ascending shard order.
+    struct Deltas {
+      std::uint64_t scan_packets = 0;
+      std::uint64_t sightings = 0;
+      std::uint64_t quarantine_dropped = 0;
+      std::uint64_t delivered = 0;
+      std::uint64_t new_infections = 0;
+      std::uint64_t immunized[4] = {};  ///< by NodeState before removal
+      std::uint64_t predator_patched = 0;
+      std::uint64_t predator_from_susceptible = 0;
+      std::uint64_t predator_from_infected = 0;
+      std::uint64_t legit_sent = 0;
+      std::uint64_t legit_delivered = 0;
+      std::uint64_t legit_quarantine_dropped = 0;
+      double legit_delay_sum = 0.0;
+      double legit_delay_max = 0.0;
+    } d;
   };
 
   void validate_config() const;
   void place_initial_infections();
   void assign_host_filters();
+  void assign_link_capacities();
   std::size_t shard_of(NodeId v) const noexcept;
+  /// Records a trace event at the current tick (a pointer test when
+  /// tracing is off).
+  void trace(NodeId id, obs::EventKind kind, std::uint8_t a = 0,
+             std::uint8_t b = 0, std::uint64_t value = 0) {
+    if (obs_.trace != nullptr) obs_.emit({tick_, id, kind, a, b, value});
+  }
 
-  /// Phase A for one shard: quarantine releases, immunization walk,
-  /// scan emission into the outboxes.
-  void phase_emit(Shard& shard, std::uint64_t emit_base,
-                  std::uint64_t imm_base);
-  /// Phase B for one shard: apply inbound packets (ascending source
-  /// shard = ascending source node), then fold fresh infections into
-  /// the sorted frontier.
+  /// Phase A for one shard.
+  void phase_emit(Shard& shard, std::uint64_t tick_index);
+  void immunize(Shard& shard, std::uint64_t imm_base);
+  /// One sender's emission: Poisson(rate) attempts, throttled or
+  /// dropped at a quarantined source, address-space misses fed to the
+  /// sender's detector, and destinations handed to the outboxes (or
+  /// the fresh list).
+  template <typename PickDest>
+  void emit_from(Shard& shard, NodeId v, PacketKind kind, double rate,
+                 Rng& rng, PickDest&& pick);
+  void queue_packet(Shard& shard, PacketKind kind, NodeId v, NodeId dest);
+  void release_predator();
+
+  /// Forward phase (serial): credit accrual, FIFO drains, then this
+  /// tick's fresh packets in canonical order.
+  void phase_forward();
+  void forward(InFlight p);
+  void park_link(std::uint32_t link, const InFlight& p);
+  void mark_accrual(std::uint32_t link);
+  /// True if the active response discards this packet at link l.
+  bool response_drops(const InFlight& p, std::size_t link) const;
+  /// Feeds one contact into its sender's armed quarantine detector.
+  void observe(NodeId host, std::uint64_t key, bool failed);
+
+  /// Phase B for one shard: apply delivered packets, then fold fresh
+  /// infections and predator takes into the sorted frontiers.
   void phase_apply(Shard& shard);
+  void apply(Shard& shard, PacketKind kind, NodeId dest,
+             std::uint32_t emit_tick);
+
   /// Runs fn(shard) on every shard, one thread each (inline when there
   /// is a single shard).
   template <typename Fn>
@@ -146,10 +287,7 @@ class ShardedSimulation {
 
   void record();
   bool saturated() const;
-  /// Assembles the quarantine report with one serial pass over hosts
-  /// in global id order — the exact accumulation order (and therefore
-  /// float result) QuarantineEngine::report produces on an unsharded
-  /// engine.
+  /// The quarantine report, invariant in the shard count.
   quarantine::QuarantineReport quarantine_report() const;
   void flush_metrics();
 
@@ -163,6 +301,7 @@ class ShardedSimulation {
   std::vector<std::uint8_t> ever_;
   std::vector<std::uint8_t> filtered_;
   std::vector<double> infected_tick_;  ///< -1 when never infected
+  std::vector<double> predator_tick_;  ///< empty unless the predator runs
 
   std::vector<Shard> shards_;
 
@@ -170,18 +309,40 @@ class ShardedSimulation {
   std::uint64_t ever_count_ = 0;
   std::uint64_t removed_count_ = 0;
   std::uint64_t susceptible_count_ = 0;
+  std::uint64_t predator_count_ = 0;
   std::uint64_t detector_sightings_ = 0;
 
-  /// Substream roots: every per-node, per-tick Rng hangs off one of
-  /// these via two mix64 applications (tick, then node).
-  std::uint64_t emit_stream_ = 0;
-  std::uint64_t imm_stream_ = 0;
+  // Forward-phase state, allocated only when something can be in
+  // flight (a link limiter, the hub cap or a response).
+  bool forwarding_ = false;
+  std::vector<double> link_capacity_;  ///< 0 = unlimited
+  std::vector<double> link_credit_;    ///< accumulated allowance
+  std::vector<std::deque<InFlight>> link_queue_;
+  /// Limited links whose credit sits below their burst cap and must
+  /// accrue next tick (flag array mirrors membership).
+  std::vector<std::uint32_t> accrual_links_;
+  std::vector<char> accrual_flag_;
+  /// Links holding queued packets awaiting the next drain pass (flag
+  /// array mirrors membership in either this list or the live pass).
+  std::vector<std::uint32_t> queued_links_;
+  std::vector<char> queued_flag_;
+  /// Live drain pass: links drain in ascending index order; a link
+  /// that becomes non-empty mid-pass is spliced into the remainder
+  /// when still ahead of the cursor, or deferred to next tick when
+  /// already behind it.
+  std::vector<std::uint32_t> drain_pass_;
+  std::size_t drain_pos_ = 0;
+  bool in_link_drain_ = false;
+  std::uint32_t node_cap_used_ = 0;  ///< hub forwards this tick
+  std::deque<InFlight> node_queue_;
 
   double tick_ = 0.0;
   std::uint64_t tick_index_ = 0;
   bool immunizing_ = false;
   bool quarantine_armed_ = false;
+  bool predator_released_ = false;
   double detection_tick_ = -1.0;
+  double legit_delay_sum_ = 0.0;
   std::optional<std::size_t> seed_subnet_;
   RunResult result_;
 };

@@ -49,6 +49,11 @@ TargetSelector::TargetSelector(
       const std::size_t size =
           std::min<std::size_t>(config_.hitlist_size, num_nodes_);
       hitlist_.assign(all.begin(), all.begin() + size);
+      if (size == 0) break;
+      hitlist_pos_.resize(num_nodes_);
+      for (std::size_t v = 0; v < num_nodes_; ++v)
+        hitlist_pos_[v] = static_cast<std::uint32_t>(v % size);
+      hitlist_remaining_.assign(num_nodes_, static_cast<std::uint32_t>(size));
       break;
     }
     case ScanStrategy::kRandom:
@@ -91,21 +96,6 @@ NodeId TargetSelector::advance_cursor(NodeId scanner) {
   }
 }
 
-NodeId TargetSelector::pick_stateless(NodeId scanner, Rng& rng) const {
-  switch (config_.strategy) {
-    case ScanStrategy::kRandom:
-      return pick_random(scanner, rng);
-    case ScanStrategy::kLocalPreferential:
-      return pick_local(scanner, rng);
-    case ScanStrategy::kSequential:
-    case ScanStrategy::kPermutation:
-    case ScanStrategy::kHitlist:
-      break;
-  }
-  throw std::logic_error(
-      "TargetSelector::pick_stateless: strategy needs per-scanner state");
-}
-
 NodeId TargetSelector::pick(NodeId scanner, Rng& rng) {
   if (scanner >= num_nodes_)
     throw std::out_of_range("TargetSelector::pick: scanner out of range");
@@ -119,16 +109,12 @@ NodeId TargetSelector::pick(NodeId scanner, Rng& rng) {
       return advance_cursor(scanner);
     case ScanStrategy::kHitlist: {
       if (hitlist_.empty()) return pick_random(scanner, rng);
-      const auto [it, inserted] = hitlist_cursor_.try_emplace(scanner);
-      HitlistCursor& cur = it->second;
-      if (inserted) {
-        cur.pos = static_cast<std::uint32_t>(scanner % hitlist_.size());
-        cur.remaining = static_cast<std::uint32_t>(hitlist_.size());
-      }
-      while (cur.remaining > 0) {
-        const NodeId t = hitlist_[cur.pos];
-        cur.pos = static_cast<std::uint32_t>((cur.pos + 1) % hitlist_.size());
-        --cur.remaining;
+      std::uint32_t& pos = hitlist_pos_[scanner];
+      std::uint32_t& remaining = hitlist_remaining_[scanner];
+      while (remaining > 0) {
+        const NodeId t = hitlist_[pos];
+        pos = static_cast<std::uint32_t>((pos + 1) % hitlist_.size());
+        --remaining;
         if (t != scanner) return t;
       }
       return pick_random(scanner, rng);

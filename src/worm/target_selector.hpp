@@ -25,8 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -70,16 +68,11 @@ class TargetSelector {
                  std::uint64_t seed);
 
   /// Picks the next target for `scanner` (never the scanner itself).
+  /// Per-scanner state (sequential/permutation cursors, hitlist walks)
+  /// lives in flat arrays indexed by scanner, so concurrent calls for
+  /// distinct scanners, each with its own Rng, never touch the same
+  /// memory: one pick serves every strategy on every shard.
   NodeId pick(NodeId scanner, Rng& rng);
-
-  /// Stateless variant for the sharded engine: safe to call
-  /// concurrently from many threads, each with its own Rng, because it
-  /// touches no selector state. Only the memoryless strategies qualify
-  /// (kRandom, kLocalPreferential); cursor-based strategies throw
-  /// std::logic_error.
-  NodeId pick_stateless(NodeId scanner, Rng& rng) const;
-
-  ScanStrategy strategy() const noexcept { return config_.strategy; }
 
   /// The hitlist (empty unless kHitlist); exposed for tests.
   const std::vector<NodeId>& hitlist() const noexcept { return hitlist_; }
@@ -101,21 +94,16 @@ class TargetSelector {
   /// kSequential / kPermutation: per-scanner position in the scan
   /// order.
   std::vector<std::uint32_t> cursor_;
-  /// kHitlist per-scanner walk state: cyclic position plus how many
-  /// entries this scanner has yet to visit.
-  struct HitlistCursor {
-    std::uint32_t pos = 0;
-    std::uint32_t remaining = 0;
-  };
   /// kHitlist: every instance carries the full list (Warhol-style
-  /// startup) and walks all of it with its own cursor, lazily
-  /// allocated the first time a scanner picks. Scanners start at
-  /// offsets spread across the list (instances of a real hitlist worm
-  /// randomize their starting point so they don't duplicate effort)
-  /// and wrap around, so each covers every entry exactly once.
-  /// Entries naming the scanner itself are skipped without burning
-  /// them for anybody else.
-  std::unordered_map<NodeId, HitlistCursor> hitlist_cursor_;
+  /// startup) and walks all of it with its own cursor. Scanners start
+  /// at offsets spread across the list (instances of a real hitlist
+  /// worm randomize their starting point so they don't duplicate
+  /// effort) and wrap around, so each covers every entry exactly once;
+  /// entries naming the scanner itself are skipped without burning
+  /// them for anybody else. hitlist_pos_[s] is scanner s's cyclic
+  /// position, hitlist_remaining_[s] the entries it has yet to visit.
+  std::vector<std::uint32_t> hitlist_pos_;
+  std::vector<std::uint32_t> hitlist_remaining_;
   /// kPermutation: target = (a * position + b) mod N with gcd(a,N)=1.
   std::uint64_t perm_a_ = 1;
   std::uint64_t perm_b_ = 0;

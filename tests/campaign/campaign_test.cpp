@@ -66,6 +66,44 @@ TEST(JobHash, AnyFieldEditMovesTheHash) {
   EXPECT_EQ(hashes.size(), 6u) << "a config edit failed to move the hash";
 }
 
+TEST(JobHash, CanonicalFormIsPinned) {
+  // The cache key of one small job, byte for byte. A change here
+  // invalidates every cached artifact, so it must be deliberate: bump
+  // `schema` in job_config_to_json whenever the engine's output changes
+  // without a config field changing.
+  const JobConfig job = small_sim_job();
+  EXPECT_EQ(
+      job_config_to_json(job).dump(),
+      "{\"schema\":2,\"kind\":\"simulation\",\"topology\":{\"kind\":\"star\","
+      "\"nodes\":50,\"ba_links\":2,\"num_subnets\":25,"
+      "\"hosts_per_subnet\":40,\"backbone_fraction\":0.02,"
+      "\"edge_fraction\":0,\"build_seed\":42},"
+      "\"sim\":{\"worm\":{\"contact_rate\":0.8,"
+      "\"filtered_contact_rate\":0.01,\"selection\":0,\"local_bias\":0.8,"
+      "\"hitlist_size\":100,\"initial_infected\":1,"
+      "\"hit_probability\":1},\"deployment\":{\"host_filter_fraction\":0,"
+      "\"edge_router_limited\":false,\"backbone_limited\":false,"
+      "\"base_link_capacity\":10,\"weight_by_routing_load\":true,"
+      "\"min_link_capacity\":0.1,\"node_forward_cap\":null},"
+      "\"response\":{\"kind\":0,\"reaction_time\":5,"
+      "\"filters_everywhere\":false,\"start_on_detection\":false},"
+      "\"detector\":{\"enabled\":false,\"observe_probability\":0.01,"
+      "\"threshold\":10},\"immunization\":{\"enabled\":false,"
+      "\"start_at_infected_fraction\":0.2,\"start_at_tick\":null,"
+      "\"start_on_detection\":false,\"rate\":0.1,"
+      "\"patch_susceptibles\":true},\"legit_rate_per_node\":0,"
+      "\"predator\":{\"enabled\":false,\"start_tick\":5,\"initial\":1,"
+      "\"contact_rate\":0.8,\"patch_delay\":10},"
+      "\"quarantine\":{\"enabled\":false,\"start_on_detection\":false,"
+      "\"window\":5,\"contact_rate_threshold\":25,"
+      "\"distinct_dest_threshold\":20,\"failure_ratio_threshold\":0.5,"
+      "\"failure_min_attempts\":2,\"strikes_to_quarantine\":1,"
+      "\"base_period\":40,\"escalation\":4,\"max_period\":400,"
+      "\"treatment\":0,\"throttle_rate\":0.01},\"max_ticks\":10,"
+      "\"stop_when_saturated\":true,\"seed\":7},\"runs\":2}");
+  EXPECT_EQ(hash_hex(job_hash(job)), "d1b3d028d7f3beb6");
+}
+
 TEST(JobHash, SubstreamSeedDecorrelatesNeighbouringHashes) {
   // SplitMix64 finalizer: consecutive inputs must not yield
   // consecutive outputs.
@@ -269,6 +307,59 @@ TEST(Determinism, NoCacheRunMatchesCachedRun) {
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
   for (std::size_t i = 0; i < a.outcomes.size(); ++i)
     EXPECT_EQ(a.outcomes[i].artifact, b.outcomes[i].artifact);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Determinism, CorruptCacheArtifactsHealOnTheNextRun) {
+  // A zero-byte artifact (what an OS crash after an un-fsync'd store
+  // and rename can leave) and a garbage one both count as misses: the
+  // next run recomputes them, overwrites the files with the cold bytes
+  // and succeeds.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "dq-cache-heal";
+  std::filesystem::remove_all(dir);
+  RunOptions options;
+  options.cache_dir = dir;
+  options.jobs = 2;
+  const CampaignReport cold = run_scenarios(tiny_scenarios(), options);
+  ASSERT_EQ(cold.outcomes.size(), 3u);
+  const ArtifactCache cache(dir);
+  const auto write = [&](std::uint64_t hash, const std::string& bytes) {
+    std::ofstream out(cache.path_for(hash),
+                      std::ios::binary | std::ios::trunc);
+    out << bytes;
+  };
+  write(cold.outcomes[0].hash, "");              // the simulation job
+  write(cold.outcomes[1].hash, "{\"x\":[1,");   // the analytical figure
+
+  const CampaignReport healed = run_scenarios(tiny_scenarios(), options);
+  EXPECT_EQ(healed.manifest.at("failures").as_uint(), 0u);
+  EXPECT_EQ(healed.manifest.at("cache_hits").as_uint(), 1u);
+  EXPECT_EQ(healed.manifest.at("metrics")
+                .at("counters")
+                .at("campaign.cache_corrupt")
+                .as_uint(),
+            2u);
+  const std::vector<JsonValue>& jobs = healed.manifest.at("jobs").items();
+  for (std::size_t i = 0; i < cold.outcomes.size(); ++i) {
+    SCOPED_TRACE(cold.outcomes[i].name);
+    const JobOutcome& o = healed.outcomes[i];
+    EXPECT_TRUE(o.ok()) << o.error;
+    EXPECT_EQ(o.cache_corrupt, i < 2);
+    EXPECT_EQ(jobs[i].at("cache_corrupt").as_bool(), i < 2);
+    EXPECT_EQ(o.cache_hit, i == 2);
+    EXPECT_EQ(o.artifact, cold.outcomes[i].artifact);
+    EXPECT_EQ(cache.load(o.hash).value(), cold.outcomes[i].artifact);
+  }
+  EXPECT_TRUE(healed.outcomes[0].sim_result.has_value());
+  EXPECT_TRUE(healed.outcomes[1].figure.has_value());
+
+  // Healed for good: the third run is all hits.
+  const CampaignReport warm = run_scenarios(tiny_scenarios(), options);
+  EXPECT_EQ(warm.manifest.at("cache_hits").as_uint(), 3u);
+  EXPECT_EQ(
+      warm.manifest.at("metrics").at("counters").find("campaign.cache_corrupt"),
+      nullptr);
   std::filesystem::remove_all(dir);
 }
 

@@ -18,7 +18,7 @@
 #include "obs/ndjson.hpp"
 #include "obs/sink.hpp"
 #include "simulator/runner.hpp"
-#include "simulator/worm_sim.hpp"
+#include "simulator/sharded_sim.hpp"
 
 namespace dq::obs {
 namespace {
@@ -59,7 +59,7 @@ const TracedRun& traced_run() {
   static const TracedRun run = [] {
     const sim::Network net = star_network();
     MultiRunSink sink(1);
-    sim::WormSimulation sim(net, quarantine_config(), sink.run_sink(0));
+    sim::ShardedSimulation sim(net, quarantine_config(), 1, sink.run_sink(0));
     TracedRun out;
     out.result = sim.run();
     EXPECT_EQ(sink.ring(0).evicted(), 0u) << "fixture overflowed the ring";

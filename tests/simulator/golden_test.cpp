@@ -1,4 +1,4 @@
-// Golden-trajectory fixtures: four fixed-seed single runs serialized
+// Golden-trajectory fixtures: eight fixed-seed single runs serialized
 // as canonical JSON under tests/data/golden/, byte-compared against a
 // fresh simulation. Any behavioural change in the tick loop — event
 // ordering, RNG draw order, a new counter — shows up as a fixture
@@ -14,27 +14,14 @@
 #include "campaign/result_io.hpp"
 #include "golden.hpp"
 #include "simulator/sharded_sim.hpp"
-#include "simulator/worm_sim.hpp"
 
 namespace dq::sim {
 namespace {
 
-void check_golden(const std::string& name,
-                  const campaign::TopologySpec& topology,
-                  const SimulationConfig& config) {
-  const Network net = campaign::build_network(topology);
-  WormSimulation sim(net, config);
-  const RunResult result = sim.run();
-  const std::string fresh =
-      campaign::run_result_to_json(result).dump() + "\n";
-
-  test::expect_golden(name + ".json", fresh);
-}
-
-/// Sharded-engine fixtures additionally pin the engine's shard-count
-/// invariance: the run is executed at 1 shard and at 3 shards, the two
-/// serializations must be byte-equal, and the 1-shard bytes are then
-/// compared against the committed fixture.
+/// Every fixture also pins the engine's shard-count invariance: the
+/// run is executed at 1 shard and at 3 shards, the two serializations
+/// must be byte-equal, and the 1-shard bytes are then compared against
+/// the committed fixture.
 void check_sharded_golden(const std::string& name,
                           const campaign::TopologySpec& topology,
                           const SimulationConfig& config) {
@@ -47,7 +34,7 @@ void check_sharded_golden(const std::string& name,
       campaign::run_result_to_json(three).dump() + "\n";
   ASSERT_EQ(fresh, resharded)
       << name << ": 1-shard and 3-shard trajectories differ — the "
-      << "sharded engine's determinism contract is broken.";
+      << "engine's determinism contract is broken.";
 
   test::expect_golden(name + ".json", fresh);
 }
@@ -64,7 +51,7 @@ TEST(Golden, StarNoRateLimiting) {
   cfg.worm.initial_infected = 1;
   cfg.max_ticks = 50.0;
   cfg.seed = 12345;
-  check_golden("star_no_rl", topo, cfg);
+  check_sharded_golden("star_no_rl", topo, cfg);
 }
 
 TEST(Golden, PowerLawBackboneRateLimiting) {
@@ -77,7 +64,7 @@ TEST(Golden, PowerLawBackboneRateLimiting) {
   cfg.deployment.backbone_limited = true;
   cfg.max_ticks = 120.0;
   cfg.seed = 12345;
-  check_golden("powerlaw_backbone_rl", topo, cfg);
+  check_sharded_golden("powerlaw_backbone_rl", topo, cfg);
 }
 
 TEST(Golden, QuarantineEnabled) {
@@ -92,7 +79,7 @@ TEST(Golden, QuarantineEnabled) {
   cfg.quarantine.enabled = true;
   cfg.max_ticks = 100.0;
   cfg.seed = 12345;
-  check_golden("quarantine_enabled", topo, cfg);
+  check_sharded_golden("quarantine_enabled", topo, cfg);
 }
 
 TEST(Golden, ImmunizationAtTwentyPercent) {
@@ -107,7 +94,7 @@ TEST(Golden, ImmunizationAtTwentyPercent) {
   cfg.immunization.rate = 0.1;
   cfg.max_ticks = 100.0;
   cfg.seed = 12345;
-  check_golden("immunization_at_20pct", topo, cfg);
+  check_sharded_golden("immunization_at_20pct", topo, cfg);
 }
 
 TEST(Golden, ShardedSparse) {

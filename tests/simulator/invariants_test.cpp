@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/builders.hpp"
-#include "simulator/worm_sim.hpp"
+#include "simulator/sharded_sim.hpp"
 
 namespace dq::sim {
 namespace {
@@ -69,7 +69,7 @@ TEST_P(InvariantSweep, StateMachineInvariantsHoldEveryTick) {
   for (const Variant& variant : variants()) {
     SimulationConfig cfg = variant.config;
     cfg.seed = GetParam();
-    WormSimulation sim(net, cfg);
+    ShardedSimulation sim(net, cfg, 1);
 
     double prev_ever = 0.0;
     for (int tick = 0; tick < 40; ++tick) {
@@ -109,7 +109,7 @@ TEST(Invariants, RunResultSeriesAreConsistent) {
   cfg.immunization.start_at_infected_fraction = 0.3;
   cfg.max_ticks = 60.0;
   cfg.seed = 21;
-  const RunResult result = WormSimulation(net, cfg).run();
+  const RunResult result = ShardedSimulation(net, cfg, 1).run();
   ASSERT_EQ(result.active_infected.size(), result.ever_infected.size());
   ASSERT_EQ(result.removed.size(), result.ever_infected.size());
   for (std::size_t i = 0; i < result.ever_infected.size(); ++i) {

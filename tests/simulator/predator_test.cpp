@@ -5,7 +5,7 @@
 
 #include "graph/builders.hpp"
 #include "simulator/runner.hpp"
-#include "simulator/worm_sim.hpp"
+#include "simulator/sharded_sim.hpp"
 
 namespace dq::sim {
 namespace {
@@ -35,17 +35,17 @@ SimulationConfig config(double predator_start = 5.0) {
 TEST(Predator, Validation) {
   SimulationConfig cfg = config();
   cfg.predator.contact_rate = 0.0;
-  EXPECT_THROW(WormSimulation(net(), cfg), std::invalid_argument);
+  EXPECT_THROW(ShardedSimulation(net(), cfg, 1), std::invalid_argument);
   cfg = config();
   cfg.predator.initial = 0;
-  EXPECT_THROW(WormSimulation(net(), cfg), std::invalid_argument);
+  EXPECT_THROW(ShardedSimulation(net(), cfg, 1), std::invalid_argument);
   cfg = config();
   cfg.predator.patch_delay = -1.0;
-  EXPECT_THROW(WormSimulation(net(), cfg), std::invalid_argument);
+  EXPECT_THROW(ShardedSimulation(net(), cfg, 1), std::invalid_argument);
 }
 
 TEST(Predator, EventuallyCleansTheNetwork) {
-  const RunResult result = WormSimulation(net(), config()).run();
+  const RunResult result = ShardedSimulation(net(), config(), 1).run();
   // The counter-worm takes over and then patches everyone closed: no
   // active main-worm infection survives.
   EXPECT_LT(result.active_infected.back_value(), 0.02);
@@ -56,7 +56,7 @@ TEST(Predator, EventuallyCleansTheNetwork) {
 }
 
 TEST(Predator, PredatorPopulationRisesThenFalls) {
-  const RunResult result = WormSimulation(net(), config()).run();
+  const RunResult result = ShardedSimulation(net(), config(), 1).run();
   const double peak = result.predator_infected.max_value();
   EXPECT_GT(peak, 0.2);
   EXPECT_LT(result.predator_infected.back_value(), peak / 2.0);
@@ -65,7 +65,7 @@ TEST(Predator, PredatorPopulationRisesThenFalls) {
 TEST(Predator, CuredHostsCannotBeReinfected) {
   SimulationConfig cfg = config();
   cfg.max_ticks = 200.0;
-  WormSimulation sim(net(), cfg);
+  ShardedSimulation sim(net(), cfg, 1);
   const RunResult result = sim.run();
   // After the dust settles every node is removed (patched) or was
   // never touched; none is left infected.
@@ -93,7 +93,7 @@ TEST(Predator, EverInfectedTracksMainWormOnly) {
   SimulationConfig cfg = config(0.0);
   cfg.predator.initial = 10;
   cfg.predator.contact_rate = 3.0;
-  const RunResult result = WormSimulation(net(), cfg).run();
+  const RunResult result = ShardedSimulation(net(), cfg, 1).run();
   EXPECT_LT(result.ever_infected.back_value(), 0.5);
   EXPECT_GT(result.removed.back_value(), 0.9);
 }
@@ -123,7 +123,7 @@ TEST(Predator, DisabledByDefault) {
   cfg.worm.contact_rate = 0.8;
   cfg.max_ticks = 30.0;
   cfg.seed = 9;
-  const RunResult result = WormSimulation(net(), cfg).run();
+  const RunResult result = ShardedSimulation(net(), cfg, 1).run();
   EXPECT_TRUE(result.predator_infected.empty());
 }
 

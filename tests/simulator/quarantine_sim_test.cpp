@@ -2,7 +2,7 @@
 
 #include "graph/builders.hpp"
 #include "simulator/runner.hpp"
-#include "simulator/worm_sim.hpp"
+#include "simulator/sharded_sim.hpp"
 
 namespace dq::sim {
 namespace {
@@ -34,31 +34,31 @@ TEST(QuarantineSim, Validation) {
   const Network net = star_net(50);
   SimulationConfig cfg = scanner_config();
   cfg.worm.hit_probability = 0.0;
-  EXPECT_THROW(WormSimulation(net, cfg), std::invalid_argument);
+  EXPECT_THROW(ShardedSimulation(net, cfg, 1), std::invalid_argument);
   cfg = scanner_config();
   cfg.worm.hit_probability = 1.5;
-  EXPECT_THROW(WormSimulation(net, cfg), std::invalid_argument);
+  EXPECT_THROW(ShardedSimulation(net, cfg, 1), std::invalid_argument);
   cfg = scanner_config();
   cfg.quarantine.policy.escalation = 0.5;
-  EXPECT_THROW(WormSimulation(net, cfg), std::invalid_argument);
+  EXPECT_THROW(ShardedSimulation(net, cfg, 1), std::invalid_argument);
   // Alarm-driven start requires the dark-space detector, for both the
   // quarantine engine and the baseline responses.
   cfg = scanner_config();
   cfg.quarantine.start_on_detection = true;
-  EXPECT_THROW(WormSimulation(net, cfg), std::invalid_argument);
+  EXPECT_THROW(ShardedSimulation(net, cfg, 1), std::invalid_argument);
   cfg = scanner_config();
   cfg.response.kind = ResponseConfig::Kind::kBlacklist;
   cfg.response.start_on_detection = true;
-  EXPECT_THROW(WormSimulation(net, cfg), std::invalid_argument);
+  EXPECT_THROW(ShardedSimulation(net, cfg, 1), std::invalid_argument);
 }
 
 TEST(QuarantineSim, SparseAddressSpaceDelaysSpread) {
   const Network net = star_net();
   SimulationConfig cfg = scanner_config();
   cfg.quarantine.enabled = false;
-  const RunResult sparse = WormSimulation(net, cfg).run();
+  const RunResult sparse = ShardedSimulation(net, cfg, 1).run();
   cfg.worm.hit_probability = 1.0;
-  const RunResult dense = WormSimulation(net, cfg).run();
+  const RunResult dense = ShardedSimulation(net, cfg, 1).run();
   EXPECT_GT(dense.total_scan_packets, sparse.total_scan_packets);
   EXPECT_GE(dense.ever_infected.back_value(),
             sparse.ever_infected.back_value());
@@ -68,9 +68,9 @@ TEST(QuarantineSim, QuarantineContainsTheScanner) {
   const Network net = star_net();
   SimulationConfig cfg = scanner_config();
   cfg.quarantine.enabled = false;
-  const RunResult open = WormSimulation(net, cfg).run();
+  const RunResult open = ShardedSimulation(net, cfg, 1).run();
   cfg.quarantine.enabled = true;
-  const RunResult contained = WormSimulation(net, cfg).run();
+  const RunResult contained = ShardedSimulation(net, cfg, 1).run();
 
   EXPECT_GT(open.ever_infected.back_value(),
             contained.ever_infected.back_value() + 0.2);
@@ -88,7 +88,7 @@ TEST(QuarantineSim, IsolatedHostsLoseLegitTrafficToo) {
   // kDropAll is full isolation: a quarantined host's legitimate
   // packets are collateral, and the simulator accounts for them.
   const Network net = star_net();
-  const RunResult r = WormSimulation(net, scanner_config()).run();
+  const RunResult r = ShardedSimulation(net, scanner_config(), 1).run();
   EXPECT_GT(r.legit_quarantine_dropped, 0u);
   EXPECT_LE(r.legit_quarantine_dropped, r.legit_sent);
 }
@@ -97,11 +97,11 @@ TEST(QuarantineSim, ThrottleTreatmentAlsoContains) {
   const Network net = star_net();
   SimulationConfig cfg = scanner_config();
   cfg.quarantine.enabled = false;
-  const RunResult open = WormSimulation(net, cfg).run();
+  const RunResult open = ShardedSimulation(net, cfg, 1).run();
   cfg.quarantine.enabled = true;
   cfg.quarantine.policy.treatment = quarantine::Treatment::kThrottle;
   cfg.quarantine.policy.throttle_rate = 0.01;
-  const RunResult throttled = WormSimulation(net, cfg).run();
+  const RunResult throttled = ShardedSimulation(net, cfg, 1).run();
   EXPECT_GT(open.ever_infected.back_value(),
             throttled.ever_infected.back_value() + 0.2);
   // Throttling caps the rate instead of isolating: no packets are
@@ -147,14 +147,14 @@ TEST(QuarantineSim, StartOnDetectionWaitsForTheAlarm) {
   // Alarm that can never fire: the engine stays dormant all run.
   cfg.detector.observe_probability = 1e-9;
   cfg.detector.threshold = 1000000;
-  const RunResult dormant = WormSimulation(net, cfg).run();
+  const RunResult dormant = ShardedSimulation(net, cfg, 1).run();
   EXPECT_DOUBLE_EQ(dormant.detection_tick, -1.0);
   EXPECT_DOUBLE_EQ(dormant.quarantine.quarantine_events, 0.0);
 
   // A hair-trigger alarm: quarantine kicks in and contains.
   cfg.detector.observe_probability = 0.5;
   cfg.detector.threshold = 5;
-  const RunResult armed = WormSimulation(net, cfg).run();
+  const RunResult armed = ShardedSimulation(net, cfg, 1).run();
   EXPECT_GE(armed.detection_tick, 0.0);
   EXPECT_GT(armed.quarantine.quarantine_events, 0.0);
   EXPECT_GT(dormant.ever_infected.back_value(),
@@ -172,12 +172,12 @@ TEST(QuarantineSim, BlacklistStartOnDetectionStaysDormantWithoutAlarm) {
   cfg.detector.enabled = true;
   cfg.detector.observe_probability = 1e-9;
   cfg.detector.threshold = 1000000;
-  const RunResult dormant = WormSimulation(net, cfg).run();
+  const RunResult dormant = ShardedSimulation(net, cfg, 1).run();
   EXPECT_EQ(dormant.worm_packets_dropped, 0u);
 
   cfg.detector.observe_probability = 0.5;
   cfg.detector.threshold = 5;
-  const RunResult armed = WormSimulation(net, cfg).run();
+  const RunResult armed = ShardedSimulation(net, cfg, 1).run();
   EXPECT_GT(armed.worm_packets_dropped, 0u);
 }
 

@@ -40,7 +40,7 @@ TEST(Runner, AverageLiesWithinRunEnvelope) {
   for (std::size_t r = 0; r < 5; ++r) {
     SimulationConfig one = cfg;
     one.seed = run_seed(cfg.seed, r);
-    WormSimulation sim(net, one);
+    ShardedSimulation sim(net, one, 1);
     const double v = sim.run().ever_infected.back_value();
     lo = std::min(lo, v);
     hi = std::max(hi, v);
@@ -66,8 +66,8 @@ TEST(Runner, SeedSubstreamsDoNotOverlapAcrossAdjacentBases) {
   a.seed = run_seed(base, 1);
   SimulationConfig b = base_config();
   b.seed = run_seed(base + 1, 0);
-  const RunResult ra = WormSimulation(net, a).run();
-  const RunResult rb = WormSimulation(net, b).run();
+  const RunResult ra = ShardedSimulation(net, a, 1).run();
+  const RunResult rb = ShardedSimulation(net, b, 1).run();
   bool identical = ra.ever_infected.size() == rb.ever_infected.size();
   if (identical)
     for (std::size_t i = 0; i < ra.ever_infected.size(); ++i)

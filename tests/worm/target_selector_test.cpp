@@ -170,26 +170,35 @@ TEST(TargetSelector, LocalPreferentialUsesSubnets) {
   EXPECT_NEAR(static_cast<double>(local) / n, 0.9 + 0.1 * 4.0 / 9.0, 0.03);
 }
 
-TEST(TargetSelector, StatelessMatchesPickForMemorylessStrategies) {
+TEST(TargetSelector, MemorylessPicksDependOnlyOnTheRng) {
+  // Random and local-preferential picks read no selector state: two
+  // selectors with different seeds, fed equal Rng streams, agree.
   std::vector<std::size_t> subnet_of = {0, 0, 0, 0, 0, 1, 1, 1, 1, 1};
   std::vector<std::vector<graph::NodeId>> members = {{0, 1, 2, 3, 4},
                                                      {5, 6, 7, 8, 9}};
   for (ScanStrategy s :
        {ScanStrategy::kRandom, ScanStrategy::kLocalPreferential}) {
-    TargetSelector selector(config(s), 10, &subnet_of, &members, 21);
+    TargetSelector a(config(s), 10, &subnet_of, &members, 21);
+    TargetSelector b(config(s), 10, &subnet_of, &members, 22);
     Rng ra(3), rb(3);
-    TargetSelector mutable_copy(config(s), 10, &subnet_of, &members, 21);
-    for (int i = 0; i < 200; ++i)
-      EXPECT_EQ(selector.pick_stateless(0, ra), mutable_copy.pick(0, rb));
+    for (int i = 0; i < 200; ++i) EXPECT_EQ(a.pick(0, ra), b.pick(0, rb));
   }
 }
 
-TEST(TargetSelector, StatelessRejectsCursorStrategies) {
-  Rng rng(4);
+TEST(TargetSelector, CursorStrategiesKeepPerScannerState) {
+  // A scanner's walk is its own: picks by other scanners in between
+  // never shift it. This is what lets every shard pick concurrently.
   for (ScanStrategy s : {ScanStrategy::kSequential, ScanStrategy::kPermutation,
                          ScanStrategy::kHitlist}) {
-    TargetSelector selector = make(s, 20);
-    EXPECT_THROW(selector.pick_stateless(1, rng), std::logic_error);
+    TargetSelectorConfig c = config(s);
+    c.hitlist_size = 12;
+    TargetSelector alone(c, 20, nullptr, nullptr, 5);
+    TargetSelector shared(c, 20, nullptr, nullptr, 5);
+    Rng ra(8), rb(8), other(9);
+    for (int i = 0; i < 40; ++i) {
+      shared.pick(static_cast<graph::NodeId>(i % 7 + 4), other);
+      EXPECT_EQ(alone.pick(1, ra), shared.pick(1, rb)) << "pick " << i;
+    }
   }
 }
 
