@@ -5,10 +5,15 @@
 // make the 10-run figure averages painful.
 //
 // `--perf_json[=PATH]` skips the google-benchmark suite and instead
-// times the tick loop on a sparse-infection scenario (10k nodes, <1%
-// ever infected), in samples of seeded runs that total at least 0.1 s,
-// dumping per-run means of the PerfCounters breakdown as JSON —
-// bench/data/BENCH_tickloop.json comes from this mode.
+// times the tick loop on two scenarios, dumping per-run means of the
+// PerfCounters breakdown as a JSON array —
+// bench/data/BENCH_tickloop.json comes from this mode:
+//   * sparse10k — a sparse-infection run (10k nodes, <1% ever
+//     infected), in samples of seeded runs that total at least 0.1 s;
+//   * backbone1k — the campaign's heaviest job,
+//     ablation-beta/beta-3.2-backbone (BA(1000, 2), backbone rate
+//     limiting, β = 3.2, 200 ticks), one sample being the job's own
+//     ten runs: the forward phase's queue work.
 //
 // `--obs_json[=PATH]` is the observability perf gate: it times the same
 // sparse samples with the obs sink disabled, metrics-only, and
@@ -43,6 +48,8 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/job.hpp"
+#include "campaign/scenarios.hpp"
 #include "obs/sink.hpp"
 
 #include "epidemic/immunization.hpp"
@@ -56,6 +63,7 @@
 #include "ratelimit/williamson.hpp"
 #include "serve/server.hpp"
 #include "serve/source.hpp"
+#include "simulator/runner.hpp"
 #include "simulator/sharded_sim.hpp"
 #include "stats/hash.hpp"
 #include "stats/rng.hpp"
@@ -236,7 +244,7 @@ sim::SimulationConfig sparse_config() {
 
 enum class ObsMode { kOff, kMetrics, kTrace };
 
-/// One timed sample: runs with seeds cfg.seed, cfg.seed + 1, ...
+/// One timed sample: run i uses seed seed_of(cfg.seed, i).
 struct SparseSample {
   double seconds = 0.0;       ///< summed wall time of the runs
   double wall_seconds = 0.0;  ///< the batch, simulation construction included
@@ -247,16 +255,23 @@ struct SparseSample {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> runs;
 };
 
-SparseSample run_sparse_sample(const sim::Network& net,
-                               sim::SimulationConfig cfg, std::size_t runs,
-                               ObsMode mode) {
+std::uint64_t consecutive_seed(std::uint64_t first, std::size_t i) {
+  return first + i;
+}
+
+/// Consecutive seeds by default; sim::run_seed gives a campaign job's
+/// own runs.
+SparseSample run_sparse_sample(
+    const sim::Network& net, sim::SimulationConfig cfg, std::size_t runs,
+    ObsMode mode,
+    std::uint64_t (*seed_of)(std::uint64_t, std::size_t) = consecutive_seed) {
   using clock = std::chrono::steady_clock;
   SparseSample sample;
   sample.runs.reserve(runs);
   const std::uint64_t first_seed = cfg.seed;
   const auto batch_start = clock::now();
   for (std::size_t i = 0; i < runs; ++i) {
-    cfg.seed = first_seed + i;
+    cfg.seed = seed_of(first_seed, i);
     // Fresh sink per run: timing always covers the same cold-counter
     // path a campaign job sees.
     obs::MultiRunSink sink(
@@ -299,57 +314,55 @@ std::size_t sparse_runs_per_sample(const sim::Network& net,
 
 // ---- --perf_json mode ----
 
-/// Times the per-tick pipeline on sparse10k and dumps the PerfCounters
-/// breakdown as per-run means of the fastest sample.
-int run_perf_json(const char* path) {
-  // Open the sink before the expensive network build so a bad path
-  // fails in milliseconds, not minutes.
-  std::FILE* out = path != nullptr ? std::fopen(path, "w") : stdout;
-  if (out == nullptr) {
-    std::fprintf(stderr, "perf_microbench: cannot open %s\n", path);
-    return 1;
-  }
-
-  Rng rng(7);
-  const sim::Network net(graph::make_barabasi_albert(kSparseNodes, 2, rng));
-  const sim::SimulationConfig cfg = sparse_config();
-  const std::size_t runs = sparse_runs_per_sample(net, cfg);
-
+/// The fastest of kSparseSamples samples of `runs` runs each.
+SparseSample fastest_sample(const sim::Network& net,
+                            const sim::SimulationConfig& cfg,
+                            std::size_t runs,
+                            std::uint64_t (*seed_of)(std::uint64_t,
+                                                     std::size_t)) {
   SparseSample best;
   for (int i = 0; i < kSparseSamples; ++i) {
-    SparseSample sample = run_sparse_sample(net, cfg, runs, ObsMode::kOff);
+    SparseSample sample =
+        run_sparse_sample(net, cfg, runs, ObsMode::kOff, seed_of);
     if (i == 0 || sample.seconds < best.seconds) best = std::move(sample);
   }
+  return best;
+}
 
+/// One scenario's JSON object: the sample's shape, then per-run means
+/// of its PerfCounters.
+void print_tickloop(std::FILE* out, const char* scenario, std::size_t nodes,
+                    std::uint64_t first_seed, const SparseSample& best,
+                    bool last) {
   const sim::PerfCounters& p = best.perf;
-  const double n = static_cast<double>(runs);
+  const double n = static_cast<double>(best.runs.size());
   std::fprintf(out,
-               "{\n"
-               "  \"scenario\": \"sparse10k\",\n"
-               "  \"nodes\": %zu,\n"
-               "  \"samples\": %d,\n"
-               "  \"runs_per_sample\": %zu,\n"
-               "  \"first_seed\": %llu,\n"
-               "  \"sample_seconds\": %.6f,\n"
-               "  \"sample_wall_seconds\": %.6f,\n"
-               "  \"ticks_per_sec\": %.1f,\n"
-               "  \"per_run_mean\": {\n"
-               "    \"ticks\": %.3f,\n"
-               "    \"final_ever_infected\": %.3f,\n"
-               "    \"packets_forwarded\": %.3f,\n"
-               "    \"link_hops\": %.3f,\n"
-               "    \"queue_events\": %.3f,\n"
-               "    \"queue_releases\": %.3f,\n"
-               "    \"seconds_run\": %.9f,\n"
-               "    \"seconds_total\": %.9f,\n"
-               "    \"seconds_emit\": %.9f,\n"
-               "    \"seconds_forward\": %.9f,\n"
-               "    \"seconds_apply\": %.9f,\n"
-               "    \"seconds_record\": %.9f\n"
-               "  }\n"
-               "}\n",
-               kSparseNodes, kSparseSamples, runs,
-               static_cast<unsigned long long>(cfg.seed), best.seconds,
+               "  {\n"
+               "    \"scenario\": \"%s\",\n"
+               "    \"nodes\": %zu,\n"
+               "    \"samples\": %d,\n"
+               "    \"runs_per_sample\": %zu,\n"
+               "    \"first_seed\": %llu,\n"
+               "    \"sample_seconds\": %.6f,\n"
+               "    \"sample_wall_seconds\": %.6f,\n"
+               "    \"ticks_per_sec\": %.1f,\n"
+               "    \"per_run_mean\": {\n"
+               "      \"ticks\": %.3f,\n"
+               "      \"final_ever_infected\": %.3f,\n"
+               "      \"packets_forwarded\": %.3f,\n"
+               "      \"link_hops\": %.3f,\n"
+               "      \"queue_events\": %.3f,\n"
+               "      \"queue_releases\": %.3f,\n"
+               "      \"seconds_run\": %.9f,\n"
+               "      \"seconds_total\": %.9f,\n"
+               "      \"seconds_emit\": %.9f,\n"
+               "      \"seconds_forward\": %.9f,\n"
+               "      \"seconds_apply\": %.9f,\n"
+               "      \"seconds_record\": %.9f\n"
+               "    }\n"
+               "  }%s\n",
+               scenario, nodes, kSparseSamples, best.runs.size(),
+               static_cast<unsigned long long>(first_seed), best.seconds,
                best.wall_seconds,
                static_cast<double>(p.ticks) / best.seconds,
                static_cast<double>(p.ticks) / n,
@@ -360,7 +373,54 @@ int run_perf_json(const char* path) {
                static_cast<double>(p.queue_releases) / n, best.seconds / n,
                p.total_seconds() / n, p.seconds_emit / n,
                p.seconds_forward / n, p.seconds_apply / n,
-               p.seconds_record / n);
+               p.seconds_record / n, last ? "" : ",");
+}
+
+/// Times the per-tick pipeline on sparse10k and backbone1k and dumps
+/// each PerfCounters breakdown as per-run means of its fastest sample.
+int run_perf_json(const char* path) {
+  // Open the sink before the expensive network build so a bad path
+  // fails in milliseconds, not minutes.
+  std::FILE* out = path != nullptr ? std::fopen(path, "w") : stdout;
+  if (out == nullptr) {
+    std::fprintf(stderr, "perf_microbench: cannot open %s\n", path);
+    return 1;
+  }
+  std::fprintf(out, "[\n");
+
+  {
+    Rng rng(7);
+    const sim::Network net(graph::make_barabasi_albert(kSparseNodes, 2, rng));
+    const sim::SimulationConfig cfg = sparse_config();
+    const std::size_t runs = sparse_runs_per_sample(net, cfg);
+    print_tickloop(out, "sparse10k", kSparseNodes, cfg.seed,
+                   fastest_sample(net, cfg, runs, consecutive_seed),
+                   /*last=*/false);
+  }
+
+  {
+    // The job exactly as `dqctl campaign run` executes it at the
+    // default seed: its network, its substream seed, its runs.
+    const auto catalogue =
+        campaign::builtin_scenarios(core::ExperimentOptions{});
+    const campaign::ScenarioDef* beta =
+        campaign::find_scenario(catalogue, "ablation-beta");
+    const campaign::JobConfig* job = nullptr;
+    for (const campaign::ScenarioJob& j : beta->jobs)
+      if (j.name == "beta-3.2-backbone") job = &j.config;
+    if (job == nullptr) {
+      std::fprintf(stderr, "perf_microbench: backbone1k job not found\n");
+      return 1;
+    }
+    const sim::Network net = campaign::build_network(job->topology);
+    sim::SimulationConfig cfg = job->sim;
+    cfg.seed = campaign::substream_seed(campaign::job_hash(*job));
+    print_tickloop(out, "backbone1k", net.num_nodes(), cfg.seed,
+                   fastest_sample(net, cfg, job->runs, sim::run_seed),
+                   /*last=*/true);
+  }
+
+  std::fprintf(out, "]\n");
   if (out != stdout) std::fclose(out);
   return 0;
 }

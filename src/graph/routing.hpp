@@ -109,6 +109,11 @@ class RoutingTable {
     return first_[static_cast<std::size_t>(from) * n_ + to];
   }
 
+  /// Cache hint: starts loading first_link(from, to)'s table entry.
+  void prefetch_first_link(NodeId from, NodeId to) const noexcept {
+    __builtin_prefetch(&first_[static_cast<std::size_t>(from) * n_ + to]);
+  }
+
   /// Per link, the number of ordered (src,dst) pairs whose route
   /// crosses it — the paper's "routing table entries the link
   /// occupies".

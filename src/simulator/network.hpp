@@ -102,6 +102,12 @@ class Network {
     return tree_hop(at, dest);
   }
 
+  /// Cache hint for a later hop_toward(at, dest): starts loading the
+  /// route's all-pairs entry (a no-op on tree routing).
+  void prefetch_route(NodeId at, NodeId dest) const noexcept {
+    if (routing_ != nullptr) routing_->prefetch_first_link(at, dest);
+  }
+
   /// Routing load of a link: ordered path count crossing it (all-pairs
   /// backend) or the tree-edge pair count 2·s·(N−s) (tree backend,
   /// where s is the child-side subtree size; non-tree links carry 0).

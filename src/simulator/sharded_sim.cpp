@@ -28,6 +28,10 @@ constexpr std::uint64_t kLegitSalt = 0x510e527fade682d1ULL;
 constexpr std::uint64_t kTickStride = 0x9E3779B97F4A7C15ULL;
 constexpr std::uint64_t kNodeStride = 0xBF58476D1CE4E5B9ULL;
 
+/// How many fresh packets ahead the forward phase prefetches a route:
+/// enough to cover an L3 miss on a large all-pairs table.
+constexpr std::size_t kRoutePrefetchDistance = 16;
+
 /// The Rng driving node v's decisions on the tick whose base is
 /// `tick_base`. Its stream is a pure function of (seed, purpose, tick,
 /// node) — nothing another node or thread does can shift it.
@@ -107,9 +111,11 @@ ShardedSimulation::ShardedSimulation(const Network& net,
       config_.quarantine.enabled && !config_.quarantine.start_on_detection;
 
   const auto& dep = config_.deployment;
+  const bool response = config_.response.kind != ResponseConfig::Kind::kNone;
   forwarding_ = dep.edge_router_limited || dep.backbone_limited ||
-                dep.node_forward_cap.has_value() ||
-                config_.response.kind != ResponseConfig::Kind::kNone;
+                dep.node_forward_cap.has_value() || response;
+  store_all_parked_ = dep.node_forward_cap.has_value() || response;
+  horizon_ = std::ceil(config_.max_ticks);
 
   assign_host_filters();
   assign_link_capacities();
@@ -216,9 +222,8 @@ void ShardedSimulation::assign_link_capacities() {
   const std::size_t links = net_.num_links();
   link_capacity_.assign(links, 0.0);
   link_credit_.assign(links, 0.0);
-  link_queue_.resize(links);
+  fifos_.reset(links + 1);  // site `links` is the hub
   accrual_flag_.assign(links, 0);
-  queued_flag_.assign(links, 0);
   const auto& dep = config_.deployment;
   if (!dep.edge_router_limited && !dep.backbone_limited) return;
   for (std::size_t l = 0; l < links; ++l) {
@@ -478,23 +483,54 @@ void ShardedSimulation::mark_accrual(std::uint32_t link) {
   accrual_links_.push_back(link);
 }
 
+void ShardedSimulation::FifoStore::reset(std::size_t sites) {
+  slots_.clear();
+  sites_.assign(sites, Site{});
+  free_ = kNil;
+}
+
+void ShardedSimulation::FifoStore::push(std::size_t site, const InFlight& p) {
+  std::uint32_t slot = free_;
+  if (slot != kNil) {
+    free_ = slots_[slot].next;
+    slots_[slot] = {p, kNil};
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back({p, kNil});
+  }
+  Site& s = sites_[site];
+  if (s.size == 0)
+    s.head = slot;
+  else
+    slots_[s.tail].next = slot;
+  s.tail = slot;
+  ++s.size;
+}
+
+ShardedSimulation::InFlight ShardedSimulation::FifoStore::pop(
+    std::size_t site) {
+  Site& s = sites_[site];
+  const std::uint32_t slot = s.head;
+  Slot& front = slots_[slot];
+  s.head = front.next;
+  --s.size;
+  front.next = free_;
+  free_ = slot;
+  return front.packet;
+}
+
 void ShardedSimulation::park_link(std::uint32_t link, const InFlight& p) {
-  link_queue_[link].push_back(p);
   ++result_.perf.queue_events;
   trace(link, obs::EventKind::kQueuePark);
-  if (queued_flag_[link]) return;
-  queued_flag_[link] = 1;
-  if (in_link_drain_ && link > drain_pass_[drain_pos_]) {
-    // Still ahead of the drain cursor: splice into the live pass so
-    // the drain stays one ascending sweep over the queued links.
-    drain_pass_.insert(
-        std::upper_bound(drain_pass_.begin() +
-                             static_cast<std::ptrdiff_t>(drain_pos_ + 1),
-                         drain_pass_.end(), link),
-        link);
-  } else {
-    queued_links_.push_back(link);
-  }
+  // Count, don't store: every release spends one credit, and credit
+  // arrives only by accrual, so a packet with this many ahead of it
+  // can never leave before the run ends (store_all_parked_).
+  if (!store_all_parked_ &&
+      static_cast<double>(fifos_.size(link)) >=
+          link_credit_[link] +
+              link_capacity_[link] * (horizon_ - tick_) + 1.0)
+    return;
+  fifos_.push(link, p);
 }
 
 bool ShardedSimulation::response_drops(const InFlight& p,
@@ -537,7 +573,7 @@ void ShardedSimulation::forward(InFlight p) {
     // Node-level forwarding cap (the star hub experiment).
     if (cap && p.at == cap->first) {
       if (node_cap_used_ >= cap->second) {
-        node_queue_.push_back(p);
+        fifos_.push(link_capacity_.size(), p);
         ++result_.perf.queue_events;
         trace(cap->first, obs::EventKind::kQueuePark, /*a=*/1);
         return;
@@ -580,10 +616,19 @@ void ShardedSimulation::phase_forward() {
   // capacity as credit (clamped so idle links cannot bank an unbounded
   // burst). Only links that spent credit — or fractional-capacity links
   // still climbing toward one whole packet — are on the accrual list.
+  //
+  // A link FIFO that is not empty ends every forward phase below one
+  // credit (it drained until it could not, and a packet parks only at a
+  // link short of one), so it is on this list, and credit rises only
+  // here: the queued links that reach a whole credit now are the only
+  // ones that can release this tick.
+  ready_links_.clear();
   std::size_t out = 0;
   for (const std::uint32_t l : accrual_links_) {
     const double burst = std::max(1.0, link_capacity_[l]);
     link_credit_[l] = std::min(link_credit_[l] + link_capacity_[l], burst);
+    if (link_credit_[l] >= 1.0 && fifos_.size(l) != 0)
+      ready_links_.push_back(l);
     if (link_credit_[l] < burst)
       accrual_links_[out++] = l;  // still short of a full burst
     else
@@ -592,47 +637,46 @@ void ShardedSimulation::phase_forward() {
   accrual_links_.resize(out);
   node_cap_used_ = 0;
 
-  const auto release = [&](std::deque<InFlight>& fifo, std::uint32_t site,
+  const auto release = [&](std::size_t site, std::uint32_t id,
                            std::uint8_t at_hub) {
-    const InFlight p = fifo.front();
-    fifo.pop_front();
+    const InFlight p = fifos_.pop(site);
     ++result_.perf.queue_releases;
-    trace(site, obs::EventKind::kQueueRelease, at_hub);
+    trace(id, obs::EventKind::kQueueRelease, at_hub);
     forward(p);
   };
   // Hub-capped packets drain oldest-first; a released packet that
   // re-parks at the hub goes to the back of the same FIFO. (Only a
   // configured hub cap ever queues here.)
   const auto& cap = config_.deployment.node_forward_cap;
-  while (!node_queue_.empty() && node_cap_used_ < cap->second)
-    release(node_queue_, cap->first, 1);
+  const std::size_t hub = link_capacity_.size();
+  while (fifos_.size(hub) != 0 && node_cap_used_ < cap->second)
+    release(hub, cap->first, 1);
 
-  // Link FIFOs drain in ascending link-index order over the links that
-  // actually hold packets. A link gaining packets mid-pass joins the
-  // live pass when still ahead of the cursor (park_link).
-  drain_pass_.swap(queued_links_);
-  std::sort(drain_pass_.begin(), drain_pass_.end());
-  in_link_drain_ = true;
-  for (drain_pos_ = 0; drain_pos_ < drain_pass_.size(); ++drain_pos_) {
-    const std::uint32_t l = drain_pass_[drain_pos_];
-    while (!link_queue_[l].empty() && link_credit_[l] >= 1.0)
-      release(link_queue_[l], l, 0);
-    if (link_queue_[l].empty())
-      queued_flag_[l] = 0;
-    else
-      queued_links_.push_back(l);  // still blocked; retry next tick
-  }
-  in_link_drain_ = false;
-  drain_pass_.clear();
+  // Ready link FIFOs drain oldest-first in ascending link-index order.
+  // A packet released here can spend a later ready link's credit or
+  // park behind it, so each link rechecks its credit as it drains.
+  std::sort(ready_links_.begin(), ready_links_.end());
+  for (const std::uint32_t l : ready_links_)
+    while (fifos_.size(l) != 0 && link_credit_[l] >= 1.0) release(l, l, 0);
 
   // This tick's fresh packets in canonical order: worm, predator,
   // legit; each by ascending source (shards are ascending id ranges)
-  // and emission sequence.
+  // and emission sequence. The first-hop lookup misses cache on a
+  // large all-pairs table, so routes are prefetched a few packets
+  // ahead.
   const auto tick = static_cast<std::uint32_t>(tick_);
   for (std::size_t k = 0; k < kKinds; ++k)
-    for (const Shard& sh : shards_)
-      for (const Packet& p : sh.fresh[k])
+    for (const Shard& sh : shards_) {
+      const std::vector<Packet>& fresh = sh.fresh[k];
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        if (i + kRoutePrefetchDistance < fresh.size()) {
+          const Packet& ahead = fresh[i + kRoutePrefetchDistance];
+          net_.prefetch_route(ahead.src, ahead.dest);
+        }
+        const Packet& p = fresh[i];
         forward({p.src, p.dest, p.src, tick, static_cast<PacketKind>(k)});
+      }
+    }
 }
 
 void ShardedSimulation::apply(Shard& shard, PacketKind kind, NodeId dest,
@@ -723,6 +767,8 @@ void ShardedSimulation::step() {
     t = now;
     return d.count();
   };
+  if (tick_ >= config_.max_ticks)
+    throw std::logic_error("ShardedSimulation::step: the run is at max_ticks");
   auto t = clock::now();
   tick_ += 1.0;
   ++tick_index_;

@@ -15,17 +15,16 @@
 //   merge A (serial) — counters and the dark-space alarm, at tick
 //      granularity;
 //   F. forward (serial; only with a link limiter, the hub cap or a
-//      response) — credit accrual, FIFO drains, then fresh packets in
-//      canonical order (worm, predator, legit; each by ascending source
-//      and emission sequence) walk their paths until delivered, queued
-//      or dropped;
+//      response) — credit accrual, FIFO drains of the links that reached
+//      a whole credit, then fresh packets in canonical order (worm,
+//      predator, legit; each by ascending source and emission sequence)
+//      walk their paths until delivered, queued or dropped;
 //   B. apply (parallel per shard) — deliveries take effect in delivery
 //      order, so a node infected at tick t first scans at t+1;
 //   merge B and record (serial).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -56,7 +55,9 @@ struct PerfCounters {
   /// Link traversals walked by the forward phase. Runs with nothing in
   /// flight deliver without walking paths and count none.
   std::uint64_t link_hops = 0;
-  std::uint64_t queue_events = 0;    ///< packets parked in a limiter FIFO
+  /// Packets that reached an exhausted limiter and joined its FIFO,
+  /// including those the count-don't-store rule never stores.
+  std::uint64_t queue_events = 0;
   std::uint64_t queue_releases = 0;  ///< packets popped from a FIFO
 
   double seconds_emit = 0.0;     ///< pre-phase, phase A and merge A
@@ -147,7 +148,11 @@ class ShardedSimulation {
   RunResult run();
 
   /// Single-step interface for tests: state after construction is
-  /// tick 0 with initial infections placed.
+  /// tick 0 with initial infections placed. Precondition: tick() <
+  /// max_ticks, the condition run() loops on; throws std::logic_error
+  /// past it. The run ends at tick ceil(max_ticks), and the forward
+  /// phase relies on that: it does not store packets queued behind more
+  /// than their link can release by then.
   void step();
   double tick() const noexcept { return tick_; }
   NodeState state(NodeId v) const { return state_.at(v); }
@@ -182,6 +187,36 @@ class ShardedSimulation {
     NodeId src;
     std::uint32_t emit_tick;
     PacketKind kind;
+  };
+
+  /// Every limiter's FIFO in one pooled store: site l < num_links is
+  /// link l, site num_links the capped hub. Queued packets sit in one
+  /// slot vector, each site threads its own through a singly linked
+  /// list, and popped slots go on a free list, so a forwarding run
+  /// allocates nothing per link and reuses slots as queues churn.
+  class FifoStore {
+   public:
+    /// Empties the store and sizes it for `sites` FIFOs.
+    void reset(std::size_t sites);
+    std::uint32_t size(std::size_t site) const { return sites_[site].size; }
+    void push(std::size_t site, const InFlight& p);
+    /// Removes and returns the oldest packet. Precondition: size > 0.
+    InFlight pop(std::size_t site);
+
+   private:
+    static constexpr std::uint32_t kNil = UINT32_MAX;
+    struct Slot {
+      InFlight packet;
+      std::uint32_t next;
+    };
+    struct Site {
+      std::uint32_t head = kNil;
+      std::uint32_t tail = kNil;
+      std::uint32_t size = 0;
+    };
+    std::vector<Slot> slots_;
+    std::vector<Site> sites_;
+    std::uint32_t free_ = kNil;  ///< head of the free-slot list
   };
 
   /// Everything one thread owns: a contiguous node range plus the
@@ -267,6 +302,9 @@ class ShardedSimulation {
   /// tick's fresh packets in canonical order.
   void phase_forward();
   void forward(InFlight p);
+  /// Queues a packet at an exhausted link: counted and traced always,
+  /// stored only while its link could still release it (see
+  /// store_all_parked_).
   void park_link(std::uint32_t link, const InFlight& p);
   void mark_accrual(std::uint32_t link);
   /// True if the active response discards this packet at link l.
@@ -317,24 +355,23 @@ class ShardedSimulation {
   bool forwarding_ = false;
   std::vector<double> link_capacity_;  ///< 0 = unlimited
   std::vector<double> link_credit_;    ///< accumulated allowance
-  std::vector<std::deque<InFlight>> link_queue_;
   /// Limited links whose credit sits below their burst cap and must
   /// accrue next tick (flag array mirrors membership).
   std::vector<std::uint32_t> accrual_links_;
   std::vector<char> accrual_flag_;
-  /// Links holding queued packets awaiting the next drain pass (flag
-  /// array mirrors membership in either this list or the live pass).
-  std::vector<std::uint32_t> queued_links_;
-  std::vector<char> queued_flag_;
-  /// Live drain pass: links drain in ascending index order; a link
-  /// that becomes non-empty mid-pass is spliced into the remainder
-  /// when still ahead of the cursor, or deferred to next tick when
-  /// already behind it.
-  std::vector<std::uint32_t> drain_pass_;
-  std::size_t drain_pos_ = 0;
-  bool in_link_drain_ = false;
+  /// Queued links that reached a whole credit in this tick's accrual:
+  /// the only links whose FIFOs can release this tick.
+  std::vector<std::uint32_t> ready_links_;
   std::uint32_t node_cap_used_ = 0;  ///< hub forwards this tick
-  std::deque<InFlight> node_queue_;
+  FifoStore fifos_;
+  /// True when a response or the hub cap can take a released packet
+  /// without spending its link's credit: every parked packet is stored.
+  /// Otherwise every release spends one credit, so a link releases at
+  /// most credit + capacity × (ticks left) packets before the run ends,
+  /// and park_link stores none queued behind that many (+1 of slack for
+  /// floating-point credit sums).
+  bool store_all_parked_ = true;
+  double horizon_ = 0.0;  ///< ceil(max_ticks): the run's last tick
 
   double tick_ = 0.0;
   std::uint64_t tick_index_ = 0;

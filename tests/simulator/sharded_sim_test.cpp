@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/builders.hpp"
@@ -485,6 +486,27 @@ TEST(ShardedSim, StepAdvancesTick) {
   EXPECT_DOUBLE_EQ(sim.tick(), 1.0);
   sim.step();
   EXPECT_DOUBLE_EQ(sim.tick(), 2.0);
+}
+
+TEST(ShardedSim, StepPastHorizonThrows) {
+  // The run ends at ceil(max_ticks): run() stops there and step()
+  // refuses to go further, with or without packets in flight.
+  const Network net = star_net();
+  SimulationConfig cfg = base_config();
+  cfg.max_ticks = 2.5;
+  cfg.stop_when_saturated = false;
+  for (const bool limited : {false, true}) {
+    cfg.deployment.backbone_limited = limited;
+    ShardedSimulation stepped(net, cfg, 1);
+    for (int t = 0; t < 3; ++t) stepped.step();
+    EXPECT_DOUBLE_EQ(stepped.tick(), 3.0);
+    EXPECT_THROW(stepped.step(), std::logic_error);
+    EXPECT_DOUBLE_EQ(stepped.tick(), 3.0);
+
+    ShardedSimulation ran(net, cfg, 1);
+    EXPECT_EQ(ran.run().perf.ticks, 3u);
+    EXPECT_THROW(ran.step(), std::logic_error);
+  }
 }
 
 TEST(ShardedSim, QueueReleasedInfectionScansFromNextTick) {
