@@ -2,7 +2,7 @@
 // highest-degree nodes designated (and rate-limited) as backbone
 // routers, and separately the analytical path-coverage α, reporting the
 // slowdown each buys. DESIGN.md: how much backbone is enough? The six
-// simulated depths run as campaign jobs (shared pool + artifact
+// simulated depths run as campaign jobs (job threads + artifact
 // cache); the measured α is recomputed here from the same TopologySpec
 // the jobs hashed, so it always matches the cached curves.
 #include <iomanip>

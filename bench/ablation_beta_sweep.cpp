@@ -2,8 +2,8 @@
 // (Code-Red-class). Does backbone rate limiting keep its edge against
 // slower stealthy worms and Slammer-class fast worms? Sweep β and
 // report the slowdown factor. The 12 (β, deployment) cells run as
-// campaign jobs — cached, deduplicated, and executed on the shared
-// work-stealing pool instead of a serial loop.
+// campaign jobs — cached, deduplicated, and executed on the campaign's
+// job threads instead of a serial loop.
 #include <iomanip>
 #include <iostream>
 

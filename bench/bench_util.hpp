@@ -45,8 +45,8 @@ inline void print_figure(const core::FigureData& figure, int argc,
     std::cout << core::render_table(figure) << '\n';
 }
 
-/// Runs one built-in scenario through the campaign engine (the shared
-/// pool + artifact cache replacing the per-bench run_many loops) and
+/// Runs one built-in scenario through the campaign engine (job threads
+/// + artifact cache replacing the per-bench run_many loops) and
 /// returns its report. Throws if any job failed.
 inline campaign::CampaignReport run_scenario(const std::string& name,
                                              int argc, char** argv) {

@@ -2,7 +2,7 @@
 // with rate limiting at 5% of end hosts, edge routers, and backbone
 // routers. The paper: backbone RL makes reaching 50% infection take
 // ~5x as long as host/edge deployments. The four deployments run as
-// campaign jobs on the shared pool; artifacts cache under .dq-cache.
+// campaign jobs on the job threads; artifacts cache under .dq-cache.
 #include <iomanip>
 #include <iostream>
 

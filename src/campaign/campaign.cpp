@@ -2,16 +2,14 @@
 
 #include <chrono>
 #include <fstream>
-#include <functional>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "campaign/cache.hpp"
-#include "campaign/pool.hpp"
 #include "campaign/result_io.hpp"
 #include "core/experiments.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "stats/hash.hpp"
 
 namespace dq::campaign {
@@ -79,24 +77,6 @@ const char* to_string(JobPhase phase) noexcept {
   return "unknown";
 }
 
-std::size_t Campaign::add_job(std::string name, JobConfig config,
-                              std::vector<std::size_t> deps) {
-  const std::size_t index = jobs_.size();
-  for (const JobEntry& existing : jobs_) {
-    if (existing.name == name)
-      throw std::invalid_argument("Campaign: duplicate job name " + name);
-  }
-  for (std::size_t dep : deps) {
-    if (dep >= index)
-      throw std::invalid_argument("Campaign: dependency must reference an "
-                                  "earlier job (got " +
-                                  std::to_string(dep) + " for job " +
-                                  std::to_string(index) + ")");
-  }
-  jobs_.push_back({std::move(name), std::move(config), std::move(deps)});
-  return index;
-}
-
 JobOutcome execute_job(const std::string& name, const JobConfig& config,
                        const RunOptions& options, std::size_t index) {
   JobOutcome outcome;
@@ -139,9 +119,9 @@ JobOutcome execute_job(const std::string& name, const JobConfig& config,
         // always record (cheap, and needed for the artifact snapshot).
         const bool tracing = !options.trace_dir.empty();
         obs::MultiRunSink sink(config.runs,
-                               tracing ? options.trace_ring_capacity : 0);
+                               tracing ? obs::kDefaultRingCapacity : 0);
         // Serial inner runs: campaign parallelism is across jobs, and
-        // nesting thread fan-out would oversubscribe the pool.
+        // nesting thread fan-out would oversubscribe the job threads.
         std::optional<sim::AveragedResult> avg_out;
         {
           const obs::Span span(spans, "simulate");
@@ -189,68 +169,6 @@ JobOutcome execute_job(const std::string& name, const JobConfig& config,
          outcome.ok() ? JobPhase::kFinished : JobPhase::kFailed,
          outcome.cache_hit, outcome.wall_seconds);
   return outcome;
-}
-
-std::vector<JobOutcome> Campaign::run(const RunOptions& options) const {
-  const std::size_t n = jobs_.size();
-  std::vector<JobOutcome> outcomes(n);
-  if (n == 0) return outcomes;
-
-  // Dependency bookkeeping: pending dep counts and reverse edges.
-  std::vector<std::size_t> pending(n, 0);
-  std::vector<std::vector<std::size_t>> dependents(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pending[i] = jobs_[i].deps.size();
-    for (std::size_t dep : jobs_[i].deps) dependents[dep].push_back(i);
-  }
-
-  WorkStealingPool pool(options.jobs);
-  std::mutex mu;  // guards pending[] and the failed-dep propagation
-
-  // Declared std::function so the lambda can capture itself and submit
-  // dependents as they become ready. A job marked failed before it ran
-  // (upstream failure) flows through here too — it just skips
-  // execution and keeps propagating, so arbitrarily deep failure
-  // chains resolve without special cases.
-  std::function<void(std::size_t)> run_job = [&](std::size_t index) {
-    const bool skipped = [&] {
-      std::lock_guard<std::mutex> lock(mu);
-      return !outcomes[index].error.empty();
-    }();
-    if (!skipped) {
-      outcomes[index] =
-          execute_job(jobs_[index].name, jobs_[index].config, options, index);
-    } else {
-      notify(options, index, jobs_[index].name, JobPhase::kFailed);
-    }
-    std::vector<std::size_t> ready;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      for (std::size_t dependent : dependents[index]) {
-        if (!outcomes[index].ok() && outcomes[dependent].error.empty()) {
-          outcomes[dependent].name = jobs_[dependent].name;
-          outcomes[dependent].config = jobs_[dependent].config;
-          outcomes[dependent].hash = job_hash(jobs_[dependent].config);
-          outcomes[dependent].error =
-              "dependency failed: " + jobs_[index].name;
-        }
-        if (--pending[dependent] == 0) ready.push_back(dependent);
-      }
-    }
-    for (std::size_t dependent : ready) {
-      notify(options, dependent, jobs_[dependent].name, JobPhase::kQueued);
-      pool.submit([&run_job, dependent] { run_job(dependent); });
-    }
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pending[i] == 0) {
-      notify(options, i, jobs_[i].name, JobPhase::kQueued);
-      pool.submit([&run_job, i] { run_job(i); });
-    }
-  }
-  pool.wait_idle();
-  return outcomes;
 }
 
 JsonValue build_manifest(const std::vector<JobOutcome>& outcomes,

@@ -1,12 +1,13 @@
 // Declarative experiment-campaign engine.
 //
-// A Campaign is a DAG of content-hashed jobs. Each job's configuration
-// is canonically serialized (job.hpp) and FNV-hashed; the hash names
-// the job's on-disk artifact (cache.hpp) and seeds its private RNG
-// substream. Execution runs on one shared work-stealing pool
-// (pool.hpp) — results are byte-identical regardless of thread count,
-// cache state, or completion order, because nothing about scheduling
-// feeds into a job's RNG stream or its serialized output.
+// A campaign is a flat list of content-hashed jobs. Each job's
+// configuration is canonically serialized (job.hpp) and FNV-hashed;
+// the hash names the job's on-disk artifact (cache.hpp) and seeds its
+// private RNG substream. run_scenarios (scenarios.hpp) builds the list
+// and runs it on up to `RunOptions::jobs` threads — results are
+// byte-identical regardless of thread count, cache state, or
+// completion order, because nothing about scheduling feeds into a
+// job's RNG stream or its serialized output.
 #pragma once
 
 #include <cstddef>
@@ -20,12 +21,12 @@
 #include "campaign/job.hpp"
 #include "campaign/json.hpp"
 #include "core/figure.hpp"
-#include "obs/sink.hpp"
+#include "obs/span.hpp"
 #include "simulator/runner.hpp"
 
 namespace dq::campaign {
 
-/// What a finished (or failed/skipped) job produced. Exactly one of
+/// What a finished (or failed) job produced. Exactly one of
 /// `sim_result` / `figure` is set on success, matching the job kind.
 struct JobOutcome {
   std::string name;
@@ -51,11 +52,11 @@ struct JobOutcome {
 
 /// Job lifecycle notifications (the campaign progress surface).
 enum class JobPhase : std::uint8_t {
-  kQueued,    ///< submitted to the pool
+  kQueued,    ///< in the campaign's job list, not started yet
   kStarted,   ///< execution began (cache probe included)
   kCacheHit,  ///< artifact served from .dq-cache
   kFinished,  ///< completed OK (cache hit or fresh run)
-  kFailed,    ///< completed with an error (or skipped: upstream failed)
+  kFailed,    ///< completed with an error
 };
 
 const char* to_string(JobPhase phase) noexcept;
@@ -69,7 +70,9 @@ struct JobEvent {
 };
 
 struct RunOptions {
-  std::size_t jobs = 0;            ///< worker threads; 0 = hardware
+  /// Worker threads; 0 = hardware concurrency, 1 = inline on the
+  /// caller.
+  std::size_t jobs = 0;
   bool use_cache = true;
   std::filesystem::path cache_dir = ".dq-cache";
   /// Non-empty: freshly executed simulation jobs write their NDJSON
@@ -78,8 +81,6 @@ struct RunOptions {
   /// trace everything. Trace output never feeds back into artifacts,
   /// so artifact bytes are identical with tracing on or off.
   std::filesystem::path trace_dir;
-  /// Per-run trace ring capacity when trace_dir is set.
-  std::size_t trace_ring_capacity = obs::kDefaultRingCapacity;
   /// Lifecycle callback; invoked from worker threads (must be
   /// thread-safe). Null = no notifications.
   std::function<void(const JobEvent&)> on_job_event;
@@ -89,34 +90,6 @@ struct RunOptions {
   /// thread-safe and spans never touch job state, so artifacts stay
   /// byte-identical with profiling on or off.
   obs::Profiler* profiler = nullptr;
-};
-
-class Campaign {
- public:
-  /// Adds a job whose dependencies are indices of previously added
-  /// jobs (so the graph is acyclic by construction). Returns the new
-  /// job's index. Throws std::invalid_argument on a forward/self dep
-  /// or a duplicate name.
-  std::size_t add_job(std::string name, JobConfig config,
-                      std::vector<std::size_t> deps = {});
-
-  std::size_t size() const noexcept { return jobs_.size(); }
-  const std::string& name_of(std::size_t i) const { return jobs_[i].name; }
-  const JobConfig& config_of(std::size_t i) const { return jobs_[i].config; }
-
-  /// Executes every job, respecting dependencies, on a work-stealing
-  /// pool of `options.jobs` threads. Outcomes are indexed like the
-  /// jobs. Failed jobs carry their error; jobs downstream of a failure
-  /// are skipped with a "dependency failed" error.
-  std::vector<JobOutcome> run(const RunOptions& options) const;
-
- private:
-  struct JobEntry {
-    std::string name;
-    JobConfig config;
-    std::vector<std::size_t> deps;
-  };
-  std::vector<JobEntry> jobs_;
 };
 
 /// Runs a single job to an outcome: cache probe, then (on a miss)

@@ -3,10 +3,12 @@
 #include <chrono>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "campaign/result_io.hpp"
 #include "stats/hash.hpp"
+#include "stats/parallel.hpp"
 
 namespace dq::campaign {
 
@@ -285,19 +287,24 @@ const ScenarioDef* find_scenario(const std::vector<ScenarioDef>& catalogue,
 
 CampaignReport run_scenarios(const std::vector<ScenarioDef>& scenarios,
                              const RunOptions& options) {
-  Campaign campaign;
-  // (scenario index, local job name) -> campaign job index, with
-  // cross-scenario dedup by content hash: an identical config runs
-  // once no matter how many scenarios request it.
+  // The campaign's flat job list, named "<scenario>/<job>" and
+  // deduplicated by content hash: an identical config runs once no
+  // matter how many scenarios request it. local_index maps (scenario
+  // index, local job name) to a list index.
+  std::vector<ScenarioJob> jobs;
   std::unordered_map<std::uint64_t, std::size_t> by_hash;
+  std::unordered_set<std::string> names;
   std::vector<std::unordered_map<std::string, std::size_t>> local_index(
       scenarios.size());
   for (std::size_t si = 0; si < scenarios.size(); ++si) {
     for (const ScenarioJob& job : scenarios[si].jobs) {
-      const std::uint64_t hash = job_hash(job.config);
-      auto [it, inserted] = by_hash.try_emplace(hash, campaign.size());
+      auto [it, inserted] =
+          by_hash.try_emplace(job_hash(job.config), jobs.size());
       if (inserted) {
-        campaign.add_job(scenarios[si].name + "/" + job.name, job.config);
+        std::string name = scenarios[si].name + "/" + job.name;
+        if (!names.insert(name).second)
+          throw std::invalid_argument("campaign: duplicate job name " + name);
+        jobs.push_back({std::move(name), job.config});
       }
       if (!local_index[si].emplace(job.name, it->second).second)
         throw std::invalid_argument("scenario " + scenarios[si].name +
@@ -306,8 +313,17 @@ CampaignReport run_scenarios(const std::vector<ScenarioDef>& scenarios,
   }
 
   CampaignReport report;
+  report.outcomes.resize(jobs.size());
   const auto start = std::chrono::steady_clock::now();
-  report.outcomes = campaign.run(options);
+  if (options.on_job_event) {
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      options.on_job_event({.index = i, .name = jobs[i].name});
+  }
+  // Job seeds come from content hashes, never from the schedule, so
+  // the order in which threads take jobs cannot change any artifact.
+  parallel_for(jobs.size(), options.jobs, [&](std::size_t i) {
+    report.outcomes[i] = execute_job(jobs[i].name, jobs[i].config, options, i);
+  });
   const double total_wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

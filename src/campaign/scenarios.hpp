@@ -3,8 +3,8 @@
 // A ScenarioDef declares a bundle of jobs plus the figures assembled
 // from their outcomes — the declarative replacement for the ad-hoc
 // run_many loops the bench binaries used to carry. Scenarios are
-// expanded together into ONE Campaign: jobs identical across scenarios
-// (same content hash) are deduplicated and executed once.
+// expanded together into ONE flat job list: jobs identical across
+// scenarios (same content hash) are deduplicated and executed once.
 #pragma once
 
 #include <string>
@@ -56,7 +56,7 @@ std::vector<ScenarioDef> builtin_scenarios(
 const ScenarioDef* find_scenario(const std::vector<ScenarioDef>& catalogue,
                                  const std::string& name);
 
-/// A scenario run: per-job outcomes (campaign order), the assembled
+/// A scenario run: per-job outcomes (job-list order), the assembled
 /// figures, and the machine-readable manifest.
 struct CampaignReport {
   std::vector<JobOutcome> outcomes;
@@ -64,10 +64,13 @@ struct CampaignReport {
   JsonValue manifest;
 };
 
-/// Expands the scenarios into one deduplicated Campaign, runs it, and
-/// assembles each scenario's figures from the outcomes. Figures whose
-/// jobs failed are omitted; the failure stays visible in the outcomes
-/// and manifest.
+/// Expands the scenarios into one deduplicated job list, runs it, and
+/// assembles each scenario's figures from the outcomes. Every job is
+/// reported kQueued in list order; then up to `options.jobs` threads
+/// take jobs in list order (execute_job). A failed job does not stop
+/// the others. Figures whose jobs failed are omitted; the failure stays
+/// visible in the outcomes and manifest. Throws std::invalid_argument
+/// on a duplicate job name, before any job runs.
 CampaignReport run_scenarios(const std::vector<ScenarioDef>& scenarios,
                              const RunOptions& options);
 

@@ -1,10 +1,10 @@
 #include "simulator/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <vector>
+
+#include "stats/parallel.hpp"
 
 namespace dq::sim {
 
@@ -15,42 +15,18 @@ AveragedResult run_many(const Network& net, const SimulationConfig& base,
   if (obs != nullptr && obs->runs() < runs)
     throw std::invalid_argument("run_many: obs sink sized for fewer runs");
 
-  const auto run_one = [&](std::size_t r) {
+  // Each run is fully independent (own RNG stream, own state, own
+  // trace ring); the Network is only read and the metrics registry
+  // takes commutative atomic updates.
+  std::vector<RunResult> results(runs);
+  parallel_for(runs, max_parallelism, [&](std::size_t r) {
     SimulationConfig cfg = base;
     cfg.seed = run_seed(base.seed, r);
     const obs::Sink sink = obs != nullptr ? obs->run_sink(r) : obs::Sink{};
     // Parallelism comes from running many runs at once, so each run
     // takes one shard (which also lets it carry a trace sink).
-    return ShardedSimulation(net, cfg, /*num_shards=*/1, sink).run();
-  };
-
-  std::vector<RunResult> results(runs);
-  if (max_parallelism == 0) {
-    max_parallelism = std::max<std::size_t>(
-        1, std::thread::hardware_concurrency());
-  }
-  const std::size_t workers = std::min(max_parallelism, runs);
-
-  if (workers <= 1) {
-    for (std::size_t r = 0; r < runs; ++r) results[r] = run_one(r);
-  } else {
-    // Each run is fully independent (own RNG stream, own state, own
-    // trace ring); the Network is only read and the metrics registry
-    // takes commutative atomic updates. A shared counter hands out run
-    // indices.
-    std::atomic<std::size_t> next{0};
-    auto work = [&] {
-      for (;;) {
-        const std::size_t r = next.fetch_add(1);
-        if (r >= runs) return;
-        results[r] = run_one(r);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-  }
+    results[r] = ShardedSimulation(net, cfg, /*num_shards=*/1, sink).run();
+  });
 
   std::vector<TimeSeries> active, ever, removed, seed_subnet, predator;
   active.reserve(runs);

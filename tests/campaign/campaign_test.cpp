@@ -1,11 +1,11 @@
-// Campaign engine tests: content hashing, the artifact cache, the
-// work-stealing pool, DAG scheduling, and the headline determinism
-// matrix — artifacts must be byte-identical across
-// --jobs 1 / --jobs 8 / cold-vs-warm cache, with a warm rerun
-// reporting every job as a cache hit.
+// Campaign engine tests: content hashing, the artifact cache, how
+// run_scenarios expands, runs and assembles the job list (failures and
+// duplicate names included), and the headline determinism matrix —
+// artifacts must be byte-identical across --jobs 1 / --jobs 8 /
+// cold-vs-warm cache, with a warm rerun reporting every job as a cache
+// hit.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -17,7 +17,6 @@
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/json.hpp"
-#include "campaign/pool.hpp"
 #include "campaign/result_io.hpp"
 #include "campaign/scenarios.hpp"
 #include "stats/hash.hpp"
@@ -129,67 +128,6 @@ TEST(ArtifactCacheTest, StoreLoadRoundTrip) {
   cache.store(42, "{\"x\":2}");
   EXPECT_EQ(cache.load(42).value(), "{\"x\":2}");
   std::filesystem::remove_all(dir);
-}
-
-// --- work-stealing pool ---
-
-TEST(Pool, RunsEveryTaskIncludingNestedSubmissions) {
-  WorkStealingPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&pool, &counter] {
-      counter.fetch_add(1);
-      // Tasks submitted from inside tasks must also complete before
-      // wait_idle returns.
-      pool.submit([&counter] { counter.fetch_add(1); });
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 128);
-  // The pool is reusable after an idle period.
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 129);
-}
-
-// --- DAG scheduling ---
-
-TEST(CampaignDag, RejectsForwardAndSelfDependencies) {
-  Campaign campaign;
-  JobConfig fig;
-  fig.kind = JobConfig::Kind::kAnalyticalFigure;
-  fig.figure_id = "fig2";
-  const std::size_t first = campaign.add_job("a", fig);
-  EXPECT_THROW(campaign.add_job("b", fig, {5}), std::invalid_argument);
-  EXPECT_THROW(campaign.add_job("a", fig), std::invalid_argument);
-  EXPECT_EQ(first, 0u);
-}
-
-TEST(CampaignDag, DependentsRunAfterDependenciesAndFailuresCascade) {
-  Campaign campaign;
-  JobConfig good;
-  good.kind = JobConfig::Kind::kAnalyticalFigure;
-  good.figure_id = "fig2";
-  JobConfig bad = good;
-  bad.figure_id = "not-a-figure";
-
-  const std::size_t a = campaign.add_job("good", good);
-  const std::size_t b = campaign.add_job("bad", bad, {a});
-  const std::size_t c = campaign.add_job("downstream", good, {b});
-
-  RunOptions options;
-  options.jobs = 4;
-  options.use_cache = false;
-  const std::vector<JobOutcome> outcomes = campaign.run(options);
-
-  EXPECT_TRUE(outcomes[a].ok());
-  EXPECT_TRUE(outcomes[a].figure.has_value());
-  EXPECT_FALSE(outcomes[b].ok());
-  EXPECT_NE(outcomes[b].error.find("not-a-figure"), std::string::npos);
-  EXPECT_FALSE(outcomes[c].ok());
-  EXPECT_NE(outcomes[c].error.find("dependency failed"), std::string::npos)
-      << outcomes[c].error;
-  EXPECT_EQ(outcomes[c].name, "downstream");
 }
 
 // --- result round trips ---
@@ -377,6 +315,72 @@ TEST(Scenarios, BuiltinCatalogueExpandsAndDedups) {
       EXPECT_TRUE(hashes.insert(job_hash(job.config)).second)
           << scenario.name << "/" << job.name;
   }
+}
+
+TEST(Scenarios, FailedJobIsReportedAndOnlyItsFigureIsLeftOut) {
+  JobConfig bad;
+  bad.kind = JobConfig::Kind::kAnalyticalFigure;
+  bad.figure_id = "not-a-figure";
+  JobConfig good = bad;
+  good.figure_id = "fig2";
+  ScenarioDef s;
+  s.name = "mixed";
+  s.jobs.push_back({"bad", bad});
+  s.jobs.push_back({"good", good});
+  s.jobs.push_back({"sim", small_sim_job()});
+  s.figures.push_back({"broken", "", "", "", "bad", {}});
+  s.figures.push_back({"fig2", "", "", "", "good", {}});
+  s.figures.push_back({"sim-fig", "", "", "", "", {{"sim", "sim"}}});
+
+  RunOptions options;
+  options.use_cache = false;
+  options.jobs = 3;
+  const CampaignReport report = run_scenarios({s}, options);
+
+  ASSERT_EQ(report.outcomes.size(), 3u);
+  EXPECT_EQ(report.outcomes[0].name, "mixed/bad");
+  EXPECT_FALSE(report.outcomes[0].ok());
+  EXPECT_NE(report.outcomes[0].error.find("not-a-figure"), std::string::npos)
+      << report.outcomes[0].error;
+  EXPECT_TRUE(report.outcomes[1].ok()) << report.outcomes[1].error;
+  EXPECT_TRUE(report.outcomes[1].figure.has_value());
+  EXPECT_TRUE(report.outcomes[2].ok()) << report.outcomes[2].error;
+  EXPECT_TRUE(report.outcomes[2].sim_result.has_value());
+  EXPECT_EQ(report.manifest.at("failures").as_uint(), 1u);
+  EXPECT_EQ(report.manifest.at("jobs").items()[0].at("error").as_string(),
+            report.outcomes[0].error);
+
+  std::vector<std::string> ids;
+  for (const core::FigureData& fig : report.figures) ids.push_back(fig.id);
+  EXPECT_EQ(ids, (std::vector<std::string>{"fig2", "sim-fig"}));
+}
+
+TEST(Scenarios, DuplicateJobNamesThrowBeforeAnyJobRuns) {
+  std::size_t events = 0;
+  RunOptions options;
+  options.use_cache = false;
+  options.on_job_event = [&](const JobEvent&) { ++events; };
+
+  ScenarioDef differing;
+  differing.name = "dup";
+  differing.jobs.push_back({"x", small_sim_job()});
+  differing.jobs.push_back({"x", small_sim_job(1.6)});
+  EXPECT_THROW(run_scenarios({differing}, options), std::invalid_argument);
+
+  ScenarioDef identical = differing;
+  identical.jobs[1].config = small_sim_job();
+  EXPECT_THROW(run_scenarios({identical}, options), std::invalid_argument);
+
+  // Two scenarios of one name whose same-named jobs differ would give
+  // two list entries the same "<scenario>/<job>" name.
+  ScenarioDef first;
+  first.name = "twin";
+  first.jobs.push_back({"x", small_sim_job()});
+  ScenarioDef second = first;
+  second.jobs[0].config = small_sim_job(1.6);
+  EXPECT_THROW(run_scenarios({first, second}, options),
+               std::invalid_argument);
+  EXPECT_EQ(events, 0u);
 }
 
 // --- observability through the campaign engine ---

@@ -20,6 +20,7 @@
 //
 // Run any subcommand with --help for its options.
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -99,9 +100,20 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  /// Floating-point flag: the whole value must be a finite number.
+  /// Trailing junk, nan or inf is a UsageError naming the flag rather
+  /// than a value silently truncated.
   double num(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    double value = 0.0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc{} || end != text.data() + text.size() ||
+        !std::isfinite(value))
+      throw UsageError("--" + key + " must be a number, got '" + text + "'");
+    return value;
   }
   /// Integer flag: the whole value must be a plain decimal in T's
   /// range. A sign, fraction or exponent is a UsageError naming the
@@ -377,13 +389,9 @@ int cmd_classify(const Args& args) {
   return 0;
 }
 
-int cmd_plan(const Args& args) {
-  args.allow_only({"normal", "servers", "p2p", "blaster", "welchia"});
-  if (args.positional().empty()) return usage();
-  trace::Trace t = load_trace(args.positional()[0]);
-  // Assign categories in id order from the census options (the CSV
-  // format does not carry categories).
-  const trace::DepartmentConfig census = department_from(args);
+/// Assigns census categories in host-id order (the CSV format does not
+/// carry them).
+void apply_census(trace::Trace& t, const trace::DepartmentConfig& census) {
   std::vector<trace::HostCategory> categories;
   auto fill = [&](std::size_t n, trace::HostCategory c) {
     categories.insert(categories.end(), n, c);
@@ -394,6 +402,13 @@ int cmd_plan(const Args& args) {
   fill(census.blaster_hosts, trace::HostCategory::kWormBlaster);
   fill(census.welchia_hosts, trace::HostCategory::kWormWelchia);
   t.set_host_categories(std::move(categories));
+}
+
+int cmd_plan(const Args& args) {
+  args.allow_only({"normal", "servers", "p2p", "blaster", "welchia"});
+  if (args.positional().empty()) return usage();
+  trace::Trace t = load_trace(args.positional()[0]);
+  apply_census(t, department_from(args));
   std::cout << core::plan_from_trace(t).summary();
   return 0;
 }
@@ -439,21 +454,6 @@ quarantine::QuarantineConfig quarantine_config_from(const Args& args) {
       args.integer<std::uint32_t>("pool-bits", 6);
   config.compact.virtual_bits = args.integer<std::uint32_t>("virtual-bits", 64);
   return config;
-}
-
-/// Assigns census categories in host-id order (the CSV format does not
-/// carry them).
-void apply_census(trace::Trace& t, const trace::DepartmentConfig& census) {
-  std::vector<trace::HostCategory> categories;
-  auto fill = [&](std::size_t n, trace::HostCategory c) {
-    categories.insert(categories.end(), n, c);
-  };
-  fill(census.normal_clients, trace::HostCategory::kNormalClient);
-  fill(census.servers, trace::HostCategory::kServer);
-  fill(census.p2p_clients, trace::HostCategory::kP2P);
-  fill(census.blaster_hosts, trace::HostCategory::kWormBlaster);
-  fill(census.welchia_hosts, trace::HostCategory::kWormWelchia);
-  t.set_host_categories(std::move(categories));
 }
 
 int cmd_quarantine(const Args& args) {
