@@ -150,6 +150,8 @@ JobOutcome execute_job(const std::string& name, const JobConfig& config,
             throw std::runtime_error("execute_job: cannot write trace for " +
                                      name);
           sink.write_ndjson(out);
+          for (std::size_t r = 0; r < config.runs; ++r)
+            outcome.trace_dropped += sink.ring(r).evicted();
         }
       } else {
         const core::FigureData fig =
@@ -192,6 +194,8 @@ JsonValue build_manifest(const std::vector<JobOutcome>& outcomes,
           JsonValue::str(options.use_cache
                              ? cache.path_for(outcome.hash).string()
                              : std::string()));
+    if (!options.trace_dir.empty())
+      o.set("trace_dropped", JsonValue::integer(outcome.trace_dropped));
     if (outcome.ok()) {
       outcome.cache_hit ? ++hits : ++misses;
       if (outcome.sim_result)

@@ -45,6 +45,10 @@ struct JobOutcome {
   /// totals are cold/warm-identical. Null for analytical jobs and
   /// artifacts written before the obs layer existed.
   JsonValue metrics;
+  /// Events the job's trace rings evicted, summed over its runs: a run
+  /// that outgrew obs::kDefaultRingCapacity kept only its newest
+  /// events. 0 unless the job wrote a trace.
+  std::uint64_t trace_dropped = 0;
   std::string error;               ///< non-empty means the job failed
 
   bool ok() const noexcept { return error.empty(); }
@@ -79,7 +83,9 @@ struct RunOptions {
   /// event trace to <trace_dir>/<job name, '/'→'_'>.ndjson. Cache hits
   /// write no trace (events are not cached) — pass use_cache=false to
   /// trace everything. Trace output never feeds back into artifacts,
-  /// so artifact bytes are identical with tracing on or off.
+  /// so artifact bytes are identical with tracing on or off. A run
+  /// keeps its newest obs::kDefaultRingCapacity events;
+  /// JobOutcome::trace_dropped counts the rest.
   std::filesystem::path trace_dir;
   /// Lifecycle callback; invoked from worker threads (must be
   /// thread-safe). Null = no notifications.
@@ -101,7 +107,8 @@ JobOutcome execute_job(const std::string& name, const JobConfig& config,
                        const RunOptions& options, std::size_t index = 0);
 
 /// Machine-readable run manifest: per-job name/hash/kind/cache_hit/
-/// wall_seconds/artifact-path/perf/metrics plus aggregate totals
+/// wall_seconds/artifact-path/perf/metrics (and trace_dropped when
+/// options.trace_dir is set) plus aggregate totals
 /// (including the merged deterministic "metrics" across simulation
 /// jobs, identical cold or warm). Wall-clock lives only here, never in
 /// artifacts.

@@ -1,38 +1,8 @@
 #include "campaign/job.hpp"
 
-#include <stdexcept>
-
-#include "graph/builders.hpp"
 #include "stats/hash.hpp"
-#include "stats/rng.hpp"
 
 namespace dq::campaign {
-
-sim::Network build_network(const TopologySpec& spec) {
-  switch (spec.kind) {
-    case TopologySpec::Kind::kStar:
-      if (spec.nodes < 2)
-        throw std::invalid_argument("TopologySpec: star needs >= 2 nodes");
-      return sim::Network(graph::make_star(spec.nodes),
-                          spec.backbone_fraction, spec.edge_fraction);
-    case TopologySpec::Kind::kPowerLaw: {
-      if (spec.nodes < spec.ba_links + 1)
-        throw std::invalid_argument("TopologySpec: too few power-law nodes");
-      Rng rng(spec.build_seed);
-      return sim::Network(
-          graph::make_barabasi_albert(spec.nodes, spec.ba_links, rng),
-          spec.backbone_fraction, spec.edge_fraction);
-    }
-    case TopologySpec::Kind::kSubnets: {
-      if (spec.num_subnets == 0 || spec.hosts_per_subnet == 0)
-        throw std::invalid_argument("TopologySpec: empty subnet layout");
-      Rng rng(spec.build_seed);
-      return sim::Network(graph::make_subnet_topology(
-          spec.num_subnets, spec.hosts_per_subnet, rng));
-    }
-  }
-  throw std::invalid_argument("TopologySpec: unknown kind");
-}
 
 namespace {
 

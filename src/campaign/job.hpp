@@ -1,8 +1,9 @@
 // Declarative job descriptions for the campaign engine.
 //
 // A job is the unit of batching, caching, and scheduling: either one
-// multi-run simulation (topology + SimulationConfig + run count) or
-// one closed-form analytical figure from the experiment registry.
+// multi-run simulation (the simulator's TopologySpec + SimulationConfig
+// + run count) or one closed-form analytical figure from the
+// experiment registry.
 // Every knob that can change the job's output is part of JobConfig and
 // is canonically serialized, so the content hash fully identifies the
 // result — equal hash ⇒ equal artifact bytes.
@@ -23,31 +24,12 @@
 
 namespace dq::campaign {
 
-/// Reconstructible network description. Building the Network from the
-/// spec (rather than passing one in) keeps jobs self-contained: the
-/// cache key covers the topology, and a scheduler thread can build it
-/// wherever the job lands. Each job rebuilds its network — building is
-/// deterministic in build_seed and cheap next to the runs it feeds.
-struct TopologySpec {
-  enum class Kind : std::uint8_t { kStar, kPowerLaw, kSubnets };
-  Kind kind = Kind::kPowerLaw;
-  /// Node count (kStar / kPowerLaw).
-  std::size_t nodes = 1000;
-  /// Preferential-attachment links per node (kPowerLaw).
-  std::size_t ba_links = 2;
-  /// Subnet layout (kSubnets).
-  std::size_t num_subnets = 25;
-  std::size_t hosts_per_subnet = 40;
-  /// Degree-rank role cutoffs (kStar / kPowerLaw; see sim::Network).
-  double backbone_fraction = 0.05;
-  double edge_fraction = 0.10;
-  /// Seed for randomized builders (kPowerLaw / kSubnets).
-  std::uint64_t build_seed = 42;
-};
-
-/// Builds the network a spec describes. Throws std::invalid_argument
-/// on nonsensical sizes.
-sim::Network build_network(const TopologySpec& spec);
+// The topology a simulation job runs on. The spec is the simulator's
+// (simulator/network.hpp); it is part of the job schema, so the cache
+// key covers the topology, and each job rebuilds its network from it
+// wherever the job lands (building is deterministic in build_seed).
+using sim::TopologySpec;
+using sim::build_network;
 
 struct JobConfig {
   enum class Kind : std::uint8_t { kSimulation, kAnalyticalFigure };

@@ -1,3 +1,7 @@
+// The built-in scenario catalogue and its runner. The scenarios build
+// on Section 5.4's setup in core/experiments.hpp (β, β₂,
+// paper_sim_config and the paper's topologies), the same setup core's
+// own simulated figures use.
 #include "campaign/scenarios.hpp"
 
 #include <chrono>
@@ -14,41 +18,6 @@ namespace dq::campaign {
 
 namespace {
 
-// The paper's Code-Red-class parameters (experiments_sim.cpp uses the
-// same constants; duplicated rather than exported because scenario
-// configs are meant to be readable in one place).
-constexpr double kBeta = 0.8;
-constexpr double kBeta2 = 0.01;
-
-sim::SimulationConfig base_sim(const core::ExperimentOptions& options,
-                               double max_ticks) {
-  sim::SimulationConfig cfg;
-  cfg.worm.contact_rate = kBeta;
-  cfg.worm.filtered_contact_rate = kBeta2;
-  cfg.worm.initial_infected = 1;
-  cfg.max_ticks = max_ticks;
-  cfg.seed = options.seed;
-  return cfg;
-}
-
-TopologySpec star_200() {
-  TopologySpec t;
-  t.kind = TopologySpec::Kind::kStar;
-  t.nodes = 200;
-  t.backbone_fraction = 1.0 / 200.0;  // the hub is the backbone
-  t.edge_fraction = 0.0;
-  return t;
-}
-
-TopologySpec powerlaw_1000(const core::ExperimentOptions& options) {
-  TopologySpec t;
-  t.kind = TopologySpec::Kind::kPowerLaw;
-  t.nodes = 1000;
-  t.ba_links = 2;
-  t.build_seed = options.seed ^ 0x517cc1b727220a95ULL;
-  return t;
-}
-
 ScenarioDef fig01_scenario(const core::ExperimentOptions& options) {
   ScenarioDef s;
   s.name = "fig01";
@@ -63,24 +32,25 @@ ScenarioDef fig01_scenario(const core::ExperimentOptions& options) {
   }
   auto sim_job = [&](const char* name, sim::SimulationConfig cfg) {
     JobConfig job;
-    job.topology = star_200();
+    job.topology = core::star_200();
     job.sim = std::move(cfg);
     job.runs = options.sim_runs;
     s.jobs.push_back({name, std::move(job)});
   };
-  sim_job("no-rl", base_sim(options, 50.0));
+  sim_job("no-rl", core::paper_sim_config(options, 50.0));
   {
-    sim::SimulationConfig cfg = base_sim(options, 50.0);
+    sim::SimulationConfig cfg = core::paper_sim_config(options, 50.0);
     cfg.deployment.host_filter_fraction = 0.10;
     sim_job("leaf-rl-10", std::move(cfg));
   }
   {
-    sim::SimulationConfig cfg = base_sim(options, 50.0);
+    sim::SimulationConfig cfg = core::paper_sim_config(options, 50.0);
     cfg.deployment.host_filter_fraction = 0.30;
     sim_job("leaf-rl-30", std::move(cfg));
   }
   {
-    sim::SimulationConfig cfg = base_sim(options, 50.0);
+    // Hub rate limiting: the hub (node 0) forwards 6 packets per tick.
+    sim::SimulationConfig cfg = core::paper_sim_config(options, 50.0);
     cfg.deployment.node_forward_cap = {0u, 6u};
     sim_job("hub-rl", std::move(cfg));
   }
@@ -150,24 +120,24 @@ ScenarioDef fig04_scenario(const core::ExperimentOptions& options) {
       "power-law topology (paper Fig. 4)";
   auto sim_job = [&](const char* name, sim::SimulationConfig cfg) {
     JobConfig job;
-    job.topology = powerlaw_1000(options);
+    job.topology = core::powerlaw_1000(options);
     job.sim = std::move(cfg);
     job.runs = options.sim_runs;
     s.jobs.push_back({name, std::move(job)});
   };
-  sim_job("no-rl", base_sim(options, 120.0));
+  sim_job("no-rl", core::paper_sim_config(options, 120.0));
   {
-    sim::SimulationConfig cfg = base_sim(options, 120.0);
+    sim::SimulationConfig cfg = core::paper_sim_config(options, 120.0);
     cfg.deployment.host_filter_fraction = 0.05;
     sim_job("host-rl-5", std::move(cfg));
   }
   {
-    sim::SimulationConfig cfg = base_sim(options, 120.0);
+    sim::SimulationConfig cfg = core::paper_sim_config(options, 120.0);
     cfg.deployment.edge_router_limited = true;
     sim_job("edge-rl", std::move(cfg));
   }
   {
-    sim::SimulationConfig cfg = base_sim(options, 120.0);
+    sim::SimulationConfig cfg = core::paper_sim_config(options, 120.0);
     cfg.deployment.backbone_limited = true;
     sim_job("backbone-rl", std::move(cfg));
   }
@@ -190,10 +160,8 @@ ScenarioDef ablation_beta_scenario(const core::ExperimentOptions& options) {
   s.description =
       "Worm-speed sensitivity: backbone rate limiting vs beta in "
       "{0.1..3.2} on the 1000-node power-law topology";
-  TopologySpec topo;
-  topo.kind = TopologySpec::Kind::kPowerLaw;
-  topo.nodes = 1000;
-  topo.ba_links = 2;
+  // The power-law graph of Fig. 4 under a salt of its own.
+  TopologySpec topo = core::powerlaw_1000(options);
   topo.build_seed = options.seed ^ 0x510e527fade682d1ULL;
   ScenarioFigure fig{"ablation-beta",
                      "Backbone rate limiting vs worm speed "
@@ -204,11 +172,8 @@ ScenarioDef ablation_beta_scenario(const core::ExperimentOptions& options) {
                      {}};
   for (double beta : {0.1, 0.2, 0.4, 0.8, 1.6, 3.2}) {
     for (bool limited : {false, true}) {
-      sim::SimulationConfig cfg;
+      sim::SimulationConfig cfg = core::paper_sim_config(options, 200.0);
       cfg.worm.contact_rate = beta;
-      cfg.worm.initial_infected = 1;
-      cfg.max_ticks = 200.0;
-      cfg.seed = options.seed;
       cfg.deployment.backbone_limited = limited;
       JobConfig job;
       job.topology = topo;
@@ -239,18 +204,11 @@ ScenarioDef ablation_backbone_scenario(
                      "",
                      {}};
   for (double depth : {0.0, 0.01, 0.02, 0.05, 0.10, 0.20}) {
-    TopologySpec topo;
-    topo.kind = TopologySpec::Kind::kPowerLaw;
-    topo.nodes = 1000;
-    topo.ba_links = 2;
+    TopologySpec topo = core::powerlaw_1000(options);
     topo.backbone_fraction = depth;
     topo.edge_fraction = 0.0;
     topo.build_seed = options.seed;
-    sim::SimulationConfig cfg;
-    cfg.worm.contact_rate = kBeta;
-    cfg.worm.initial_infected = 1;
-    cfg.max_ticks = 200.0;
-    cfg.seed = options.seed;
+    sim::SimulationConfig cfg = core::paper_sim_config(options, 200.0);
     cfg.deployment.backbone_limited = depth > 0.0;
     JobConfig job;
     job.topology = topo;

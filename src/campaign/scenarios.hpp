@@ -48,7 +48,8 @@ struct ScenarioDef {
 
 /// The built-in scenario catalogue: fig01–fig04 plus the beta and
 /// backbone-depth ablation sweeps, parameterized by the usual
-/// experiment knobs (runs, seed).
+/// experiment knobs (runs, seed). Each figure id is declared by exactly
+/// one scenario, so `dqctl figure ID` finds a figure by its id.
 std::vector<ScenarioDef> builtin_scenarios(
     const core::ExperimentOptions& options);
 

@@ -1,7 +1,10 @@
-// The experiment registry: one function per figure of the paper,
-// returning the figure's series with the paper's parameters. Bench
-// binaries, tests, and EXPERIMENTS.md all consume these, so the
-// configuration of each reproduction lives in exactly one place.
+// The experiment registry: Section 5.4's simulation setup (β, β₂, the
+// base config and the paper's topologies), which core's simulated
+// figures and the campaign catalogue (campaign/scenarios.cpp) share,
+// and one function per figure the catalogue does not declare. Bench
+// binaries, dqctl, tests and EXPERIMENTS.md all consume these or the
+// catalogue, so the configuration of each reproduction lives in
+// exactly one place.
 //
 // Paper-to-code index (see DESIGN.md §4 for the full table):
 //   Fig. 1(a)/(b) — star-graph rate limiting, analytical + simulated
@@ -15,6 +18,7 @@
 //   Fig. 9(a)/(b) — trace contact-rate CDFs
 //   Fig. 10       — practical rate limits fed back into the models
 //   Fig. 11       — dynamic quarantine vs static defenses (extension)
+//   (Figs. 1(b) and 4 are the catalogue's fig01 and fig04 scenarios.)
 #pragma once
 
 #include <cstdint>
@@ -22,6 +26,8 @@
 
 #include "core/figure.hpp"
 #include "quarantine/engine.hpp"
+#include "simulator/config.hpp"
+#include "simulator/network.hpp"
 #include "trace/department.hpp"
 
 namespace dq::core {
@@ -41,6 +47,29 @@ struct ExperimentOptions {
   }
 };
 
+// --- Section 5.4's simulation setup ---
+/// β: the Code-Red-class contact rate (scans per infected host per
+/// tick) of every experiment.
+inline constexpr double kBeta = 0.8;
+/// β₂: the contact rate a host filter allows.
+inline constexpr double kBeta2 = 0.01;
+
+/// β and β₂, one initial infection, `max_ticks` and options.seed.
+sim::SimulationConfig paper_sim_config(const ExperimentOptions& options,
+                                       double max_ticks);
+
+/// The 200-node star of Section 4; its hub is the one backbone node.
+sim::TopologySpec star_200();
+
+/// The 1000-node BRITE-like power-law graph of Section 5.4, with the
+/// top 5% / next 10% of nodes by degree designated backbone / edge
+/// routers.
+sim::TopologySpec powerlaw_1000(const ExperimentOptions& options);
+
+/// The subnetted topology of the local-preferential experiments: 25
+/// subnets x 40 hosts behind gateways (the edge routers).
+sim::TopologySpec subnets_25x40(const ExperimentOptions& options);
+
 /// Closed-form figures by registry id — "fig1a", "fig2", "fig3a",
 /// "fig3b", "fig7a", "fig7b", "fig10". The campaign engine's entry
 /// point for analytical jobs. Throws std::invalid_argument on an
@@ -49,7 +78,6 @@ FigureData analytical_figure(const std::string& id);
 
 // --- Section 4: star topology ---
 FigureData fig1a_star_analytical();
-FigureData fig1b_star_simulated(const ExperimentOptions& options);
 
 // --- Section 5.1: host-based deployment ---
 FigureData fig2_host_analytical();
@@ -58,8 +86,7 @@ FigureData fig2_host_analytical();
 FigureData fig3a_edge_across_subnets();
 FigureData fig3b_edge_within_subnet();
 
-// --- Section 5.4: power-law simulations ---
-FigureData fig4_powerlaw_simulated(const ExperimentOptions& options);
+// --- Section 5.4: subnet simulations ---
 FigureData fig5_edge_localpref_simulated(const ExperimentOptions& options);
 FigureData fig6_localpref_backbone_simulated(
     const ExperimentOptions& options);

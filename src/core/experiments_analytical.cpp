@@ -1,4 +1,5 @@
-// Analytical-model experiments: Figures 1(a), 2, 3, 7, 10.
+// Analytical-model experiments: Figures 1(a), 2, 3, 7, 10, with the
+// β and β₂ of experiments.hpp.
 #include "core/experiments.hpp"
 
 #include <cmath>
@@ -13,9 +14,6 @@
 namespace dq::core {
 
 namespace {
-
-constexpr double kBeta = 0.8;    // the paper's β₁ everywhere
-constexpr double kBeta2 = 0.01;  // the paper's filtered rate β₂
 
 TimeSeries leaf_curve(double population, double q,
                       const std::vector<double>& grid) {

@@ -1,22 +1,19 @@
-// Simulated experiments: Figures 1(b), 4, 5, 6, 8(a), 8(b).
+// Section 5.4's simulation setup and the simulated figures core
+// defines: 5, 6, 8(a), 8(b) and 11. Figs. 1(b) and 4 are the campaign
+// catalogue's fig01 and fig04 scenarios, built on the same setup.
 #include <algorithm>
 #include <string>
 #include <utility>
 
 #include "core/experiments.hpp"
-#include "graph/builders.hpp"
 #include "simulator/runner.hpp"
 
 namespace dq::core {
 
-namespace {
+constexpr double kMu = 0.1;  // μ, the immunization rate of Fig. 8
 
-constexpr double kBeta = 0.8;
-constexpr double kBeta2 = 0.01;
-constexpr double kMu = 0.1;
-
-sim::SimulationConfig base_config(const ExperimentOptions& options,
-                                  double max_ticks) {
+sim::SimulationConfig paper_sim_config(const ExperimentOptions& options,
+                                       double max_ticks) {
   sim::SimulationConfig cfg;
   cfg.worm.contact_rate = kBeta;
   cfg.worm.filtered_contact_rate = kBeta2;
@@ -26,89 +23,31 @@ sim::SimulationConfig base_config(const ExperimentOptions& options,
   return cfg;
 }
 
-/// The 1000-node BRITE-like power-law graph of Section 5.4, with the
-/// top 5% / next 10% of nodes by degree designated backbone / edge
-/// routers.
-sim::Network make_powerlaw_network(const ExperimentOptions& options) {
-  Rng rng(options.seed ^ 0x517cc1b727220a95ULL);
-  return sim::Network(graph::make_barabasi_albert(1000, 2, rng));
+sim::TopologySpec star_200() {
+  sim::TopologySpec t;
+  t.kind = sim::TopologySpec::Kind::kStar;
+  t.nodes = 200;
+  t.backbone_fraction = 1.0 / 200.0;  // the hub is the backbone
+  t.edge_fraction = 0.0;
+  return t;
 }
 
-/// Subnetted topology for the local-preferential experiments: 25
-/// subnets x 40 hosts behind gateways (edge routers).
-sim::Network make_subnet_network(const ExperimentOptions& options) {
-  Rng rng(options.seed ^ 0x2545f4914f6cdd1dULL);
-  return sim::Network(graph::make_subnet_topology(25, 40, rng));
+sim::TopologySpec powerlaw_1000(const ExperimentOptions& options) {
+  sim::TopologySpec t;
+  t.kind = sim::TopologySpec::Kind::kPowerLaw;
+  t.nodes = 1000;
+  t.ba_links = 2;
+  t.build_seed = options.seed ^ 0x517cc1b727220a95ULL;
+  return t;
 }
 
-}  // namespace
-
-FigureData fig1b_star_simulated(const ExperimentOptions& options) {
-  // 200-node star; leaf filters at 10% / 30%; hub rate limiting as a
-  // forwarding cap of 6 packets per tick at the hub (Figure 1(b)).
-  sim::Network net(graph::make_star(200), 1.0 / 200.0, 0.0);
-  FigureData fig{"fig1b",
-                 "Rate limiting on a 200-node star graph (simulation)",
-                 "time (ticks)",
-                 "fraction of nodes infected",
-                 {}};
-
-  auto run = [&](sim::SimulationConfig cfg) {
-    return sim::run_many(net, cfg, options.sim_runs).ever_infected;
-  };
-
-  fig.series.push_back({"no-RL", run(base_config(options, 50.0))});
-  {
-    sim::SimulationConfig cfg = base_config(options, 50.0);
-    cfg.deployment.host_filter_fraction = 0.10;
-    fig.series.push_back({"10%-leaf-RL", run(cfg)});
-  }
-  {
-    sim::SimulationConfig cfg = base_config(options, 50.0);
-    cfg.deployment.host_filter_fraction = 0.30;
-    fig.series.push_back({"30%-leaf-RL", run(cfg)});
-  }
-  {
-    sim::SimulationConfig cfg = base_config(options, 50.0);
-    cfg.deployment.node_forward_cap = {0u, 6u};
-    fig.series.push_back({"hub-RL", run(cfg)});
-  }
-  return fig;
-}
-
-FigureData fig4_powerlaw_simulated(const ExperimentOptions& options) {
-  // Random-propagation worm on the 1000-node power-law graph: no RL,
-  // 5% of end hosts, edge routers, backbone routers (Figure 4). The
-  // paper reports ~5x longer to 50% infection under backbone RL.
-  sim::Network net = make_powerlaw_network(options);
-  FigureData fig{"fig4",
-                 "Rate limiting in a power-law 1000-node topology "
-                 "(simulation)",
-                 "time (ticks)",
-                 "fraction of nodes infected",
-                 {}};
-
-  auto run = [&](sim::SimulationConfig cfg) {
-    return sim::run_many(net, cfg, options.sim_runs).ever_infected;
-  };
-
-  fig.series.push_back({"no-RL", run(base_config(options, 120.0))});
-  {
-    sim::SimulationConfig cfg = base_config(options, 120.0);
-    cfg.deployment.host_filter_fraction = 0.05;
-    fig.series.push_back({"5%-host-RL", run(cfg)});
-  }
-  {
-    sim::SimulationConfig cfg = base_config(options, 120.0);
-    cfg.deployment.edge_router_limited = true;
-    fig.series.push_back({"edge-RL", run(cfg)});
-  }
-  {
-    sim::SimulationConfig cfg = base_config(options, 120.0);
-    cfg.deployment.backbone_limited = true;
-    fig.series.push_back({"backbone-RL", run(cfg)});
-  }
-  return fig;
+sim::TopologySpec subnets_25x40(const ExperimentOptions& options) {
+  sim::TopologySpec t;
+  t.kind = sim::TopologySpec::Kind::kSubnets;
+  t.num_subnets = 25;
+  t.hosts_per_subnet = 40;
+  t.build_seed = options.seed ^ 0x2545f4914f6cdd1dULL;
+  return t;
 }
 
 FigureData fig11_dynamic_quarantine_simulated(
@@ -119,7 +58,7 @@ FigureData fig11_dynamic_quarantine_simulated(
   // per-host detectors key on. All four series share that worm and a
   // 0.2 packets/node/tick legitimate background load, so containment
   // and collateral damage are measured on equal footing.
-  sim::Network net = make_powerlaw_network(options);
+  const sim::Network net = sim::build_network(powerlaw_1000(options));
   FigureData fig{"fig11",
                  "Dynamic quarantine vs static defenses, power-law "
                  "1000-node topology, sparse address space (simulation)",
@@ -128,7 +67,7 @@ FigureData fig11_dynamic_quarantine_simulated(
                  {}};
 
   const auto sparse_base = [&] {
-    sim::SimulationConfig cfg = base_config(options, 100.0);
+    sim::SimulationConfig cfg = paper_sim_config(options, 100.0);
     cfg.worm.hit_probability = 0.1;
     cfg.worm.initial_infected = 5;
     cfg.legit.rate_per_node = 0.2;
@@ -173,7 +112,7 @@ FigureData fig5_edge_localpref_simulated(const ExperimentOptions& options) {
   // Edge-router rate limiting within subnets: random vs
   // local-preferential worms (Figure 5). The local-preferential worm is
   // barely slowed; the random worm sees a ~50% slowdown.
-  sim::Network net = make_subnet_network(options);
+  const sim::Network net = sim::build_network(subnets_25x40(options));
   FigureData fig{"fig5",
                  "Edge-router rate limiting for random and "
                  "local-preferential worms (simulation)",
@@ -182,7 +121,7 @@ FigureData fig5_edge_localpref_simulated(const ExperimentOptions& options) {
                  {}};
 
   auto run = [&](sim::TargetSelection selection, bool limited) {
-    sim::SimulationConfig cfg = base_config(options, 25.0);
+    sim::SimulationConfig cfg = paper_sim_config(options, 25.0);
     cfg.worm.selection = selection;
     cfg.worm.local_bias = 0.8;
     if (limited) {
@@ -216,7 +155,7 @@ FigureData fig6_localpref_backbone_simulated(
   // Local-preferential worm: host filters at 5% / 30% do almost
   // nothing; backbone rate limiting is substantially more effective
   // (Figure 6).
-  sim::Network net = make_subnet_network(options);
+  const sim::Network net = sim::build_network(subnets_25x40(options));
   FigureData fig{"fig6",
                  "Host vs backbone rate limiting for local-preferential "
                  "worms (simulation)",
@@ -225,7 +164,7 @@ FigureData fig6_localpref_backbone_simulated(
                  {}};
 
   auto run = [&](double host_fraction, bool backbone) {
-    sim::SimulationConfig cfg = base_config(options, 50.0);
+    sim::SimulationConfig cfg = paper_sim_config(options, 50.0);
     cfg.worm.selection = sim::TargetSelection::kLocalPreferential;
     cfg.worm.local_bias = 0.8;
     cfg.deployment.host_filter_fraction = host_fraction;
@@ -244,7 +183,7 @@ FigureData fig6_localpref_backbone_simulated(
   {
     // Reference line: random worm, no rate limiting (the paper's
     // "No RL random propagation").
-    sim::SimulationConfig cfg = base_config(options, 50.0);
+    sim::SimulationConfig cfg = paper_sim_config(options, 50.0);
     fig.series.push_back(
         {"no-RL-random",
          sim::run_many(net, cfg, options.sim_runs).ever_infected});
@@ -262,7 +201,7 @@ FigureData fig8a_immunization_simulated(const ExperimentOptions& options) {
   // Simulated delayed immunization (no rate limiting): total fraction
   // ever infected when patching starts at 20/50/80% infection
   // (Figure 8(a); the paper reports ~80/90/98% final totals).
-  sim::Network net = make_powerlaw_network(options);
+  const sim::Network net = sim::build_network(powerlaw_1000(options));
   FigureData fig{"fig8a",
                  "Simulated delayed immunization (total ever infected)",
                  "time (ticks)",
@@ -270,7 +209,7 @@ FigureData fig8a_immunization_simulated(const ExperimentOptions& options) {
                  {}};
 
   auto run = [&](std::optional<double> level) {
-    sim::SimulationConfig cfg = base_config(options, 50.0);
+    sim::SimulationConfig cfg = paper_sim_config(options, 50.0);
     if (level) {
       cfg.immunization.enabled = true;
       cfg.immunization.rate = kMu;
@@ -298,7 +237,7 @@ FigureData fig8b_immunization_ratelimited_simulated(
   // Figure 8(b): the 20%-tick case ends ~10% below Figure 8(a)'s
   // matching case because rate limiting holds the infection lower
   // while patching catches up.
-  sim::Network net = make_powerlaw_network(options);
+  const sim::Network net = sim::build_network(powerlaw_1000(options));
   FigureData fig{"fig8b",
                  "Simulated delayed immunization with backbone rate "
                  "limiting (total ever infected)",
@@ -308,11 +247,11 @@ FigureData fig8b_immunization_ratelimited_simulated(
 
   // Reference epidemic (no RL, no immunization) to place the triggers.
   const TimeSeries reference =
-      sim::run_many(net, base_config(options, 50.0), options.sim_runs)
+      sim::run_many(net, paper_sim_config(options, 50.0), options.sim_runs)
           .ever_infected;
 
   auto run = [&](std::optional<double> tick) {
-    sim::SimulationConfig cfg = base_config(options, 50.0);
+    sim::SimulationConfig cfg = paper_sim_config(options, 50.0);
     // Section 6.2 pairs immunization with a *moderate* backbone
     // deployment: its analytical twin (Figure 7(b)) uses γ = β(1−α)
     // with α ≈ 0.5, so the throttled epidemic still saturates within

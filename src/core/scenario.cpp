@@ -1,6 +1,7 @@
 #include "core/scenario.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "epidemic/backbone_model.hpp"
 #include "epidemic/immunization.hpp"
@@ -73,6 +74,39 @@ double immunization_delay(const Scenario& s, double growth_rate) {
       *s.defense.immunization_start_fraction);
 }
 
+/// The scenario's network: built from a sim::TopologySpec for the
+/// paper's families, loaded for an edge list (a file path is not a
+/// reconstructible spec).
+sim::Network scenario_network(const Scenario& s) {
+  const ScenarioTopology& topo = s.topology;
+  sim::TopologySpec spec;
+  switch (topo.kind) {
+    case ScenarioTopology::Kind::kStar:
+      spec.kind = sim::TopologySpec::Kind::kStar;
+      // Exactly the hub (highest degree node) is "backbone".
+      spec.backbone_fraction = 1.0 / static_cast<double>(topo.nodes);
+      spec.edge_fraction = 0.0;
+      break;
+    case ScenarioTopology::Kind::kPowerLaw:
+      spec.kind = sim::TopologySpec::Kind::kPowerLaw;
+      break;
+    case ScenarioTopology::Kind::kSubnets:
+      spec.kind = sim::TopologySpec::Kind::kSubnets;
+      break;
+    case ScenarioTopology::Kind::kEdgeList: {
+      graph::Graph g = graph::load_edge_list(topo.edge_list_path);
+      graph::ensure_connected(g);
+      return sim::Network(std::move(g));
+    }
+  }
+  spec.nodes = topo.nodes;
+  spec.ba_links = topo.ba_links;
+  spec.num_subnets = topo.num_subnets;
+  spec.hosts_per_subnet = topo.hosts_per_subnet;
+  spec.build_seed = s.seed ^ 0x9e3779b97f4a7c15ULL;
+  return sim::build_network(spec);
+}
+
 }  // namespace
 
 PropagationResult run_analytical(const Scenario& scenario) {
@@ -128,30 +162,7 @@ PropagationResult run_analytical(const Scenario& scenario) {
 
 PropagationResult run_simulation(const Scenario& scenario,
                                  std::size_t runs) {
-  const auto& topo = scenario.topology;
-  Rng rng(scenario.seed ^ 0x9e3779b97f4a7c15ULL);
-
-  std::optional<sim::Network> net;
-  switch (topo.kind) {
-    case ScenarioTopology::Kind::kStar:
-      // Exactly the hub (highest degree node) is "backbone".
-      net.emplace(graph::make_star(topo.nodes),
-                  1.0 / static_cast<double>(topo.nodes), 0.0);
-      break;
-    case ScenarioTopology::Kind::kPowerLaw:
-      net.emplace(graph::make_barabasi_albert(topo.nodes, topo.ba_links, rng));
-      break;
-    case ScenarioTopology::Kind::kSubnets:
-      net.emplace(graph::make_subnet_topology(topo.num_subnets,
-                                              topo.hosts_per_subnet, rng));
-      break;
-    case ScenarioTopology::Kind::kEdgeList: {
-      graph::Graph g = graph::load_edge_list(topo.edge_list_path);
-      graph::ensure_connected(g);
-      net.emplace(std::move(g));
-      break;
-    }
-  }
+  const sim::Network net = scenario_network(scenario);
 
   sim::SimulationConfig cfg;
   cfg.worm.contact_rate = scenario.worm.contact_rate;
@@ -182,7 +193,7 @@ PropagationResult run_simulation(const Scenario& scenario,
   }
   cfg.deployment.base_link_capacity = scenario.defense.link_capacity;
   if (scenario.defense.hub_forward_cap &&
-      topo.kind == ScenarioTopology::Kind::kStar) {
+      scenario.topology.kind == ScenarioTopology::Kind::kStar) {
     // Node 0 is the star's hub by construction.
     cfg.deployment.node_forward_cap = {0u, *scenario.defense.hub_forward_cap};
   }
@@ -200,7 +211,7 @@ PropagationResult run_simulation(const Scenario& scenario,
   cfg.max_ticks = scenario.horizon;
   cfg.seed = scenario.seed;
 
-  sim::AveragedResult averaged = sim::run_many(*net, cfg, runs);
+  sim::AveragedResult averaged = sim::run_many(net, cfg, runs);
   PropagationResult out;
   out.active_infected = std::move(averaged.active_infected);
   out.ever_infected = std::move(averaged.ever_infected);

@@ -108,9 +108,6 @@ struct PropagationResult {
   double time_to_half() const noexcept {
     return ever_infected.time_to_reach(0.5);
   }
-  double time_to(double level) const noexcept {
-    return ever_infected.time_to_reach(level);
-  }
   double final_ever_infected() const {
     return ever_infected.back_value();
   }

@@ -9,10 +9,11 @@ namespace dq::obs {
 
 MultiRunSink::MultiRunSink(std::size_t runs, std::size_t ring_capacity)
     : runs_(runs) {
-  // Ring eviction depends on the configured ring capacity — an
-  // observability knob, not simulation config — so the counter is
-  // flagged kWallClock to keep it out of deterministic (artifact)
-  // snapshots.
+  // Eviction happens only when tracing (an untraced run has no ring
+  // and counts 0), so the counter is flagged kWallClock to keep it out
+  // of deterministic snapshots: artifacts are byte-identical traced or
+  // not. On overflow a ring overwrites its oldest event; campaign jobs
+  // report the evictions as JobOutcome::trace_dropped.
   trace_dropped_ = &metrics_.counter("trace.dropped", Determinism::kWallClock);
   if (ring_capacity > 0) {
     rings_.reserve(runs);

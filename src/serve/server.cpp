@@ -112,7 +112,6 @@ void install_stop_handlers() {
   std::signal(SIGTERM, stop_signal_handler);
 }
 
-void request_stop() noexcept { g_stop.store(true); }
 bool stop_requested() noexcept { return g_stop.load(); }
 void reset_stop() noexcept { g_stop.store(false); }
 

@@ -175,8 +175,6 @@ struct ServeSummary {
 /// ingestion ends, queues drain, output flushes, the summary is still
 /// emitted. Idempotent.
 void install_stop_handlers();
-/// What the handlers call; async-signal-safe.
-void request_stop() noexcept;
 bool stop_requested() noexcept;
 /// Clears a pending stop request (tests; call before each run).
 void reset_stop() noexcept;

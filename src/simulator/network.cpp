@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "stats/rng.hpp"
+
 namespace dq::sim {
 
 namespace {
@@ -179,6 +181,26 @@ bool Network::link_is_backbone(std::size_t index) const {
   const graph::LinkKey& l = link(index);
   return roles_.role.at(l.a) == graph::NodeRole::kEdgeRouter &&
          roles_.role.at(l.b) == graph::NodeRole::kEdgeRouter;
+}
+
+Network build_network(const TopologySpec& spec) {
+  switch (spec.kind) {
+    case TopologySpec::Kind::kStar:
+      return Network(graph::make_star(spec.nodes), spec.backbone_fraction,
+                     spec.edge_fraction);
+    case TopologySpec::Kind::kPowerLaw: {
+      Rng rng(spec.build_seed);
+      return Network(
+          graph::make_barabasi_albert(spec.nodes, spec.ba_links, rng),
+          spec.backbone_fraction, spec.edge_fraction);
+    }
+    case TopologySpec::Kind::kSubnets: {
+      Rng rng(spec.build_seed);
+      return Network(graph::make_subnet_topology(
+          spec.num_subnets, spec.hosts_per_subnet, rng));
+    }
+  }
+  throw std::invalid_argument("TopologySpec: unknown kind");
 }
 
 }  // namespace dq::sim

@@ -15,6 +15,9 @@
 //     accept for bounded memory.
 // Both number links with graph::LinkIndex, so link ids, and the order
 // the simulator drains link queues in, do not depend on the backend.
+//
+// TopologySpec names the paper's topologies as data; build_network is
+// the one place that turns a spec into a Network.
 #pragma once
 
 #include <cstdint>
@@ -209,5 +212,31 @@ class Network {
   std::vector<std::size_t> subnet_of_;  // empty when no subnets
   std::vector<std::vector<NodeId>> subnet_members_;
 };
+
+/// Reconstructible description of the paper's topology families: a
+/// star, a Barabási–Albert power-law graph, or subnets behind gateways.
+/// A spec is plain data, so the network it names can be rebuilt
+/// anywhere (the campaign hashes specs into its cache keys) and is
+/// deterministic in build_seed.
+struct TopologySpec {
+  enum class Kind : std::uint8_t { kStar, kPowerLaw, kSubnets };
+  Kind kind = Kind::kPowerLaw;
+  /// Node count (kStar / kPowerLaw).
+  std::size_t nodes = 1000;
+  /// Preferential-attachment links per node (kPowerLaw).
+  std::size_t ba_links = 2;
+  /// Subnet layout (kSubnets).
+  std::size_t num_subnets = 25;
+  std::size_t hosts_per_subnet = 40;
+  /// Degree-rank role cutoffs (kStar / kPowerLaw; see Network).
+  double backbone_fraction = 0.05;
+  double edge_fraction = 0.10;
+  /// Seed for randomized builders (kPowerLaw / kSubnets).
+  std::uint64_t build_seed = 42;
+};
+
+/// Builds the network a spec describes. The graph builders throw
+/// std::invalid_argument on nonsensical sizes.
+Network build_network(const TopologySpec& spec);
 
 }  // namespace dq::sim

@@ -1,6 +1,5 @@
 #include "simulator/runner.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -38,15 +37,12 @@ AveragedResult run_many(const Network& net, const SimulationConfig& base,
   if (base.quarantine.enabled) qreports.reserve(runs);
   AveragedResult out;
   for (RunResult& result : results) {
-    // Only the deterministic event counters aggregate; summed wall
-    // seconds were the old perf_total footgun (see runner.hpp).
+    // Only the deterministic event counters aggregate (see runner.hpp).
     out.perf_counters.ticks += result.perf.ticks;
     out.perf_counters.packets_forwarded += result.perf.packets_forwarded;
     out.perf_counters.link_hops += result.perf.link_hops;
     out.perf_counters.queue_events += result.perf.queue_events;
     out.perf_counters.queue_releases += result.perf.queue_releases;
-    out.perf_max_run_seconds =
-        std::max(out.perf_max_run_seconds, result.perf.total_seconds());
     if (base.quarantine.enabled) {
       qreports.push_back(result.quarantine);
       out.mean_quarantine_dropped +=

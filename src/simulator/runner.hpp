@@ -46,17 +46,10 @@ struct AveragedResult {
   /// Mean per-run quarantine packet drops (worm+predator / legit).
   double mean_quarantine_dropped = 0.0;
   double mean_legit_quarantine_dropped = 0.0;
-  /// Deterministic tick-loop event counters summed over all runs.
-  /// Replaces the old `perf_total`, which also summed per-phase wall
-  /// seconds — a footgun under parallel execution, where concurrent
-  /// threads' time added up to more than elapsed time. The seconds
-  /// fields here stay zero; wall-clock timing now lives in
-  /// perf_max_run_seconds and the obs registry's kWallClock metrics
-  /// (`sim.run_micros` — see docs/OBSERVABILITY.md).
+  /// Deterministic tick-loop event counters summed over all runs. The
+  /// per-phase seconds stay zero: wall clock summed across parallel
+  /// runs adds up to more than elapsed time.
   PerfCounters perf_counters;
-  /// Wall time of the slowest single run — the critical path, and the
-  /// honest wall-clock figure when runs execute in parallel.
-  double perf_max_run_seconds = 0.0;
   std::size_t runs = 0;
 };
 

@@ -952,10 +952,6 @@ void ShardedSimulation::flush_metrics() {
     m.counter("quarantine.legit_dropped")
         .add(result_.legit_quarantine_dropped);
   }
-  // Wall-clock timing is flagged kWallClock so deterministic snapshots
-  // (cached artifacts) never include it.
-  m.histogram("sim.run_micros", obs::Determinism::kWallClock)
-      .record(static_cast<std::uint64_t>(result_.perf.total_seconds() * 1e6));
 }
 
 RunResult ShardedSimulation::run() {

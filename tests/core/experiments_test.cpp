@@ -1,6 +1,8 @@
-// Integration checks over the experiment registry: every figure builds,
-// has the right series, and reproduces the paper's qualitative claims.
-// Simulated figures run with ExperimentOptions::quick().
+// Integration checks over the experiment registry: every figure core
+// defines builds, has the right series, and reproduces the paper's
+// qualitative claims. Simulated figures run with
+// ExperimentOptions::quick(). Figs. 1(b) and 4 are campaign catalogue
+// scenarios; their shape checks live in campaign_test.cpp.
 #include <gtest/gtest.h>
 
 #include "core/experiments.hpp"
@@ -33,17 +35,6 @@ TEST(Experiments, Fig1aHubBeatsLeafDeployment) {
   EXPECT_NEAR(t_hub / t_leaf, 3.0, 0.5);
 }
 
-TEST(Experiments, Fig1bSimulationAgreesDirectionally) {
-  // 300 runs of a 200-node star take ~0.1 s.
-  const FigureData fig = fig1b_star_simulated(quick_with_runs(300));
-  const double t_none = fig.find("no-RL").time_to_reach(0.6);
-  const double t_leaf = fig.find("30%-leaf-RL").time_to_reach(0.6);
-  const double t_hub = fig.find("hub-RL").time_to_reach(0.6);
-  ASSERT_GT(t_none, 0.0);
-  EXPECT_GE(t_leaf, t_none * 0.9);
-  EXPECT_GT(t_hub, t_leaf * 1.5);
-}
-
 TEST(Experiments, Fig2LinearSlowdownLaw) {
   const FigureData fig = fig2_host_analytical();
   ASSERT_EQ(fig.series.size(), 5u);
@@ -65,21 +56,6 @@ TEST(Experiments, Fig3EdgeRouterClaims) {
   const double t_lp = across.find("localpref-RL").time_to_reach(0.2);
   const double t_rand = across.find("random-RL").time_to_reach(0.2);
   EXPECT_LT(t_lp, t_rand);
-}
-
-TEST(Experiments, Fig4BackboneWinsBigger) {
-  // The paper's 10 runs per curve.
-  const FigureData fig = fig4_powerlaw_simulated(quick_with_runs(10));
-  const double t_none = fig.find("no-RL").time_to_reach(0.5);
-  const double t_host = fig.find("5%-host-RL").time_to_reach(0.5);
-  const double t_edge = fig.find("edge-RL").time_to_reach(0.5);
-  const double t_backbone = fig.find("backbone-RL").time_to_reach(0.5);
-  ASSERT_GT(t_none, 0.0);
-  ASSERT_GT(t_backbone, 0.0);
-  EXPECT_NEAR(t_host, t_none, t_none * 0.3);  // 5% hosts ≈ negligible
-  EXPECT_GT(t_edge, t_none);                  // slight improvement
-  EXPECT_GT(t_backbone / t_none, 3.0);        // paper: ~5x
-  EXPECT_LT(t_backbone / t_none, 9.0);
 }
 
 TEST(Experiments, Fig5EdgeVsLocalPreferential) {

@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -42,6 +43,7 @@
 #include "campaign/scenarios.hpp"
 #include "obs/ndjson.hpp"
 #include "obs/prometheus.hpp"
+#include "obs/sink.hpp"
 #include "obs/span.hpp"
 #include "core/experiments.hpp"
 #include "stats/hash.hpp"
@@ -711,6 +713,55 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
+/// Figure `id` as the campaign catalogue declares it: the one scenario
+/// that lists it, cut down to that figure and the jobs it reads, run
+/// without the cache. nullopt when no scenario declares `id`.
+std::optional<core::FigureData> catalogue_figure(
+    const std::string& id, const core::ExperimentOptions& options) {
+  for (const campaign::ScenarioDef& scenario :
+       campaign::builtin_scenarios(options)) {
+    for (const campaign::ScenarioFigure& figure : scenario.figures) {
+      if (figure.id != id) continue;
+      std::set<std::string> used{figure.analytical_job};
+      for (const campaign::ScenarioFigure::SeriesRef& ref : figure.series)
+        used.insert(ref.job);
+      campaign::ScenarioDef only{scenario.name, scenario.description, {},
+                                 {figure}};
+      for (const campaign::ScenarioJob& job : scenario.jobs)
+        if (used.contains(job.name)) only.jobs.push_back(job);
+      campaign::RunOptions run_options;
+      run_options.use_cache = false;
+      campaign::CampaignReport report =
+          campaign::run_scenarios({only}, run_options);
+      for (const campaign::JobOutcome& outcome : report.outcomes)
+        if (!outcome.ok())
+          throw std::runtime_error(outcome.name + ": " + outcome.error);
+      return std::move(report.figures.at(0));
+    }
+  }
+  return std::nullopt;
+}
+
+/// Figure `id` from core's registry: the figures no catalogue scenario
+/// declares. nullopt for an unknown id.
+std::optional<core::FigureData> core_figure(
+    const std::string& id, const core::ExperimentOptions& options) {
+  if (id == "fig5") return core::fig5_edge_localpref_simulated(options);
+  if (id == "fig6") return core::fig6_localpref_backbone_simulated(options);
+  if (id == "fig7a" || id == "fig7b" || id == "fig10")
+    return core::analytical_figure(id);
+  if (id == "fig8a") return core::fig8a_immunization_simulated(options);
+  if (id == "fig8b")
+    return core::fig8b_immunization_ratelimited_simulated(options);
+  if (id == "fig9a" || id == "fig9b") {
+    const trace::Trace department = core::make_department_trace(options);
+    return id == "fig9a" ? core::fig9a_normal_client_cdf(department)
+                         : core::fig9b_worm_host_cdf(department);
+  }
+  if (id == "fig11") return core::fig11_dynamic_quarantine_simulated(options);
+  return std::nullopt;
+}
+
 int cmd_figure(const Args& args) {
   args.allow_only({"csv", "quick"});
   if (args.positional().empty()) return usage();
@@ -719,35 +770,12 @@ int cmd_figure(const Args& args) {
       args.flag("quick") ? core::ExperimentOptions::quick()
                          : core::ExperimentOptions{};
 
-  std::optional<core::FigureData> fig;
-  if (id == "fig1a") fig = core::fig1a_star_analytical();
-  else if (id == "fig1b") fig = core::fig1b_star_simulated(options);
-  else if (id == "fig2") fig = core::fig2_host_analytical();
-  else if (id == "fig3a") fig = core::fig3a_edge_across_subnets();
-  else if (id == "fig3b") fig = core::fig3b_edge_within_subnet();
-  else if (id == "fig4") fig = core::fig4_powerlaw_simulated(options);
-  else if (id == "fig5") fig = core::fig5_edge_localpref_simulated(options);
-  else if (id == "fig6")
-    fig = core::fig6_localpref_backbone_simulated(options);
-  else if (id == "fig7a") fig = core::fig7a_immunization_analytical();
-  else if (id == "fig7b")
-    fig = core::fig7b_immunization_ratelimited_analytical();
-  else if (id == "fig8a") fig = core::fig8a_immunization_simulated(options);
-  else if (id == "fig8b")
-    fig = core::fig8b_immunization_ratelimited_simulated(options);
-  else if (id == "fig9a" || id == "fig9b") {
-    const trace::Trace department = core::make_department_trace(options);
-    fig = id == "fig9a" ? core::fig9a_normal_client_cdf(department)
-                        : core::fig9b_worm_host_cdf(department);
-  } else if (id == "fig10") {
-    fig = core::fig10_trace_rates_analytical();
-  } else if (id == "fig11") {
-    fig = core::fig11_dynamic_quarantine_simulated(options);
-  } else {
+  std::optional<core::FigureData> fig = catalogue_figure(id, options);
+  if (!fig) fig = core_figure(id, options);
+  if (!fig) {
     std::cerr << "unknown figure id: " << id << '\n';
     return usage();
   }
-
   std::cout << (args.flag("csv") ? core::render_csv(*fig)
                                  : core::render_table(*fig));
   return 0;
@@ -1092,6 +1120,10 @@ int cmd_campaign(const Args& args) {
       std::cerr << "  (" << outcome.error << ")";
       ++failures;
     }
+    if (outcome.trace_dropped > 0)
+      std::cerr << "  (trace dropped its " << outcome.trace_dropped
+                << " oldest events: a run outgrew "
+                << obs::kDefaultRingCapacity << ")";
     std::cerr << '\n';
   }
 
