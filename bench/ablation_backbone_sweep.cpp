@@ -3,8 +3,8 @@
 // routers, and separately the analytical path-coverage α, reporting the
 // slowdown each buys. DESIGN.md: how much backbone is enough? The six
 // simulated depths run as campaign jobs (job threads + artifact
-// cache); the measured α is recomputed here from the same TopologySpec
-// the jobs hashed, so it always matches the cached curves.
+// cache); the measured α is recomputed here from each job's own
+// TopologySpec, so it always matches the cached curves.
 #include <iomanip>
 #include <iostream>
 
@@ -13,7 +13,6 @@
 
 int main(int argc, char** argv) {
   using namespace dq;
-  const auto options = bench::options_from_args(argc, argv);
   std::cout << std::fixed << std::setprecision(2);
 
   std::cout << "== analytical: slowdown vs path coverage alpha "
@@ -39,16 +38,12 @@ int main(int argc, char** argv) {
 
   double t50_base = -1.0;
   for (double depth : {0.0, 0.01, 0.02, 0.05, 0.10, 0.20}) {
+    const campaign::JobOutcome& outcome = bench::outcome_of(
+        report,
+        "ablation-backbone-depth/depth-" + campaign::format_double(depth));
     // Measured α: fraction of host-to-host paths crossing the
-    // backbone, on the same network the campaign job built.
-    campaign::TopologySpec topo;
-    topo.kind = campaign::TopologySpec::Kind::kPowerLaw;
-    topo.nodes = 1000;
-    topo.ba_links = 2;
-    topo.backbone_fraction = depth;
-    topo.edge_fraction = 0.0;
-    topo.build_seed = options.seed;
-    const sim::Network net = campaign::build_network(topo);
+    // backbone, on the network the campaign job built.
+    const sim::Network net = campaign::build_network(outcome.config.topology);
     const double alpha =
         depth == 0.0
             ? 0.0
@@ -56,10 +51,7 @@ int main(int argc, char** argv) {
                   net.roles().hosts,
                   net.roles().indicator(graph::NodeRole::kBackboneRouter));
 
-    const sim::AveragedResult& result =
-        *bench::outcome_of(report, "ablation-backbone-depth/depth-" +
-                                       campaign::format_double(depth))
-             .sim_result;
+    const sim::AveragedResult& result = *outcome.sim_result;
     const double t50 = result.ever_infected.time_to_reach(0.5);
     if (depth == 0.0) t50_base = t50;
     std::cout << "  " << std::setw(5) << depth << "   " << std::setw(13)

@@ -57,7 +57,6 @@ BenchPoint run_point(std::size_t shards, std::uint64_t flows,
   serve::ServeOptions options;
   options.shards = shards;
   options.num_hosts = synth.hosts;
-  options.emit_decisions = false;
   options.quarantine.enabled = true;
   options.quarantine.detector.window = 5.0;
   options.quarantine.detector.contact_rate_threshold = 0.0;

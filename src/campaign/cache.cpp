@@ -1,11 +1,8 @@
 #include "campaign/cache.hpp"
 
-#include <fstream>
-#include <functional>
-#include <sstream>
 #include <stdexcept>
-#include <thread>
 
+#include "stats/file.hpp"
 #include "stats/hash.hpp"
 
 namespace dq::campaign {
@@ -15,12 +12,11 @@ std::filesystem::path ArtifactCache::path_for(std::uint64_t hash) const {
 }
 
 std::optional<std::string> ArtifactCache::load(std::uint64_t hash) const {
-  std::ifstream file(path_for(hash), std::ios::binary);
-  if (!file) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  if (!file.good() && !file.eof()) return std::nullopt;
-  return buffer.str();
+  try {
+    return read_file(path_for(hash));
+  } catch (const std::runtime_error&) {
+    return std::nullopt;
+  }
 }
 
 bool ArtifactCache::contains(std::uint64_t hash) const {
@@ -32,31 +28,7 @@ void ArtifactCache::store(std::uint64_t hash,
                           const std::string& contents) const {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
-  const std::filesystem::path final_path = path_for(hash);
-  // Temp name unique per writer thread: two concurrent writers of the
-  // same hash write identical bytes, so whichever rename lands last is
-  // fine, but they must not interleave within one file.
-  const std::uint64_t writer_tag = mix64(
-      hash ^ static_cast<std::uint64_t>(
-                 std::hash<std::thread::id>{}(std::this_thread::get_id())));
-  const std::filesystem::path tmp_path =
-      final_path.string() + ".tmp." + hash_hex(writer_tag);
-  {
-    std::ofstream file(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!file)
-      throw std::runtime_error("ArtifactCache: cannot write " +
-                               tmp_path.string());
-    file << contents;
-    if (!file.good())
-      throw std::runtime_error("ArtifactCache: short write to " +
-                               tmp_path.string());
-  }
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp_path, ec);
-    throw std::runtime_error("ArtifactCache: cannot publish " +
-                             final_path.string());
-  }
+  replace_file(path_for(hash), contents);
 }
 
 }  // namespace dq::campaign

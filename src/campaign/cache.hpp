@@ -1,10 +1,10 @@
 // Content-addressed on-disk artifact cache: `<dir>/<hash>.json`.
 //
 // The hash is the job's canonical-config FNV (stats/hash.hpp), so a
-// cache hit is exactly "this configuration already ran". Stores are
-// atomic (temp file + rename) so a crashed or concurrent campaign can
-// never leave a truncated artifact behind; loads of missing or
-// unreadable files just report a miss and the job re-runs.
+// cache hit is exactly "this configuration already ran". Stores go
+// through dq::replace_file, so a killed or concurrent campaign, or an
+// OS crash, never leaves a truncated artifact behind; loads of missing
+// or unreadable files just report a miss and the job re-runs.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +18,6 @@ class ArtifactCache {
  public:
   explicit ArtifactCache(std::filesystem::path dir) : dir_(std::move(dir)) {}
 
-  const std::filesystem::path& dir() const noexcept { return dir_; }
-
   std::filesystem::path path_for(std::uint64_t hash) const;
 
   /// Artifact bytes for a hash; nullopt on miss.
@@ -27,8 +25,8 @@ class ArtifactCache {
 
   bool contains(std::uint64_t hash) const;
 
-  /// Atomically writes the artifact (creating the cache directory on
-  /// first use). Throws std::runtime_error on I/O failure.
+  /// Atomically and durably writes the artifact (creating the cache
+  /// directory on first use). Throws std::runtime_error on I/O failure.
   void store(std::uint64_t hash, const std::string& contents) const;
 
  private:

@@ -1,7 +1,6 @@
 #include "campaign/campaign.hpp"
 
 #include <chrono>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -10,6 +9,7 @@
 #include "core/experiments.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
+#include "stats/file.hpp"
 #include "stats/hash.hpp"
 
 namespace dq::campaign {
@@ -96,9 +96,9 @@ JobOutcome execute_job(const std::string& name, const JobConfig& config,
       const obs::Span span(spans, "cache_lookup");
       if (std::optional<std::string> bytes = cache.load(outcome.hash)) {
         // Consumers see exactly what the artifact records. An artifact
-        // that does not parse or decode (an OS crash after an
-        // un-fsync'd store can leave a truncated one) is a miss: the
-        // job recomputes and overwrites it, and the manifest counts it.
+        // that does not parse or decode (say, one edited or truncated
+        // by hand) is a miss: the job recomputes and overwrites it, and
+        // the manifest counts it.
         try {
           decode_artifact(config, *bytes, outcome);
           outcome.artifact = std::move(*bytes);
@@ -144,12 +144,8 @@ JobOutcome execute_job(const std::string& name, const JobConfig& config,
         if (tracing) {
           const obs::Span span(spans, "write_trace");
           std::filesystem::create_directories(options.trace_dir);
-          std::ofstream out(options.trace_dir / trace_file_name(name),
-                            std::ios::binary | std::ios::trunc);
-          if (!out)
-            throw std::runtime_error("execute_job: cannot write trace for " +
-                                     name);
-          sink.write_ndjson(out);
+          replace_file(options.trace_dir / trace_file_name(name),
+                       [&sink](std::ostream& out) { sink.write_ndjson(out); });
           for (std::size_t r = 0; r < config.runs; ++r)
             outcome.trace_dropped += sink.ring(r).evicted();
         }

@@ -1,5 +1,7 @@
 #include "campaign/result_io.hpp"
 
+#include "quarantine/snapshot.hpp"
+
 namespace dq::campaign {
 
 JsonValue timeseries_to_json(const TimeSeries& series) {
@@ -46,43 +48,6 @@ sim::PerfCounters perf_counters_from_json(const JsonValue& v) {
   return perf;
 }
 
-JsonValue quarantine_report_to_json(const quarantine::QuarantineReport& r) {
-  JsonValue o = JsonValue::object();
-  o.set("target_hosts", JsonValue::integer(r.target_hosts));
-  o.set("benign_hosts", JsonValue::integer(r.benign_hosts));
-  o.set("detected_targets", JsonValue::number(r.detected_targets));
-  o.set("detection_rate", JsonValue::number(r.detection_rate));
-  o.set("mean_detection_latency",
-        JsonValue::number(r.mean_detection_latency));
-  o.set("false_positive_hosts", JsonValue::number(r.false_positive_hosts));
-  o.set("false_positive_rate", JsonValue::number(r.false_positive_rate));
-  o.set("benign_quarantine_time",
-        JsonValue::number(r.benign_quarantine_time));
-  o.set("mean_benign_quarantine_time",
-        JsonValue::number(r.mean_benign_quarantine_time));
-  o.set("target_quarantine_time",
-        JsonValue::number(r.target_quarantine_time));
-  o.set("quarantine_events", JsonValue::number(r.quarantine_events));
-  return o;
-}
-
-quarantine::QuarantineReport quarantine_report_from_json(const JsonValue& v) {
-  quarantine::QuarantineReport r;
-  r.target_hosts = v.at("target_hosts").as_uint();
-  r.benign_hosts = v.at("benign_hosts").as_uint();
-  r.detected_targets = v.at("detected_targets").as_number();
-  r.detection_rate = v.at("detection_rate").as_number();
-  r.mean_detection_latency = v.at("mean_detection_latency").as_number();
-  r.false_positive_hosts = v.at("false_positive_hosts").as_number();
-  r.false_positive_rate = v.at("false_positive_rate").as_number();
-  r.benign_quarantine_time = v.at("benign_quarantine_time").as_number();
-  r.mean_benign_quarantine_time =
-      v.at("mean_benign_quarantine_time").as_number();
-  r.target_quarantine_time = v.at("target_quarantine_time").as_number();
-  r.quarantine_events = v.at("quarantine_events").as_number();
-  return r;
-}
-
 JsonValue averaged_result_to_json(const sim::AveragedResult& result) {
   JsonValue o = JsonValue::object();
   o.set("runs", JsonValue::integer(result.runs));
@@ -99,7 +64,8 @@ JsonValue averaged_result_to_json(const sim::AveragedResult& result) {
             : timeseries_to_json(result.predator_infected));
   o.set("mean_immunization_start",
         JsonValue::number(result.mean_immunization_start));
-  o.set("quarantine_mean", quarantine_report_to_json(result.quarantine_mean));
+  o.set("quarantine_mean",
+        quarantine::report_to_json(result.quarantine_mean));
   o.set("mean_quarantine_dropped",
         JsonValue::number(result.mean_quarantine_dropped));
   o.set("mean_legit_quarantine_dropped",
@@ -121,7 +87,8 @@ sim::AveragedResult averaged_result_from_json(const JsonValue& v) {
     out.predator_infected = timeseries_from_json(v.at("predator_infected"));
   out.mean_immunization_start =
       v.at("mean_immunization_start").as_number();
-  out.quarantine_mean = quarantine_report_from_json(v.at("quarantine_mean"));
+  out.quarantine_mean =
+      quarantine::report_from_json(v.at("quarantine_mean"));
   out.mean_quarantine_dropped = v.at("mean_quarantine_dropped").as_number();
   out.mean_legit_quarantine_dropped =
       v.at("mean_legit_quarantine_dropped").as_number();
@@ -157,7 +124,7 @@ JsonValue run_result_to_json(const sim::RunResult& result) {
   o.set("legit_dropped", JsonValue::integer(result.legit_dropped));
   o.set("mean_legit_delay", JsonValue::number(result.mean_legit_delay));
   o.set("max_legit_delay", JsonValue::number(result.max_legit_delay));
-  o.set("quarantine", quarantine_report_to_json(result.quarantine));
+  o.set("quarantine", quarantine::report_to_json(result.quarantine));
   o.set("quarantine_dropped_packets",
         JsonValue::integer(result.quarantine_dropped_packets));
   o.set("legit_quarantine_dropped",

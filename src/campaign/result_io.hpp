@@ -20,9 +20,6 @@ TimeSeries timeseries_from_json(const JsonValue& v);
 JsonValue perf_counters_to_json(const sim::PerfCounters& perf);
 sim::PerfCounters perf_counters_from_json(const JsonValue& v);
 
-JsonValue quarantine_report_to_json(const quarantine::QuarantineReport& r);
-quarantine::QuarantineReport quarantine_report_from_json(const JsonValue& v);
-
 /// Averaged multi-run result — a campaign simulation job's payload.
 JsonValue averaged_result_to_json(const sim::AveragedResult& result);
 sim::AveragedResult averaged_result_from_json(const JsonValue& v);

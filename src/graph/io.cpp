@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <charconv>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "stats/file.hpp"
 
 namespace dq::graph {
 
@@ -75,19 +76,11 @@ std::string to_edge_list(const Graph& g) {
 }
 
 Graph load_edge_list(const std::string& path) {
-  std::ifstream file(path);
-  if (!file)
-    throw std::invalid_argument("load_edge_list: cannot read " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return parse_edge_list(buffer.str());
+  return parse_edge_list(read_file(path));
 }
 
 void save_edge_list(const Graph& g, const std::string& path) {
-  std::ofstream file(path);
-  if (!file)
-    throw std::invalid_argument("save_edge_list: cannot write " + path);
-  file << to_edge_list(g);
+  replace_file(path, to_edge_list(g));
 }
 
 }  // namespace dq::graph

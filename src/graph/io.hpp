@@ -21,7 +21,8 @@ Graph parse_edge_list(const std::string& text);
 /// Renders the graph as a canonical edge list ("a b" with a < b, sorted).
 std::string to_edge_list(const Graph& g);
 
-/// File wrappers around the two above. Throw on I/O failure.
+/// File wrappers around the two above (dq::read_file and
+/// dq::replace_file). Throw std::runtime_error on I/O failure.
 Graph load_edge_list(const std::string& path);
 void save_edge_list(const Graph& g, const std::string& path);
 

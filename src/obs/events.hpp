@@ -61,10 +61,9 @@ struct Event {
 };
 
 /// Fixed-capacity ring of Events. When full, push() overwrites the
-/// oldest event and returns false so the caller can count the drop
-/// (see Sink::emit and the `trace.dropped` counter) — newest events
-/// are always retained. Single-writer; capacity 0 is a valid no-op
-/// ring that drops everything.
+/// oldest event, counts it in evicted() and returns false — newest
+/// events are always retained. Single-writer; capacity 0 is a valid
+/// no-op ring that drops everything.
 class TraceRing {
  public:
   explicit TraceRing(std::size_t capacity) : capacity_(capacity) {

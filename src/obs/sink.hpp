@@ -22,16 +22,14 @@ namespace dq::obs {
 struct Sink {
   MetricsRegistry* metrics = nullptr;
   TraceRing* trace = nullptr;
-  Counter* trace_dropped = nullptr;  ///< bumped when the ring evicts
-  SpanBuffer* spans = nullptr;       ///< phase-timing track (see obs/span.hpp)
+  SpanBuffer* spans = nullptr;  ///< phase-timing track (see obs/span.hpp)
 
   explicit operator bool() const noexcept {
     return metrics != nullptr || trace != nullptr;
   }
 
   void emit(const Event& e) noexcept {
-    if (trace != nullptr && !trace->push(e) && trace_dropped != nullptr)
-      trace_dropped->add();
+    if (trace != nullptr) trace->push(e);
   }
 };
 
@@ -62,12 +60,10 @@ class MultiRunSink {
   /// index order, each line tagged with its run index. Byte-identical
   /// across execution thread counts.
   void write_ndjson(std::ostream& out) const;
-  std::string export_ndjson() const;
 
  private:
   std::size_t runs_;
   MetricsRegistry metrics_;
-  Counter* trace_dropped_ = nullptr;
   std::vector<TraceRing> rings_;
 };
 

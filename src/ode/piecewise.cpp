@@ -61,41 +61,4 @@ std::vector<State> PiecewiseSystem::sample_states(
   return out;
 }
 
-double find_crossing_time(const Derivative& f, const State& y0, double t0,
-                          double t1, std::size_t component, double level,
-                          double time_tol, const Tolerance& tol) {
-  if (t1 <= t0)
-    throw std::invalid_argument("find_crossing_time: t1 must be > t0");
-  if (y0.at(component) >= level) return t0;
-
-  // March in coarse windows, then bisect inside the bracketing window.
-  const int kWindows = 64;
-  const double window = (t1 - t0) / kWindows;
-  State y = y0;
-  double t = t0;
-  for (int w = 0; w < kWindows; ++w) {
-    State y_prev = y;
-    const double t_next = (w + 1 == kWindows) ? t1 : t + window;
-    integrate_adaptive(f, y, t, t_next, (t_next - t) / 16.0, tol, Observer{});
-    if (y.at(component) >= level) {
-      // Bisect in [t, t_next] re-integrating from y_prev each probe.
-      double lo = t, hi = t_next;
-      while (hi - lo > time_tol) {
-        const double mid = 0.5 * (lo + hi);
-        State y_mid = y_prev;
-        if (mid > lo)
-          integrate_adaptive(f, y_mid, t, mid, (mid - t) / 16.0, tol,
-                             Observer{});
-        if (y_mid.at(component) >= level)
-          hi = mid;
-        else
-          lo = mid;
-      }
-      return 0.5 * (lo + hi);
-    }
-    t = t_next;
-  }
-  return -1.0;
-}
-
 }  // namespace dq::ode

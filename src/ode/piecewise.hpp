@@ -1,12 +1,11 @@
-// Piecewise ODE systems and threshold-crossing detection.
+// Piecewise ODE systems.
 //
 // The paper's Section 6 models are piecewise: the dynamics change at
 // the immunization start time d (t <= d vs t > d), and d itself is
 // sometimes specified indirectly as "when 20% of hosts are infected".
 // PiecewiseSystem integrates each regime in order, restarting the
 // stepper at every breakpoint so the discontinuity never degrades the
-// error control. find_crossing_time locates a level crossing of a state
-// component by integrate-and-bisect.
+// error control.
 #pragma once
 
 #include <cstddef>
@@ -49,14 +48,5 @@ class PiecewiseSystem {
 
   std::vector<Regime> regimes_;
 };
-
-/// Finds the earliest time in [t0, t1] at which state component
-/// `component` of dy/dt = f reaches `level`, starting from y0 at t0.
-/// Returns a negative value if the level is not reached by t1.
-/// Resolution: the returned time is accurate to `time_tol`.
-double find_crossing_time(const Derivative& f, const State& y0, double t0,
-                          double t1, std::size_t component, double level,
-                          double time_tol = 1e-6,
-                          const Tolerance& tol = Tolerance{});
 
 }  // namespace dq::ode

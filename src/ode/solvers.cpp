@@ -6,27 +6,6 @@
 
 namespace dq::ode {
 
-void EulerStepper::step(const Derivative& f, double t, double dt, State& y) {
-  dydt_.resize(y.size());
-  f(t, y, dydt_);
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] += dt * dydt_[i];
-}
-
-void Rk4Stepper::step(const Derivative& f, double t, double dt, State& y) {
-  const std::size_t n = y.size();
-  k1_.resize(n); k2_.resize(n); k3_.resize(n); k4_.resize(n); tmp_.resize(n);
-
-  f(t, y, k1_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = y[i] + 0.5 * dt * k1_[i];
-  f(t + 0.5 * dt, tmp_, k2_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = y[i] + 0.5 * dt * k2_[i];
-  f(t + 0.5 * dt, tmp_, k3_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = y[i] + dt * k3_[i];
-  f(t + dt, tmp_, k4_);
-  for (std::size_t i = 0; i < n; ++i)
-    y[i] += dt / 6.0 * (k1_[i] + 2.0 * k2_[i] + 2.0 * k3_[i] + k4_[i]);
-}
-
 namespace {
 
 // Dormand–Prince RK5(4)7M coefficients.

@@ -1,12 +1,5 @@
-// Explicit ODE steppers and integration drivers.
-//
-//  * EulerStepper        — first order; used mainly to cross-check.
-//  * Rk4Stepper          — classic fixed-step fourth order.
-//  * DormandPrince45     — adaptive embedded 5(4) pair with PI step
-//                          control; the default for the epidemic models.
-//
-// Two drivers sit on top:
-//  * integrate_fixed()    — fixed-step march with per-step observer.
+// Explicit ODE integration: DormandPrince45, an adaptive embedded 5(4)
+// pair with PI step control, and two integration loops on top of it:
 //  * integrate_adaptive() — adaptive march; the observer fires at every
 //                           accepted step.
 //  * sample()             — integrates and returns the solution sampled
@@ -15,31 +8,11 @@
 #pragma once
 
 #include <cstddef>
-#include <stdexcept>
 #include <vector>
 
 #include "ode/system.hpp"
 
 namespace dq::ode {
-
-/// Forward Euler. One derivative evaluation per step.
-class EulerStepper {
- public:
-  /// Advances y in place from t by dt.
-  void step(const Derivative& f, double t, double dt, State& y);
-
- private:
-  State dydt_;
-};
-
-/// Classic Runge–Kutta 4. Four derivative evaluations per step.
-class Rk4Stepper {
- public:
-  void step(const Derivative& f, double t, double dt, State& y);
-
- private:
-  State k1_, k2_, k3_, k4_, tmp_;
-};
 
 /// Tolerances for the adaptive driver.
 struct Tolerance {
@@ -66,14 +39,6 @@ class DormandPrince45 {
   bool have_fsal_ = false;
 };
 
-/// Integrates with a fixed step from t0 to t1 (the final step is
-/// shortened to land on t1 exactly). The observer fires at t0 and after
-/// every step. Throws std::invalid_argument on dt <= 0 or t1 < t0.
-template <typename Stepper>
-void integrate_fixed(Stepper& stepper, const Derivative& f, State& y,
-                     double t0, double t1, double dt,
-                     const Observer& observe);
-
 /// Adaptive integration from t0 to t1 with Dormand–Prince.
 /// Observer fires at t0 and at each accepted step. Throws
 /// std::runtime_error if the step size underflows.
@@ -93,26 +58,5 @@ std::vector<double> sample(const Derivative& f, const State& y0,
 std::vector<State> sample_states(const Derivative& f, const State& y0,
                                  const std::vector<double>& times,
                                  const Tolerance& tol = Tolerance{});
-
-// --- template definition ---
-
-template <typename Stepper>
-void integrate_fixed(Stepper& stepper, const Derivative& f, State& y,
-                     double t0, double t1, double dt,
-                     const Observer& observe) {
-  if (dt <= 0.0)
-    throw std::invalid_argument("integrate_fixed: dt must be > 0");
-  if (t1 < t0)
-    throw std::invalid_argument("integrate_fixed: t1 must be >= t0");
-  double t = t0;
-  if (observe) observe(t, y);
-  while (t < t1) {
-    const double h = (t + dt > t1) ? (t1 - t) : dt;
-    if (h <= 0.0) break;
-    stepper.step(f, t, h, y);
-    t += h;
-    if (observe) observe(t, y);
-  }
-}
 
 }  // namespace dq::ode

@@ -161,6 +161,43 @@ JsonValue config_to_json(const QuarantineConfig& config) {
   return out;
 }
 
+JsonValue report_to_json(const QuarantineReport& r) {
+  JsonValue o = JsonValue::object();
+  o.set("target_hosts", JsonValue::integer(r.target_hosts));
+  o.set("benign_hosts", JsonValue::integer(r.benign_hosts));
+  o.set("detected_targets", JsonValue::number(r.detected_targets));
+  o.set("detection_rate", JsonValue::number(r.detection_rate));
+  o.set("mean_detection_latency",
+        JsonValue::number(r.mean_detection_latency));
+  o.set("false_positive_hosts", JsonValue::number(r.false_positive_hosts));
+  o.set("false_positive_rate", JsonValue::number(r.false_positive_rate));
+  o.set("benign_quarantine_time",
+        JsonValue::number(r.benign_quarantine_time));
+  o.set("mean_benign_quarantine_time",
+        JsonValue::number(r.mean_benign_quarantine_time));
+  o.set("target_quarantine_time",
+        JsonValue::number(r.target_quarantine_time));
+  o.set("quarantine_events", JsonValue::number(r.quarantine_events));
+  return o;
+}
+
+QuarantineReport report_from_json(const JsonValue& v) {
+  QuarantineReport r;
+  r.target_hosts = v.at("target_hosts").as_uint();
+  r.benign_hosts = v.at("benign_hosts").as_uint();
+  r.detected_targets = v.at("detected_targets").as_number();
+  r.detection_rate = v.at("detection_rate").as_number();
+  r.mean_detection_latency = v.at("mean_detection_latency").as_number();
+  r.false_positive_hosts = v.at("false_positive_hosts").as_number();
+  r.false_positive_rate = v.at("false_positive_rate").as_number();
+  r.benign_quarantine_time = v.at("benign_quarantine_time").as_number();
+  r.mean_benign_quarantine_time =
+      v.at("mean_benign_quarantine_time").as_number();
+  r.target_quarantine_time = v.at("target_quarantine_time").as_number();
+  r.quarantine_events = v.at("quarantine_events").as_number();
+  return r;
+}
+
 void write_host_arrays(JsonWriter& w, const HostArrays& hosts) {
   const std::vector<HostRecord>& r = hosts.records;
   const std::vector<DetectorState>& d = hosts.detectors;

@@ -1,6 +1,7 @@
 // Canonical-JSON encoding of QuarantineEngine state, the per-host and
 // per-block sections of serve checkpoints (serve/checkpoint.hpp) —
-// the one engine-state document.
+// the one engine-state document — plus the config and the report
+// codecs that serve and the campaign share.
 //
 // Everything the engine needs to resume a stream mid-flight is plain
 // per-host data: the HostRecord state machine (state, strikes,
@@ -34,6 +35,12 @@ namespace dq::quarantine {
 /// dump() of this against the checkpointed config to refuse resuming
 /// under different thresholds (the stream would silently diverge).
 campaign::JsonValue config_to_json(const QuarantineConfig& config);
+
+/// Canonical JSON of a QuarantineReport: the `quarantine` object of a
+/// serve summary line and of a campaign artifact. report_from_json is
+/// its inverse (std::out_of_range on a missing key).
+campaign::JsonValue report_to_json(const QuarantineReport& report);
+QuarantineReport report_from_json(const campaign::JsonValue& json);
 
 /// Per-host state in host order (the serve layer gathers across shard
 /// engines in *global* host order so checkpoint bytes are shard-count

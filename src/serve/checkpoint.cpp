@@ -1,11 +1,9 @@
 #include "serve/checkpoint.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "serve/failpoints.hpp"
+#include "stats/file.hpp"
 
 namespace dq::serve {
 
@@ -112,31 +110,19 @@ void write_checkpoint_file(const std::string& path,
       Failpoints::global().consume_torn_checkpoint())
     bytes.resize(bytes.size() / 2);
 
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("checkpoint: cannot open " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out)
-      throw std::runtime_error("checkpoint: write failed for " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw std::runtime_error("checkpoint: rename to " + path + " failed");
+  replace_file(path, bytes);
 }
 
 CheckpointState load_checkpoint_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw CheckpointError("cannot read checkpoint file " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad())
-    throw CheckpointError("error reading checkpoint file " + path);
+  std::string bytes;
+  try {
+    bytes = read_file(path);
+  } catch (const std::exception& e) {
+    throw CheckpointError(e.what());
+  }
   JsonValue json;
   try {
-    json = JsonValue::parse(buffer.str());
+    json = JsonValue::parse(bytes);
   } catch (const std::exception& e) {
     throw CheckpointError("corrupt checkpoint " + path + ": " + e.what());
   }

@@ -76,9 +76,10 @@ struct CheckpointState {
   static CheckpointState from_json(const campaign::JsonValue& json);
 };
 
-/// Serializes and atomically writes `state` to `path` (tmp + rename).
-/// Honors the torn_checkpoint failpoint. Throws std::runtime_error on
-/// IO failure — failing to persist state is a run failure.
+/// Serializes `state` and replaces `path` with it atomically and
+/// durably (dq::replace_file). Honors the torn_checkpoint failpoint.
+/// Throws std::runtime_error on IO failure — failing to persist state
+/// is a run failure.
 void write_checkpoint_file(const std::string& path,
                            const CheckpointState& state);
 

@@ -1,8 +1,7 @@
 // Fault-injection registry for the serve pipeline's chaos tests.
 //
 // A failpoint spec is a comma-separated list of NAME[:ARG[:ARG]]
-// entries, configured via `dqctl serve --inject SPEC` or the
-// DQ_FAILPOINTS environment variable:
+// entries, configured via `dqctl serve --inject SPEC`:
 //
 //   slow_shard:S:MICROS   shard S's worker sleeps MICROS microseconds
 //                         per flow (interruptibly, so an aborting run
@@ -13,9 +12,9 @@
 //                         buffered and retries (serve.sink_retries), so
 //                         the emitted stream stays byte-identical.
 //   torn_checkpoint:K     the Kth checkpoint write (1-based) is torn:
-//                         only the first half of the bytes reach the
-//                         tmp file before the atomic rename. Proves
-//                         restore rejects truncated checkpoints.
+//                         only the first half of the bytes are handed
+//                         to the atomic replace. Proves restore rejects
+//                         truncated checkpoints.
 //
 // The registry is process-global (the CLI configures it before the
 // server runs) and read from hot paths with relaxed atomics; with no

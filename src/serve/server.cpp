@@ -16,8 +16,10 @@
 #include <vector>
 
 #include "obs/prometheus.hpp"
+#include "quarantine/snapshot.hpp"
 #include "serve/failpoints.hpp"
 #include "serve/spsc.hpp"
+#include "stats/file.hpp"
 #include "stats/hash.hpp"
 
 namespace dq::serve {
@@ -117,24 +119,6 @@ void reset_stop() noexcept { g_stop.store(false); }
 
 campaign::JsonValue ServeSummary::to_json() const {
   using campaign::JsonValue;
-  JsonValue q = JsonValue::object();
-  q.set("target_hosts", JsonValue::integer(report.target_hosts));
-  q.set("benign_hosts", JsonValue::integer(report.benign_hosts));
-  q.set("detected_targets", JsonValue::number(report.detected_targets));
-  q.set("detection_rate", JsonValue::number(report.detection_rate));
-  q.set("mean_detection_latency",
-        JsonValue::number(report.mean_detection_latency));
-  q.set("false_positive_hosts",
-        JsonValue::number(report.false_positive_hosts));
-  q.set("false_positive_rate", JsonValue::number(report.false_positive_rate));
-  q.set("benign_quarantine_time",
-        JsonValue::number(report.benign_quarantine_time));
-  q.set("mean_benign_quarantine_time",
-        JsonValue::number(report.mean_benign_quarantine_time));
-  q.set("target_quarantine_time",
-        JsonValue::number(report.target_quarantine_time));
-  q.set("quarantine_events", JsonValue::number(report.quarantine_events));
-
   JsonValue s = JsonValue::object();
   s.set("flows_ingested", JsonValue::integer(flows_ingested));
   s.set("flows_decided", JsonValue::integer(flows_decided));
@@ -155,7 +139,7 @@ campaign::JsonValue ServeSummary::to_json() const {
   // Opt-in and wall-clock-dependent: only --slo-ms runs carry it, so
   // SLO-free streams keep their exact historical summary bytes.
   if (slo_ms > 0.0) s.set("slo_breached", JsonValue::boolean(slo_breached));
-  s.set("quarantine", std::move(q));
+  s.set("quarantine", quarantine::report_to_json(report));
 
   JsonValue out = JsonValue::object();
   out.set("summary", std::move(s));
@@ -217,7 +201,7 @@ struct ServeServer::Impl {
   std::atomic<bool> sampler_done{false};
   std::thread sampler;
   /// Serializes writes to the metrics ostream (router flow-count
-  /// snapshots vs sampler wall-clock snapshots) and the prom file.
+  /// snapshots vs sampler wall-clock snapshots).
   std::mutex metrics_mu;
   bool health_enabled = false;
   std::vector<obs::Gauge*> queue_depth_g;
@@ -257,7 +241,6 @@ struct ServeServer::Impl {
   void sampler_loop(std::ostream* metrics);
   void sample_health();
   std::string render_prom();
-  void write_prom_file();
 };
 
 ServeServer::ServeServer(const ServeOptions& options)
@@ -619,17 +602,6 @@ std::string ServeServer::Impl::render_prom() {
   return obs::prometheus_render(registry->snapshot(false));
 }
 
-void ServeServer::Impl::write_prom_file() {
-  const std::string text = render_prom();
-  const std::string tmp = options.prom_path + ".tmp";
-  const std::lock_guard<std::mutex> lock(metrics_mu);
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return;  // transient FS trouble: next tick retries
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  std::rename(tmp.c_str(), options.prom_path.c_str());
-}
-
 void ServeServer::Impl::sampler_loop(std::ostream* metrics) {
   const std::uint64_t interval_ms =
       options.metrics_interval_ms > 0 ? options.metrics_interval_ms : 1000;
@@ -652,7 +624,15 @@ void ServeServer::Impl::sampler_loop(std::ostream* metrics) {
       metrics->write(line.data(), static_cast<std::streamsize>(line.size()));
       metrics->flush();
     }
-    if (!options.prom_path.empty()) write_prom_file();
+    if (!options.prom_path.empty()) {
+      // A failed rewrite (a full disk, say) keeps the last good file
+      // and is retried at the next tick; run()'s final rewrite reports
+      // one that persists.
+      try {
+        replace_file(options.prom_path, render_prom());
+      } catch (const std::exception&) {
+      }
+    }
   }
 }
 
@@ -662,7 +642,7 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
   if (im.ran) throw std::logic_error("ServeServer: one run() per server");
   im.ran = true;
   const ServeOptions& opt = im.options;
-  const bool emit = opt.emit_decisions && decisions != nullptr;
+  const bool emit = decisions != nullptr;
   const bool fp_active = Failpoints::global().active();
   if (opt.stop_after_flows > 0) install_stop_handlers();
 
@@ -973,7 +953,8 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
   im.watchdog_done.store(true, std::memory_order_release);
   if (im.watchdog.joinable()) im.watchdog.join();
   // Stop the sampler before the final prom/metrics writes below so the
-  // tmp-file rename and stream writes have a single writer again.
+  // metrics stream has a single writer again and the final prom file
+  // is the last one renamed into place.
   im.sampler_done.store(true, std::memory_order_release);
   if (im.sampler.joinable()) im.sampler.join();
   if (shedding)
@@ -1040,7 +1021,7 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
   // Final health sample + prom render so the last snapshot/file reflect
   // the drained pipeline (zero queues, final counters).
   im.sample_health();
-  if (!opt.prom_path.empty()) im.write_prom_file();
+  if (!opt.prom_path.empty()) replace_file(opt.prom_path, im.render_prom());
   write_metrics_snapshot();
   return summary;
 }

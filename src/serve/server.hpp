@@ -61,9 +61,6 @@ struct ServeOptions {
   quarantine::QuarantineConfig quarantine;
   /// Per-shard SPSC ring capacity (rounded up to a power of two).
   std::size_t queue_capacity = 4096;
-  /// When false, workers skip the decision queues entirely (bench
-  /// mode: the summary and metrics still cover every flow).
-  bool emit_decisions = true;
   /// Every N ingested flows, write a full metrics snapshot line to the
   /// metrics stream (0 disables; a final snapshot is always written
   /// when a metrics stream is given).
@@ -77,10 +74,11 @@ struct ServeOptions {
   /// turns on the per-shard health gauges (queue depth, backlog,
   /// decided, RSS), all kWallClock.
   std::uint64_t metrics_interval_ms = 0;
-  /// Prometheus text-exposition file, rewritten (atomically, via a tmp
-  /// file + rename) on every health-sampler tick and once at the end of
-  /// the run (empty disables). Uses the sampler cadence when
-  /// metrics_interval_ms > 0, else a 1000 ms default.
+  /// Prometheus text-exposition file, replaced (dq::replace_file) on
+  /// every health-sampler tick and once at the end of the run (empty
+  /// disables). Uses the sampler cadence when metrics_interval_ms > 0,
+  /// else a 1000 ms default. A failed rewrite on a tick is retried at
+  /// the next one; a failed final rewrite makes run() throw.
   std::string prom_path;
   /// HTTP listener address for `GET /metrics` ("host:port", ":port",
   /// or "port"; port 0 picks an ephemeral port — read it back with
@@ -192,8 +190,10 @@ class ServeServer {
   /// Runs the pipeline until the source is exhausted or a stop is
   /// requested; drains every ingested flow, writes decisions (NDJSON,
   /// ending with the summary line) to `decisions` and metrics
-  /// snapshot lines to `metrics` (either may be null), and returns the
-  /// summary. One run() per server.
+  /// snapshot lines to `metrics`, and returns the summary. Either
+  /// stream may be null; with no decision stream the workers skip the
+  /// decision queues entirely (the summary and metrics still cover
+  /// every flow). One run() per server.
   ServeSummary run(FlowSource& source, std::ostream* decisions,
                    std::ostream* metrics);
 

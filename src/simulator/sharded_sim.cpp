@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "stats/hash.hpp"
+#include "stats/parallel.hpp"
 #include "stats/rng.hpp"
 
 namespace dq::sim {
@@ -268,18 +269,6 @@ void ShardedSimulation::place_initial_infections() {
   for (Shard& sh : shards_)
     std::sort(sh.infected.begin(), sh.infected.end());
   if (net_.has_subnets()) seed_subnet_ = net_.subnet_of(order[0]);
-}
-
-template <typename Fn>
-void ShardedSimulation::parallel_shards(Fn&& fn) {
-  if (shards_.size() == 1) {
-    fn(shards_[0]);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(shards_.size());
-  for (Shard& sh : shards_) pool.emplace_back([&fn, &sh] { fn(sh); });
-  for (std::thread& t : pool) t.join();
 }
 
 void ShardedSimulation::release_predator() {
@@ -809,7 +798,9 @@ void ShardedSimulation::step() {
   // never RNG or sim state, so profiled runs stay byte-identical.
   {
     const obs::Span span(obs_.spans, "emit");
-    parallel_shards([&](Shard& sh) { phase_emit(sh, tick_index_); });
+    // One thread per shard; each phase touches only its own shard.
+    parallel_for(shards_.size(), shards_.size(),
+                 [&](std::size_t s) { phase_emit(shards_[s], tick_index_); });
   }
 
   {
@@ -846,7 +837,8 @@ void ShardedSimulation::step() {
 
   {
     const obs::Span span(obs_.spans, "apply");
-    parallel_shards([&](Shard& sh) { phase_apply(sh); });
+    parallel_for(shards_.size(), shards_.size(),
+                 [&](std::size_t s) { phase_apply(shards_[s]); });
   }
 
   {

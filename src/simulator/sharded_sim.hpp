@@ -318,11 +318,6 @@ class ShardedSimulation {
   void apply(Shard& shard, PacketKind kind, NodeId dest,
              std::uint32_t emit_tick);
 
-  /// Runs fn(shard) on every shard, one thread each (inline when there
-  /// is a single shard).
-  template <typename Fn>
-  void parallel_shards(Fn&& fn);
-
   void record();
   bool saturated() const;
   /// The quarantine report, invariant in the shard count.

@@ -17,9 +17,6 @@ extern bool g_update_golden;
 /// tests/data/golden in the source tree.
 inline std::filesystem::path golden_dir() { return DQ_GOLDEN_DIR; }
 
-/// Whole file as bytes; throws std::runtime_error when unreadable.
-std::string read_file(const std::filesystem::path& path);
-
 /// Expects `fresh` to equal fixture `name`, or rewrites the fixture
 /// under --update-golden.
 void expect_golden(const std::string& name, const std::string& fresh);

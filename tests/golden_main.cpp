@@ -3,31 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
 
 #include "golden.hpp"
+#include "stats/file.hpp"
 
 namespace dq::test {
 
 bool g_update_golden = false;
 
-std::string read_file(const std::filesystem::path& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot read " + path.string());
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
-}
-
 void expect_golden(const std::string& name, const std::string& fresh) {
   const std::filesystem::path path = golden_dir() / name;
   if (g_update_golden) {
     std::filesystem::create_directories(golden_dir());
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << fresh;
+    replace_file(path, fresh);
     return;
   }
   ASSERT_TRUE(std::filesystem::exists(path))

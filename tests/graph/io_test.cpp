@@ -94,7 +94,7 @@ TEST(EdgeListIo, FileRoundTrip) {
   EXPECT_EQ(loaded.num_edges(), 9u);
   std::remove(path.c_str());
   EXPECT_THROW(load_edge_list("/nonexistent/nope.edges"),
-               std::invalid_argument);
+               std::runtime_error);
 }
 
 TEST(TransitStub, StructureAndRoles) {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -64,7 +65,9 @@ const TracedRun& traced_run() {
     out.result = sim.run();
     EXPECT_EQ(sink.ring(0).evicted(), 0u) << "fixture overflowed the ring";
     out.events = sink.ring(0).events();
-    out.ndjson = sink.export_ndjson();
+    std::ostringstream ndjson;
+    sink.write_ndjson(ndjson);
+    out.ndjson = ndjson.str();
     return out;
   }();
   return run;
@@ -162,9 +165,11 @@ TEST(RunManyObs, MetricsAndTracesAreThreadCountInvariant) {
 
   EXPECT_EQ(serial.metrics().snapshot(true).dump(),
             parallel.metrics().snapshot(true).dump());
-  const std::string serial_ndjson = serial.export_ndjson();
-  EXPECT_EQ(serial_ndjson, parallel.export_ndjson());
-  EXPECT_FALSE(serial_ndjson.empty());
+  std::ostringstream serial_ndjson, parallel_ndjson;
+  serial.write_ndjson(serial_ndjson);
+  parallel.write_ndjson(parallel_ndjson);
+  EXPECT_EQ(serial_ndjson.str(), parallel_ndjson.str());
+  EXPECT_FALSE(serial_ndjson.str().empty());
   EXPECT_EQ(serial.metrics().counter("sim.runs").value(), kRuns);
 }
 

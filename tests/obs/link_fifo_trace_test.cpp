@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,7 +54,9 @@ const TracedRun& traced_run() {
     TracedRun out;
     EXPECT_EQ(sink.ring(0).evicted(), 0u) << "fixture overflowed the ring";
     out.events = sink.ring(0).events();
-    out.ndjson = sink.export_ndjson();
+    std::ostringstream ndjson;
+    sink.write_ndjson(ndjson);
+    out.ndjson = ndjson.str();
     for (std::size_t l = 0; l < net.num_links(); ++l) {
       const double capacity = sim.link_capacity(l);
       if (capacity == 1.0)

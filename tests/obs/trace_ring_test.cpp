@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "obs/events.hpp"
@@ -15,6 +17,12 @@ Event at(double time, std::uint32_t id) {
   e.time = time;
   e.id = id;
   return e;
+}
+
+std::string ndjson_of(const MultiRunSink& sink) {
+  std::ostringstream out;
+  sink.write_ndjson(out);
+  return out.str();
 }
 
 TEST(TraceRing, KeepsNewestDropsOldest) {
@@ -55,33 +63,15 @@ TEST(Sink, NullSinkIsInert) {
 }
 
 TEST(Sink, EmitCountsEveryDroppedEvent) {
-  // Ring overflow must never be silent: each eviction increments the
-  // trace.dropped counter.
+  // Ring overflow must never be silent: the ring counts each eviction.
   MetricsRegistry reg;
-  Counter& dropped = reg.counter("trace.dropped", Determinism::kWallClock);
   TraceRing ring(2);
   Sink s;
   s.metrics = &reg;
   s.trace = &ring;
-  s.trace_dropped = &dropped;
   for (std::uint32_t i = 0; i < 5; ++i) s.emit(at(i, i));
   EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(dropped.value(), 3u);
   EXPECT_EQ(ring.evicted(), 3u);
-}
-
-TEST(MultiRunSink, DroppedCounterStaysOutOfDeterministicSnapshots) {
-  // The ring capacity is an observability knob, not simulation config,
-  // so eviction counts must not leak into cached artifacts.
-  MultiRunSink sink(1, /*ring_capacity=*/1);
-  Sink s = sink.run_sink(0);
-  s.emit(at(0.0, 0));
-  s.emit(at(1.0, 1));
-  const campaign::JsonValue full = sink.metrics().snapshot(false);
-  ASSERT_NE(full.find("counters")->find("trace.dropped"), nullptr);
-  EXPECT_EQ(full.find("counters")->find("trace.dropped")->as_uint(), 1u);
-  const campaign::JsonValue det = sink.metrics().snapshot(true);
-  EXPECT_EQ(det.find("counters")->find("trace.dropped"), nullptr);
 }
 
 TEST(MultiRunSink, MetricsOnlyModeHasNoRings) {
@@ -92,8 +82,7 @@ TEST(MultiRunSink, MetricsOnlyModeHasNoRings) {
   EXPECT_NE(s.metrics, nullptr);
   EXPECT_EQ(s.trace, nullptr);
   s.emit(at(1.0, 1));  // dropped silently: no ring was requested
-  EXPECT_EQ(sink.metrics().counter("trace.dropped").value(), 0u);
-  EXPECT_TRUE(sink.export_ndjson().empty());
+  EXPECT_TRUE(ndjson_of(sink).empty());
 }
 
 TEST(MultiRunSink, NdjsonConcatenatesRunsInIndexOrder) {
@@ -102,7 +91,7 @@ TEST(MultiRunSink, NdjsonConcatenatesRunsInIndexOrder) {
   Event e1 = at(0.5, 20);
   sink.run_sink(1).emit(e1);  // emitted first, but run 1 prints second
   sink.run_sink(0).emit(e0);
-  EXPECT_EQ(sink.export_ndjson(),
+  EXPECT_EQ(ndjson_of(sink),
             "{\"t\":1,\"run\":0,\"kind\":\"infection\",\"node\":10}\n"
             "{\"t\":0.5,\"run\":1,\"kind\":\"infection\",\"node\":20}\n");
 }

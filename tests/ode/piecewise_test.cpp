@@ -55,37 +55,5 @@ TEST(PiecewiseSystem, GridValidation) {
   EXPECT_THROW(system.sample({1.0}, {1.0, 1.0}, 0), std::invalid_argument);
 }
 
-TEST(FindCrossingTime, ExponentialGrowthCrossing) {
-  const Derivative grow = [](double, const State& y, State& dydt) {
-    dydt[0] = y[0];
-  };
-  // y = e^t reaches 10 at t = ln(10).
-  const double t = find_crossing_time(grow, {1.0}, 0.0, 5.0, 0, 10.0);
-  EXPECT_NEAR(t, std::log(10.0), 1e-4);
-}
-
-TEST(FindCrossingTime, AlreadyAboveLevel) {
-  const Derivative grow = [](double, const State& y, State& dydt) {
-    dydt[0] = y[0];
-  };
-  EXPECT_DOUBLE_EQ(
-      find_crossing_time(grow, {5.0}, 0.0, 1.0, 0, 2.0), 0.0);
-}
-
-TEST(FindCrossingTime, NeverReached) {
-  const Derivative decay = [](double, const State& y, State& dydt) {
-    dydt[0] = -y[0];
-  };
-  EXPECT_LT(find_crossing_time(decay, {1.0}, 0.0, 5.0, 0, 2.0), 0.0);
-}
-
-TEST(FindCrossingTime, BadRange) {
-  const Derivative decay = [](double, const State& y, State& dydt) {
-    dydt[0] = -y[0];
-  };
-  EXPECT_THROW(find_crossing_time(decay, {1.0}, 1.0, 1.0, 0, 2.0),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace dq::ode

@@ -22,67 +22,6 @@ double logistic_exact(double y0, double t) {
   return 1.0 / (1.0 + c * std::exp(-t));
 }
 
-TEST(EulerStepper, FirstOrderAccuracy) {
-  // Halving the step should roughly halve the error.
-  auto solve = [](double dt) {
-    EulerStepper stepper;
-    State y = {1.0};
-    integrate_fixed(stepper, kDecay, y, 0.0, 1.0, dt, Observer{});
-    return std::abs(y[0] - std::exp(-1.0));
-  };
-  const double e1 = solve(0.01);
-  const double e2 = solve(0.005);
-  EXPECT_NEAR(e1 / e2, 2.0, 0.2);
-}
-
-TEST(Rk4Stepper, FourthOrderAccuracy) {
-  auto solve = [](double dt) {
-    Rk4Stepper stepper;
-    State y = {1.0};
-    integrate_fixed(stepper, kDecay, y, 0.0, 1.0, dt, Observer{});
-    return std::abs(y[0] - std::exp(-1.0));
-  };
-  const double e1 = solve(0.1);
-  const double e2 = solve(0.05);
-  EXPECT_NEAR(e1 / e2, 16.0, 4.0);
-}
-
-TEST(IntegrateFixed, ObserverSeesEndpoints) {
-  Rk4Stepper stepper;
-  State y = {1.0};
-  double first = -1.0, last = -1.0;
-  std::size_t calls = 0;
-  integrate_fixed(stepper, kDecay, y, 0.0, 1.0, 0.25,
-                  [&](double t, const State&) {
-                    if (calls == 0) first = t;
-                    last = t;
-                    ++calls;
-                  });
-  EXPECT_DOUBLE_EQ(first, 0.0);
-  EXPECT_DOUBLE_EQ(last, 1.0);
-  EXPECT_EQ(calls, 5u);
-}
-
-TEST(IntegrateFixed, FinalPartialStepLandsExactly) {
-  Rk4Stepper stepper;
-  State y = {1.0};
-  double last = 0.0;
-  integrate_fixed(stepper, kDecay, y, 0.0, 1.0, 0.3,
-                  [&](double t, const State&) { last = t; });
-  EXPECT_DOUBLE_EQ(last, 1.0);
-}
-
-TEST(IntegrateFixed, Errors) {
-  Rk4Stepper stepper;
-  State y = {1.0};
-  EXPECT_THROW(
-      integrate_fixed(stepper, kDecay, y, 0.0, 1.0, 0.0, Observer{}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      integrate_fixed(stepper, kDecay, y, 1.0, 0.0, 0.1, Observer{}),
-      std::invalid_argument);
-}
-
 TEST(IntegrateAdaptive, MatchesExponential) {
   State y = {1.0};
   integrate_adaptive(kDecay, y, 0.0, 5.0, 0.1, Tolerance{}, Observer{});

@@ -22,6 +22,7 @@
 #include "serve/failpoints.hpp"
 #include "serve/server.hpp"
 #include "serve/source.hpp"
+#include "stats/file.hpp"
 
 namespace dq::serve {
 namespace {
@@ -124,7 +125,7 @@ std::string checkpoint_after(const ServeOptions& options,
   ServeOptions opt = options;
   opt.checkpoint_path = ck.path.string();
   run_synthetic(opt, synth);
-  return test::read_file(ck.path);
+  return read_file(ck.path);
 }
 
 std::shared_ptr<const CheckpointState> parsed(const std::string& bytes) {
@@ -144,7 +145,7 @@ void expect_resume_is_identical(Options options) {
   const std::string full =
       run_synthetic(full_opt, synth_config(kFlows)).decisions;
   ASSERT_FALSE(full.empty());
-  const std::string full_checkpoint = test::read_file(full_ck.path);
+  const std::string full_checkpoint = read_file(full_ck.path);
 
   for (const std::uint64_t cut :
        {std::uint64_t{1}, std::uint64_t{500}, std::uint64_t{7'321},
@@ -176,7 +177,7 @@ void expect_resume_is_identical(Options options) {
       EXPECT_EQ(drop_summary_line(prefix.decisions) + resumed.decisions,
                 full)
           << where;
-      EXPECT_EQ(test::read_file(resumed_ck.path), full_checkpoint) << where;
+      EXPECT_EQ(read_file(resumed_ck.path), full_checkpoint) << where;
     }
   }
 }
@@ -188,7 +189,7 @@ void expect_checkpoint_matches_golden(Options options,
   for (const std::size_t shards : {1u, 2u, 4u})
     test::expect_golden(
         fixture, checkpoint_after(options(shards), synth_config(12'000)));
-  const std::string golden = test::read_file(test::golden_dir() / fixture);
+  const std::string golden = read_file(test::golden_dir() / fixture);
   const CheckpointState state =
       CheckpointState::from_json(campaign::JsonValue::parse(golden));
   EXPECT_EQ(state.flows_ingested, 12'000u);
@@ -357,7 +358,7 @@ TEST(ServeRobustness, CorruptCheckpointsRaiseCheckpointError) {
 
   using campaign::JsonValue;
   const std::string exact =
-      test::read_file(test::golden_dir() / "checkpoint_exact.json");
+      read_file(test::golden_dir() / "checkpoint_exact.json");
   expect_rejected(exact.substr(0, exact.size() / 2), "truncated");
 
   // Only version 2 exists; a missing version is not a guess.
@@ -393,7 +394,7 @@ TEST(ServeRobustness, CorruptCheckpointsRaiseCheckpointError) {
       "det_flagged 7");
 
   const JsonValue compact = JsonValue::parse(
-      test::read_file(test::golden_dir() / "checkpoint_shared_bitmap.json"));
+      read_file(test::golden_dir() / "checkpoint_shared_bitmap.json"));
   for (const JsonValue& w : bad_windows)
     expect_rejected(
         with_first_entry(compact, "estimator_store", "window", w).dump(),
@@ -413,7 +414,7 @@ TEST(ServeRobustness, DeeplyNestedCheckpointRaisesCheckpointError) {
 
 TEST(ServeRobustness, RestoreValidatesHostCountAndConfig) {
   const auto exact = parsed(
-      test::read_file(test::golden_dir() / "checkpoint_exact.json"));
+      read_file(test::golden_dir() / "checkpoint_exact.json"));
   {
     ServeOptions bad = base_options(1);
     bad.num_hosts = 1024;  // checkpoint was taken with 512
@@ -435,7 +436,7 @@ TEST(ServeRobustness, RestoreValidatesHostCountAndConfig) {
 TEST(QuarantineSnapshot, SnapshotVersionIsRequiredAndChecked) {
   // The writer stamps the current version ...
   const campaign::JsonValue doc = campaign::JsonValue::parse(
-      parsed(test::read_file(test::golden_dir() / "checkpoint_exact.json"))
+      parsed(read_file(test::golden_dir() / "checkpoint_exact.json"))
           ->dump());
   EXPECT_EQ(doc.at("version").as_uint(), kCheckpointVersion);
 
@@ -461,9 +462,9 @@ TEST(QuarantineSnapshot, SnapshotVersionIsRequiredAndChecked) {
 
 TEST(QuarantineSnapshot, BackendMismatchBetweenSnapshotAndEngineRejected) {
   const auto exact = parsed(
-      test::read_file(test::golden_dir() / "checkpoint_exact.json"));
+      read_file(test::golden_dir() / "checkpoint_exact.json"));
   const auto compact = parsed(
-      test::read_file(test::golden_dir() / "checkpoint_shared_bitmap.json"));
+      read_file(test::golden_dir() / "checkpoint_shared_bitmap.json"));
   // The estimator backend is part of the config: neither backend's
   // checkpoint resumes under the other (pools would be dropped or
   // invented).
@@ -544,7 +545,7 @@ TEST(ServeRobustness, CorruptEstimatorStoreIsRejectedOnRestore) {
 
 TEST(ServeRobustness, EstimatorStoreOnExactCheckpointRejected) {
   CheckpointState bad = *parsed(
-      test::read_file(test::golden_dir() / "checkpoint_exact.json"));
+      read_file(test::golden_dir() / "checkpoint_exact.json"));
   ASSERT_FALSE(bad.store.has_value());
   bad.store.emplace();  // store on an exact engine
 
@@ -819,9 +820,9 @@ TEST(CheckpointFuzz, MutantsAreRejectedOrRestoredNeverCrash) {
     Options options;
   };
   const Seed seeds[] = {
-      {test::read_file(test::golden_dir() / "checkpoint_exact.json"),
+      {read_file(test::golden_dir() / "checkpoint_exact.json"),
        base_options},
-      {test::read_file(test::golden_dir() / "checkpoint_shared_bitmap.json"),
+      {read_file(test::golden_dir() / "checkpoint_shared_bitmap.json"),
        compact_options}};
   TempFile f("fuzz_ck");
   std::mt19937_64 rng(42);

@@ -21,7 +21,6 @@
 // Run any subcommand with --help for its options.
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -46,6 +45,7 @@
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
 #include "core/experiments.hpp"
+#include "stats/file.hpp"
 #include "stats/hash.hpp"
 #include "core/planner.hpp"
 #include "core/scenario.hpp"
@@ -212,8 +212,8 @@ int usage() {
          "              [--checkpoint-out FILE [--checkpoint-interval N]] "
          "[--restore FILE]\n"
          "              [--overload block|shed] [--stall-timeout SECONDS]\n"
-         "              [--inject SPEC]         failpoints, also via "
-         "DQ_FAILPOINTS (docs/ROBUSTNESS.md)\n"
+         "              [--inject SPEC]         failpoints "
+         "(docs/ROBUSTNESS.md)\n"
          "              [census flags as for plan] [detector/policy "
          "flags as for quarantine]\n"
          "              stream quarantine decisions (NDJSON in, NDJSON "
@@ -311,23 +311,14 @@ int cmd_trace(const Args& args) {
   if (out.empty()) {
     std::cout << department.to_csv();
   } else {
-    std::ofstream file(out);
-    if (!file) {
-      std::cerr << "cannot write " << out << '\n';
-      return 1;
-    }
-    file << department.to_csv();
+    replace_file(out, department.to_csv());
     std::cerr << department.events().size() << " events -> " << out << '\n';
   }
   return 0;
 }
 
 trace::Trace load_trace(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw std::invalid_argument("cannot read " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return trace::parse_trace_csv(buffer.str());
+  return trace::parse_trace_csv(read_file(path));
 }
 
 std::vector<trace::HostId> all_hosts(const trace::Trace& t) {
@@ -539,7 +530,6 @@ int cmd_serve(const Args& args) {
   options.shards = args.integer<std::size_t>("shards", 1);
   options.quarantine = quarantine_config_from(args);
   options.queue_capacity = args.integer<std::size_t>("queue-capacity", 4096);
-  options.emit_decisions = !args.flag("no-decisions");
   options.metrics_interval_flows =
       args.integer<std::uint64_t>("metrics-interval", 0);
   options.metrics_interval_ms =
@@ -569,13 +559,8 @@ int cmd_serve(const Args& args) {
   options.checkpoint_interval_flows =
       args.integer<std::uint64_t>("checkpoint-interval", 0);
 
-  // Fault injection: --inject wins over the DQ_FAILPOINTS environment
-  // variable; either way the spec is validated before the run starts.
-  std::string inject = args.str("inject", "");
-  if (!args.flag("inject")) {
-    if (const char* env = std::getenv("DQ_FAILPOINTS")) inject = env;
-  }
-  serve::Failpoints::global().configure(inject);
+  // Fault injection: the spec is validated before the run starts.
+  serve::Failpoints::global().configure(args.str("inject", ""));
 
   // A corrupt or truncated checkpoint raises serve::CheckpointError,
   // which main() reports on stderr with exit 1 — never a crash, never a
@@ -667,18 +652,22 @@ int cmd_serve(const Args& args) {
   if (!options.metrics_addr.empty())
     std::cerr << "metrics: http://127.0.0.1:" << server.metrics_port()
               << "/metrics\n";
-  // With --no-decisions the per-flow lines are skipped but the final
-  // summary line is still written to the decision stream.
-  const serve::ServeSummary summary = server.run(*source, decisions, metrics);
+  // With --no-decisions the server writes no decision lines, and the
+  // summary line is written here.
+  const bool no_decisions = args.flag("no-decisions");
+  const serve::ServeSummary summary =
+      server.run(*source, no_decisions ? nullptr : decisions, metrics);
+  if (no_decisions)
+    *decisions << summary.to_json().dump() << '\n' << std::flush;
   if (out_file.is_open() && !out_file)
     throw std::runtime_error("serve: error writing " + out);
+  if (metrics_file.is_open() && !metrics_file)
+    throw std::runtime_error("serve: error writing " + metrics_out);
 
   if (profiler != nullptr) {
-    std::ofstream trace_file(profile_out,
-                             std::ios::binary | std::ios::trunc);
-    if (!trace_file)
-      throw std::runtime_error("serve: cannot write " + profile_out);
-    profiler->write_chrome_trace(trace_file);
+    replace_file(profile_out, [&](std::ostream& os) {
+      profiler->write_chrome_trace(os);
+    });
     std::cerr << "profile: " << profiler->total_spans() << " spans -> "
               << profile_out << '\n'
               << profiler->render_table();
@@ -859,13 +848,13 @@ class ProgressMeter {
 /// serve run records.
 int cmd_obs_report(const std::string& path) {
   using campaign::JsonValue;
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot read " + path);
-
+  const std::string text = read_file(path);
   std::vector<JsonValue> snaps;
-  std::string line;
   std::size_t malformed = 0;
-  while (std::getline(file, line)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    const std::string_view line(text.data() + pos, end - pos);
+    pos = end + 1;
     if (line.empty()) continue;
     try {
       snaps.push_back(JsonValue::parse(line));
@@ -991,12 +980,8 @@ int cmd_obs(const Args& args) {
   const std::string& verb = args.positional()[0];
   if (verb == "report") return cmd_obs_report(args.positional()[1]);
   if (verb != "summarize") return usage();
-  const std::string& path = args.positional()[1];
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot read " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const obs::NdjsonSummary summary = obs::summarize_ndjson(buffer.str());
+  const obs::NdjsonSummary summary =
+      obs::summarize_ndjson(read_file(args.positional()[1]));
 
   if (args.flag("json")) {
     std::cout << summary.to_json().dump() << '\n';
@@ -1093,21 +1078,19 @@ int cmd_campaign(const Args& args) {
   meter.finish();
 
   if (profiler != nullptr) {
-    std::ofstream trace_file(profile_out,
-                             std::ios::binary | std::ios::trunc);
-    if (!trace_file) throw std::runtime_error("cannot write " + profile_out);
-    profiler->write_chrome_trace(trace_file);
+    replace_file(profile_out, [&](std::ostream& os) {
+      profiler->write_chrome_trace(os);
+    });
     std::cerr << "profile: " << profiler->total_spans() << " spans -> "
               << profile_out << '\n'
               << profiler->render_table();
   }
 
   const std::string metrics_out = args.str("metrics-out", "");
-  if (!metrics_out.empty()) {
-    std::ofstream file(metrics_out, std::ios::binary | std::ios::trunc);
-    if (!file) throw std::runtime_error("cannot write " + metrics_out);
-    file << campaign::merge_outcome_metrics(report.outcomes).dump() << '\n';
-  }
+  if (!metrics_out.empty())
+    replace_file(metrics_out,
+                 campaign::merge_outcome_metrics(report.outcomes).dump() +
+                     '\n');
 
   int failures = 0;
   for (const campaign::JobOutcome& outcome : report.outcomes) {
@@ -1130,19 +1113,13 @@ int cmd_campaign(const Args& args) {
   const std::string out_dir = args.str("out", "");
   if (!out_dir.empty()) {
     std::filesystem::create_directories(out_dir);
-    const auto write = [&](const std::filesystem::path& path,
-                           const std::string& contents) {
-      std::ofstream file(path, std::ios::binary | std::ios::trunc);
-      if (!file) throw std::runtime_error("cannot write " + path.string());
-      file << contents;
-    };
-    write(std::filesystem::path(out_dir) / "manifest.json",
-          report.manifest.dump() + "\n");
+    replace_file(std::filesystem::path(out_dir) / "manifest.json",
+                 report.manifest.dump() + "\n");
     for (const core::FigureData& fig : report.figures)
-      write(std::filesystem::path(out_dir) /
-                (fig.id + (args.flag("csv") ? ".csv" : ".txt")),
-            args.flag("csv") ? core::render_csv(fig)
-                             : core::render_table(fig));
+      replace_file(std::filesystem::path(out_dir) /
+                       (fig.id + (args.flag("csv") ? ".csv" : ".txt")),
+                   args.flag("csv") ? core::render_csv(fig)
+                                    : core::render_table(fig));
     std::cerr << "wrote manifest + " << report.figures.size()
               << " figures to " << out_dir << '\n';
   } else {
