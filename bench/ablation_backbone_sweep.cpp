@@ -4,9 +4,11 @@
 // slowdown each buys. DESIGN.md: how much backbone is enough? The six
 // simulated depths run as campaign jobs (job threads + artifact
 // cache); the measured α is recomputed here from each job's own
-// TopologySpec, so it always matches the cached curves.
+// TopologySpec, so it always matches the cached curves. The depths
+// differ only in roles, so their graph is routed once.
 #include <iomanip>
 #include <iostream>
+#include <memory>
 
 #include "bench_util.hpp"
 #include "epidemic/backbone_model.hpp"
@@ -37,13 +39,18 @@ int main(int argc, char** argv) {
   std::cout << "  depth   covered-paths   t50(ticks)   slowdown\n";
 
   double t50_base = -1.0;
+  std::shared_ptr<const sim::RoutedTopology> topology;
   for (double depth : {0.0, 0.01, 0.02, 0.05, 0.10, 0.20}) {
     const campaign::JobOutcome& outcome = bench::outcome_of(
         report,
         "ablation-backbone-depth/depth-" + campaign::format_double(depth));
     // Measured α: fraction of host-to-host paths crossing the
-    // backbone, on the network the campaign job built.
-    const sim::Network net = campaign::build_network(outcome.config.topology);
+    // backbone, on the network the campaign job built: the shared
+    // graph under this depth's roles.
+    if (topology == nullptr)
+      topology = sim::build_topology(outcome.config.topology);
+    const sim::Network net =
+        sim::build_network(outcome.config.topology, topology);
     const double alpha =
         depth == 0.0
             ? 0.0

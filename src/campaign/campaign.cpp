@@ -78,7 +78,8 @@ const char* to_string(JobPhase phase) noexcept {
 }
 
 JobOutcome execute_job(const std::string& name, const JobConfig& config,
-                       const RunOptions& options, std::size_t index) {
+                       const RunOptions& options, std::size_t index,
+                       std::shared_ptr<const sim::RoutedTopology> topology) {
   JobOutcome outcome;
   outcome.name = name;
   outcome.config = config;
@@ -112,7 +113,12 @@ JobOutcome execute_job(const std::string& name, const JobConfig& config,
     }
     if (!outcome.cache_hit) {
       if (config.kind == JobConfig::Kind::kSimulation) {
-        const sim::Network net = build_network(config.topology);
+        if (topology == nullptr) {
+          const obs::Span span(spans, "build_network");
+          topology = sim::build_topology(config.topology);
+        }
+        const sim::Network net =
+            build_network(config.topology, std::move(topology));
         sim::SimulationConfig cfg = config.sim;
         cfg.seed = substream_seed(outcome.hash);
         // Rings are only allocated when a trace is requested; metrics
@@ -154,7 +160,10 @@ JobOutcome execute_job(const std::string& name, const JobConfig& config,
             core::analytical_figure(config.figure_id);
         outcome.artifact = figure_to_json(fig).dump();
       }
-      if (options.use_cache) cache.store(outcome.hash, outcome.artifact);
+      if (options.use_cache) {
+        const obs::Span span(spans, "store");
+        cache.store(outcome.hash, outcome.artifact);
+      }
       decode_artifact(config, outcome.artifact, outcome);
     }
   } catch (const std::exception& e) {

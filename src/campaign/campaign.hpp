@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -92,7 +93,8 @@ struct RunOptions {
   std::function<void(const JobEvent&)> on_job_event;
   /// Span profiler for job lifecycle timing (null disables). Each job
   /// gets its own track (named after the job), so the Chrome trace
-  /// shows the campaign's parallel schedule; Profiler::track() is
+  /// shows the campaign's parallel schedule; run_scenarios' shared
+  /// topology builds go on a "topologies" track. Profiler::track() is
   /// thread-safe and spans never touch job state, so artifacts stay
   /// byte-identical with profiling on or off.
   obs::Profiler* profiler = nullptr;
@@ -102,9 +104,14 @@ struct RunOptions {
 /// build + simulate/evaluate, serialize, store. The effective
 /// simulation seed is substream_seed(job hash) — the config's own
 /// `seed` participates in the hash but is not used directly, so any
-/// config edit lands on a fresh, reproducible stream.
-JobOutcome execute_job(const std::string& name, const JobConfig& config,
-                       const RunOptions& options, std::size_t index = 0);
+/// config edit lands on a fresh, reproducible stream. A simulation job
+/// given `topology` (sim::build_topology of a spec with the job's graph
+/// fields) puts its roles on it instead of building its own network;
+/// the outcome is byte-identical either way.
+JobOutcome execute_job(
+    const std::string& name, const JobConfig& config,
+    const RunOptions& options, std::size_t index = 0,
+    std::shared_ptr<const sim::RoutedTopology> topology = nullptr);
 
 /// Machine-readable run manifest: per-job name/hash/kind/cache_hit/
 /// wall_seconds/artifact-path/perf/metrics (and trace_dropped when

@@ -26,7 +26,7 @@ namespace dq::campaign {
 
 // The topology a simulation job runs on. The spec is the simulator's
 // (simulator/network.hpp); it is part of the job schema, so the cache
-// key covers the topology, and each job rebuilds its network from it
+// key covers the topology, and a job's network can be rebuilt from it
 // wherever the job lands (building is deterministic in build_seed).
 using sim::TopologySpec;
 using sim::build_network;

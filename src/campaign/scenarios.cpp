@@ -5,11 +5,14 @@
 #include "campaign/scenarios.hpp"
 
 #include <chrono>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
+#include "campaign/cache.hpp"
 #include "campaign/result_io.hpp"
 #include "stats/hash.hpp"
 #include "stats/parallel.hpp"
@@ -17,6 +20,9 @@
 namespace dq::campaign {
 
 namespace {
+
+/// The graph index of a job that is given no shared topology.
+constexpr std::size_t kNoGraph = static_cast<std::size_t>(-1);
 
 ScenarioDef fig01_scenario(const core::ExperimentOptions& options) {
   ScenarioDef s;
@@ -248,21 +254,37 @@ CampaignReport run_scenarios(const std::vector<ScenarioDef>& scenarios,
   // The campaign's flat job list, named "<scenario>/<job>" and
   // deduplicated by content hash: an identical config runs once no
   // matter how many scenarios request it. local_index maps (scenario
-  // index, local job name) to a list index.
+  // index, local job name) to a list index. A simulation job without a
+  // cached artifact also gets the index of its graph in `graphs`, one
+  // entry per distinct graph key. A job whose artifact exists gets
+  // none (if the artifact turns out corrupt, the job builds its own
+  // network), so a warm campaign builds nothing.
+  const ArtifactCache cache(options.cache_dir);
   std::vector<ScenarioJob> jobs;
+  std::vector<std::size_t> job_graph;
+  std::vector<TopologySpec> graphs;
+  std::map<TopologySpec::GraphKey, std::size_t> graph_index;
   std::unordered_map<std::uint64_t, std::size_t> by_hash;
   std::unordered_set<std::string> names;
   std::vector<std::unordered_map<std::string, std::size_t>> local_index(
       scenarios.size());
   for (std::size_t si = 0; si < scenarios.size(); ++si) {
     for (const ScenarioJob& job : scenarios[si].jobs) {
-      auto [it, inserted] =
-          by_hash.try_emplace(job_hash(job.config), jobs.size());
+      const std::uint64_t hash = job_hash(job.config);
+      auto [it, inserted] = by_hash.try_emplace(hash, jobs.size());
       if (inserted) {
         std::string name = scenarios[si].name + "/" + job.name;
         if (!names.insert(name).second)
           throw std::invalid_argument("campaign: duplicate job name " + name);
         jobs.push_back({std::move(name), job.config});
+        job_graph.push_back(kNoGraph);
+        if (job.config.kind == JobConfig::Kind::kSimulation &&
+            !(options.use_cache && cache.contains(hash))) {
+          const auto [g, fresh] = graph_index.try_emplace(
+              job.config.topology.graph_key(), graphs.size());
+          if (fresh) graphs.push_back(job.config.topology);
+          job_graph.back() = g->second;
+        }
       }
       if (!local_index[si].emplace(job.name, it->second).second)
         throw std::invalid_argument("scenario " + scenarios[si].name +
@@ -277,10 +299,33 @@ CampaignReport run_scenarios(const std::vector<ScenarioDef>& scenarios,
     for (std::size_t i = 0; i < jobs.size(); ++i)
       options.on_job_event({.index = i, .name = jobs[i].name});
   }
+  // Each graph is built once, before any job runs, and shared: its jobs
+  // only add their roles. A graph that fails to build is left null, so
+  // each of its jobs builds its own and fails alone, as it would
+  // without sharing.
+  std::vector<std::shared_ptr<const sim::RoutedTopology>> topologies(
+      graphs.size());
+  std::vector<obs::SpanRecord> build_spans(graphs.size());
+  parallel_for(graphs.size(), options.jobs, [&](std::size_t g) {
+    const std::uint64_t begin = obs::span_clock_ns();
+    try {
+      topologies[g] = sim::build_topology(graphs[g]);
+    } catch (const std::exception&) {
+    }
+    build_spans[g] = {"build_network", begin, obs::span_clock_ns() - begin};
+  });
+  // A SpanBuffer has one writer, so the builds are recorded afterwards.
+  if (options.profiler != nullptr) {
+    obs::SpanBuffer* track = options.profiler->track("topologies");
+    for (const obs::SpanRecord& span : build_spans)
+      track->record(span.name, span.start_ns, span.dur_ns);
+  }
   // Job seeds come from content hashes, never from the schedule, so
   // the order in which threads take jobs cannot change any artifact.
   parallel_for(jobs.size(), options.jobs, [&](std::size_t i) {
-    report.outcomes[i] = execute_job(jobs[i].name, jobs[i].config, options, i);
+    report.outcomes[i] = execute_job(
+        jobs[i].name, jobs[i].config, options, i,
+        job_graph[i] == kNoGraph ? nullptr : topologies[job_graph[i]]);
   });
   const double total_wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -67,8 +67,11 @@ struct CampaignReport {
 
 /// Expands the scenarios into one deduplicated job list, runs it, and
 /// assembles each scenario's figures from the outcomes. Every job is
-/// reported kQueued in list order; then up to `options.jobs` threads
-/// take jobs in list order (execute_job). A failed job does not stop
+/// reported kQueued in list order. Each distinct graph that a
+/// simulation job without a cached artifact runs on is then built
+/// once (sim::build_topology, keyed by the spec's graph fields) and
+/// shared by those jobs. Then up to `options.jobs` threads take jobs
+/// in list order (execute_job). A failed job does not stop
 /// the others. Figures whose jobs failed are omitted; the failure stays
 /// visible in the outcomes and manifest. Throws std::invalid_argument
 /// on a duplicate job name, before any job runs.

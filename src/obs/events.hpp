@@ -61,29 +61,27 @@ struct Event {
 };
 
 /// Fixed-capacity ring of Events. When full, push() overwrites the
-/// oldest event, counts it in evicted() and returns false — newest
-/// events are always retained. Single-writer; capacity 0 is a valid
-/// no-op ring that drops everything.
+/// oldest event and counts it in evicted() — newest events are always
+/// retained. Single-writer; capacity 0 is a valid no-op ring that
+/// drops everything.
 class TraceRing {
  public:
   explicit TraceRing(std::size_t capacity) : capacity_(capacity) {
     events_.reserve(capacity);
   }
 
-  /// Returns false when an old event was evicted (or capacity is 0).
-  bool push(const Event& e) noexcept {
+  void push(const Event& e) noexcept {
     if (capacity_ == 0) {
       ++evicted_;
-      return false;
+      return;
     }
     if (events_.size() < capacity_) {
       events_.push_back(e);
-      return true;
+      return;
     }
     events_[head_] = e;
     head_ = (head_ + 1) % capacity_;
     ++evicted_;
-    return false;
   }
 
   std::size_t size() const noexcept { return events_.size(); }

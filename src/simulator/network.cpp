@@ -17,61 +17,55 @@ bool routing_table_fits(std::size_t n, const NetworkOptions& options) {
   return n == 0 || n <= options.routing_table_bytes / (n * 4);
 }
 
-std::unique_ptr<graph::RoutingTable> maybe_build_routing(
-    const graph::Graph& g, const NetworkOptions& options) {
-  if (!routing_table_fits(g.num_nodes(), options)) return nullptr;
-  return std::make_unique<graph::RoutingTable>(g);
+/// A subnet topology's roles: its gateways are the edge routers,
+/// everything else is a host. The backbone role is attached to the
+/// gateways' interconnect links via link_is_backbone, so there are no
+/// separate backbone nodes.
+graph::RoleAssignment gateway_roles(const RoutedTopology& topology) {
+  graph::RoleAssignment roles;
+  roles.role.assign(topology.num_nodes(), graph::NodeRole::kHost);
+  for (NodeId gw : topology.gateways()) {
+    roles.role[gw] = graph::NodeRole::kEdgeRouter;
+    roles.edge.push_back(gw);
+  }
+  for (NodeId v = 0; v < topology.num_nodes(); ++v)
+    if (roles.role[v] == graph::NodeRole::kHost) roles.hosts.push_back(v);
+  return roles;
 }
 
 }  // namespace
 
-Network::Network(graph::Graph g, double backbone_fraction,
-                 double edge_fraction, NetworkOptions options)
-    : graph_(std::move(g)),
-      routing_(maybe_build_routing(graph_, options)),
-      roles_(graph::assign_roles(graph_, backbone_fraction, edge_fraction)) {
-  if (routing_ == nullptr) build_tree_routing();
+RoutedTopology::RoutedTopology(graph::Graph g, NetworkOptions options)
+    : graph_(std::move(g)) {
+  build_routing(options);
 }
 
-Network::Network(graph::Graph g, graph::RoleAssignment roles,
-                 NetworkOptions options)
-    : graph_(std::move(g)),
-      routing_(maybe_build_routing(graph_, options)),
-      roles_(std::move(roles)) {
-  if (roles_.role.size() != graph_.num_nodes())
-    throw std::invalid_argument("Network: role assignment size mismatch");
-  if (routing_ == nullptr) build_tree_routing();
-}
-
-Network::Network(graph::SubnetTopology topo, NetworkOptions options)
+RoutedTopology::RoutedTopology(graph::SubnetTopology topo,
+                               NetworkOptions options)
     : graph_(std::move(topo.graph)),
-      routing_(maybe_build_routing(graph_, options)) {
-  // Gateways are the edge routers; everything else is a host. The
-  // backbone role is attached to the gateways' interconnect links via
-  // link_touches_role on kEdgeRouter, so no separate backbone nodes.
-  roles_.role.assign(graph_.num_nodes(), graph::NodeRole::kHost);
-  for (NodeId gw : topo.gateways) {
-    roles_.role[gw] = graph::NodeRole::kEdgeRouter;
-    roles_.edge.push_back(gw);
-  }
-  for (NodeId v = 0; v < graph_.num_nodes(); ++v)
-    if (roles_.role[v] == graph::NodeRole::kHost) roles_.hosts.push_back(v);
-
-  subnet_of_ = std::move(topo.subnet_of);
-  subnet_members_ = std::move(topo.members);
-  if (routing_ == nullptr) build_tree_routing();
+      subnet_of_(std::move(topo.subnet_of)),
+      subnet_members_(std::move(topo.members)),
+      gateways_(std::move(topo.gateways)) {
+  build_routing(options);
 }
 
-const graph::RoutingTable& Network::routing() const {
+void RoutedTopology::build_routing(const NetworkOptions& options) {
+  if (routing_table_fits(graph_.num_nodes(), options))
+    routing_ = std::make_unique<graph::RoutingTable>(graph_);
+  else
+    build_tree_routing();
+}
+
+const graph::RoutingTable& RoutedTopology::routing() const {
   if (routing_ == nullptr)
     throw std::logic_error(
-        "Network::routing: all-pairs table not built (network exceeds "
+        "RoutedTopology::routing: all-pairs table not built (graph exceeds "
         "NetworkOptions::routing_table_bytes; tree routing is in use — "
         "check has_routing_table())");
   return *routing_;
 }
 
-void Network::build_tree_routing() {
+void RoutedTopology::build_tree_routing() {
   const std::size_t n = graph_.num_nodes();
   tree_links_ = graph::LinkIndex(graph_);
   if (n == 0) return;
@@ -159,13 +153,39 @@ void Network::build_tree_routing() {
   }
 }
 
-std::optional<std::size_t> Network::subnet_of(NodeId n) const {
+std::optional<std::size_t> RoutedTopology::subnet_of(NodeId n) const {
   if (subnet_of_.empty()) return std::nullopt;
   return subnet_of_.at(n);
 }
 
-const std::vector<NodeId>& Network::subnet_members(std::size_t subnet) const {
+const std::vector<NodeId>& RoutedTopology::subnet_members(
+    std::size_t subnet) const {
   return subnet_members_.at(subnet);
+}
+
+Network::Network(graph::Graph g, double backbone_fraction,
+                 double edge_fraction, NetworkOptions options)
+    : topology_(std::make_shared<const RoutedTopology>(std::move(g), options)),
+      roles_(graph::assign_roles(topology_->graph(), backbone_fraction,
+                                 edge_fraction)) {}
+
+Network::Network(graph::Graph g, graph::RoleAssignment roles,
+                 NetworkOptions options)
+    : Network(std::make_shared<const RoutedTopology>(std::move(g), options),
+              std::move(roles)) {}
+
+Network::Network(graph::SubnetTopology topo, NetworkOptions options)
+    : topology_(
+          std::make_shared<const RoutedTopology>(std::move(topo), options)),
+      roles_(gateway_roles(*topology_)) {}
+
+Network::Network(std::shared_ptr<const RoutedTopology> topology,
+                 graph::RoleAssignment roles)
+    : topology_(std::move(topology)), roles_(std::move(roles)) {
+  if (topology_ == nullptr)
+    throw std::invalid_argument("Network: null topology");
+  if (roles_.role.size() != topology_->num_nodes())
+    throw std::invalid_argument("Network: role assignment size mismatch");
 }
 
 bool Network::link_touches_role(std::size_t index,
@@ -183,24 +203,40 @@ bool Network::link_is_backbone(std::size_t index) const {
          roles_.role.at(l.b) == graph::NodeRole::kEdgeRouter;
 }
 
-Network build_network(const TopologySpec& spec) {
+std::shared_ptr<const RoutedTopology> build_topology(
+    const TopologySpec& spec) {
   switch (spec.kind) {
     case TopologySpec::Kind::kStar:
-      return Network(graph::make_star(spec.nodes), spec.backbone_fraction,
-                     spec.edge_fraction);
+      return std::make_shared<const RoutedTopology>(
+          graph::make_star(spec.nodes));
     case TopologySpec::Kind::kPowerLaw: {
       Rng rng(spec.build_seed);
-      return Network(
-          graph::make_barabasi_albert(spec.nodes, spec.ba_links, rng),
-          spec.backbone_fraction, spec.edge_fraction);
+      return std::make_shared<const RoutedTopology>(
+          graph::make_barabasi_albert(spec.nodes, spec.ba_links, rng));
     }
     case TopologySpec::Kind::kSubnets: {
       Rng rng(spec.build_seed);
-      return Network(graph::make_subnet_topology(
+      return std::make_shared<const RoutedTopology>(graph::make_subnet_topology(
           spec.num_subnets, spec.hosts_per_subnet, rng));
     }
   }
   throw std::invalid_argument("TopologySpec: unknown kind");
+}
+
+Network build_network(const TopologySpec& spec) {
+  return build_network(spec, build_topology(spec));
+}
+
+Network build_network(const TopologySpec& spec,
+                      std::shared_ptr<const RoutedTopology> topology) {
+  if (topology == nullptr)
+    throw std::invalid_argument("build_network: null topology");
+  graph::RoleAssignment roles =
+      spec.kind == TopologySpec::Kind::kSubnets
+          ? gateway_roles(*topology)
+          : graph::assign_roles(topology->graph(), spec.backbone_fraction,
+                                spec.edge_fraction);
+  return Network(std::move(topology), std::move(roles));
 }
 
 }  // namespace dq::sim

@@ -40,15 +40,15 @@ Rng node_rng(std::uint64_t tick_base, NodeId v) {
   return Rng(mix64(tick_base ^ (kNodeStride * (static_cast<std::uint64_t>(v) + 1))));
 }
 
-worm::TargetSelector make_selector(const Network& net,
+worm::TargetSelector make_selector(const RoutedTopology& topology,
                                    const SimulationConfig& config) {
   const worm::TargetSelectorConfig sc{config.worm.selection,
                                       config.worm.local_bias,
                                       config.worm.hitlist_size};
-  const bool subnets = net.has_subnets();
-  return worm::TargetSelector(sc, net.num_nodes(),
-                              subnets ? &net.subnet_ids() : nullptr,
-                              subnets ? &net.subnet_lists() : nullptr,
+  const bool subnets = topology.has_subnets();
+  return worm::TargetSelector(sc, topology.num_nodes(),
+                              subnets ? &topology.subnet_ids() : nullptr,
+                              subnets ? &topology.subnet_lists() : nullptr,
                               config.seed ^ 0xd1b54a32d192ed03ULL);
 }
 
@@ -58,12 +58,13 @@ ShardedSimulation::ShardedSimulation(const Network& net,
                                      const SimulationConfig& config,
                                      std::size_t num_shards, obs::Sink obs)
     : net_(net),
+      topology_(net.topology()),
       config_(config),
       obs_(obs),
-      selector_(make_selector(net, config)) {
+      selector_(make_selector(topology_, config)) {
   validate_config();
 
-  const std::size_t n = net.num_nodes();
+  const std::size_t n = topology_.num_nodes();
   state_.assign(n, NodeState::kSusceptible);
   ever_.assign(n, 0);
   filtered_.assign(n, 0);
@@ -136,7 +137,7 @@ void ShardedSimulation::validate_config() const {
   if (worm_cfg.local_bias < 0.0 || worm_cfg.local_bias > 1.0)
     fail("local bias in [0,1]");
   if (worm_cfg.initial_infected == 0 ||
-      worm_cfg.initial_infected >= net_.num_nodes())
+      worm_cfg.initial_infected >= topology_.num_nodes())
     fail("initial infected in [1, num_nodes)");
   if (worm_cfg.hit_probability <= 0.0 || worm_cfg.hit_probability > 1.0)
     fail("hit probability in (0,1]");
@@ -147,7 +148,7 @@ void ShardedSimulation::validate_config() const {
       (dep.base_link_capacity <= 0.0 || dep.min_link_capacity <= 0.0))
     fail("limited links need positive base and floor capacities");
   if (dep.node_forward_cap) {
-    if (dep.node_forward_cap->first >= net_.num_nodes())
+    if (dep.node_forward_cap->first >= topology_.num_nodes())
       fail("node forward cap out of range");
     if (dep.node_forward_cap->second == 0)
       fail("node forward budget must be >= 1");
@@ -197,7 +198,7 @@ std::size_t ShardedSimulation::shard_of(NodeId v) const noexcept {
   if (shards_.size() == 1) return 0;
   // begin[s] = floor(s*n/S), so v*S/n lands within one of v's shard.
   std::size_t s = static_cast<std::size_t>(v) * shards_.size() /
-                  net_.num_nodes();
+                  topology_.num_nodes();
   if (s >= shards_.size()) s = shards_.size() - 1;
   while (v < shards_[s].begin) --s;
   while (s + 1 < shards_.size() && v >= shards_[s].end) ++s;
@@ -220,7 +221,7 @@ void ShardedSimulation::assign_host_filters() {
 
 void ShardedSimulation::assign_link_capacities() {
   if (!forwarding_) return;
-  const std::size_t links = net_.num_links();
+  const std::size_t links = topology_.num_links();
   link_capacity_.assign(links, 0.0);
   link_credit_.assign(links, 0.0);
   fifos_.reset(links + 1);  // site `links` is the hub
@@ -232,13 +233,13 @@ void ShardedSimulation::assign_link_capacities() {
                        (dep.backbone_limited && net_.link_is_backbone(l));
     if (!limit) continue;
     double capacity = dep.base_link_capacity;
-    if (dep.weight_by_routing_load && net_.total_link_load() > 0) {
+    if (dep.weight_by_routing_load && topology_.total_link_load() > 0) {
       // The paper's rule: "a link weight that is proportional to the
       // number of routing table entries the link occupies", multiplied
       // into the base rate — i.e. the link's share of all routing
       // entries, so heavily used links keep the most throughput.
-      capacity *= static_cast<double>(net_.link_load(l)) /
-                  static_cast<double>(net_.total_link_load());
+      capacity *= static_cast<double>(topology_.link_load(l)) /
+                  static_cast<double>(topology_.total_link_load());
     }
     link_capacity_[l] = std::max(dep.min_link_capacity, capacity);
     // Start with one tick's allowance as spendable credit.
@@ -251,8 +252,8 @@ void ShardedSimulation::assign_link_capacities() {
 }
 
 void ShardedSimulation::place_initial_infections() {
-  std::vector<NodeId> order(net_.num_nodes());
-  for (NodeId v = 0; v < net_.num_nodes(); ++v) order[v] = v;
+  std::vector<NodeId> order(topology_.num_nodes());
+  for (NodeId v = 0; v < topology_.num_nodes(); ++v) order[v] = v;
   Rng rng(mix64(config_.seed ^ kInitSalt));
   rng.shuffle(order);
   for (std::uint32_t i = 0; i < config_.worm.initial_infected; ++i) {
@@ -268,7 +269,7 @@ void ShardedSimulation::place_initial_infections() {
   }
   for (Shard& sh : shards_)
     std::sort(sh.infected.begin(), sh.infected.end());
-  if (net_.has_subnets()) seed_subnet_ = net_.subnet_of(order[0]);
+  if (topology_.has_subnets()) seed_subnet_ = topology_.subnet_of(order[0]);
 }
 
 void ShardedSimulation::release_predator() {
@@ -276,7 +277,7 @@ void ShardedSimulation::release_predator() {
   // counter-worm can take at its release tick.
   predator_released_ = true;
   std::vector<NodeId> candidates;
-  for (NodeId v = 0; v < net_.num_nodes(); ++v)
+  for (NodeId v = 0; v < topology_.num_nodes(); ++v)
     if (state_[v] == NodeState::kSusceptible ||
         state_[v] == NodeState::kInfected)
       candidates.push_back(v);
@@ -419,7 +420,7 @@ void ShardedSimulation::phase_emit(Shard& shard, std::uint64_t tick_index) {
 
   // Predator scans and legitimate packets go to uniform random peers
   // (Welchia swept address ranges like its prey).
-  const auto random_peer = [n = static_cast<NodeId>(net_.num_nodes())](
+  const auto random_peer = [n = static_cast<NodeId>(topology_.num_nodes())](
                                NodeId v, Rng& rng) {
     NodeId dest;
     do {
@@ -570,7 +571,7 @@ void ShardedSimulation::forward(InFlight p) {
       ++node_cap_used_;
     }
 
-    const Network::HopStep hop = net_.hop_toward(p.at, p.dest);
+    const RoutedTopology::HopStep hop = topology_.hop_toward(p.at, p.dest);
     if (response_drops(p, hop.link)) {
       if (p.kind == PacketKind::kLegit)
         ++result_.legit_dropped;
@@ -660,7 +661,7 @@ void ShardedSimulation::phase_forward() {
       for (std::size_t i = 0; i < fresh.size(); ++i) {
         if (i + kRoutePrefetchDistance < fresh.size()) {
           const Packet& ahead = fresh[i + kRoutePrefetchDistance];
-          net_.prefetch_route(ahead.src, ahead.dest);
+          topology_.prefetch_route(ahead.src, ahead.dest);
         }
         const Packet& p = fresh[i];
         forward({p.src, p.dest, p.src, tick, static_cast<PacketKind>(k)});
@@ -777,7 +778,7 @@ void ShardedSimulation::step() {
       due = tick_ >= *imm.start_at_tick;
     else
       due = static_cast<double>(ever_count_) /
-                static_cast<double>(net_.num_nodes()) >=
+                static_cast<double>(topology_.num_nodes()) >=
             imm.start_at_infected_fraction;
     if (due) {
       immunizing_ = true;
@@ -872,7 +873,7 @@ void ShardedSimulation::step() {
 }
 
 void ShardedSimulation::record() {
-  const double n = static_cast<double>(net_.num_nodes());
+  const double n = static_cast<double>(topology_.num_nodes());
   result_.active_infected.push(tick_,
                                static_cast<double>(infected_count_) / n);
   result_.ever_infected.push(tick_, static_cast<double>(ever_count_) / n);
@@ -881,7 +882,7 @@ void ShardedSimulation::record() {
     result_.predator_infected.push(
         tick_, static_cast<double>(predator_count_) / n);
   if (seed_subnet_) {
-    const auto& members = net_.subnet_members(*seed_subnet_);
+    const auto& members = topology_.subnet_members(*seed_subnet_);
     std::size_t ever = 0;
     for (NodeId m : members) ever += ever_[m];
     result_.seed_subnet_infected.push(
@@ -906,7 +907,7 @@ quarantine::QuarantineReport ShardedSimulation::quarantine_report() const {
   // took it, with its infection tick as the detection-latency
   // reference point.
   std::vector<quarantine::HostRecord> records;
-  records.reserve(net_.num_nodes());
+  records.reserve(topology_.num_nodes());
   std::uint64_t events = 0;
   for (const Shard& sh : shards_) {
     if (!sh.quarantine) continue;  // block rounding emptied this shard

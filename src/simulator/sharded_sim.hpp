@@ -325,6 +325,9 @@ class ShardedSimulation {
   void flush_metrics();
 
   const Network& net_;
+  /// net_'s routes, held directly so a hop reads them without going
+  /// through the Network.
+  const RoutedTopology& topology_;
   SimulationConfig config_;
   obs::Sink obs_;
   worm::TargetSelector selector_;

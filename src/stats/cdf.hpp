@@ -32,11 +32,6 @@ class EmpiricalCdf {
   double min() const;
   double max() const;
 
-  /// The sorted sample values (for plotting / exporting the curve).
-  const std::vector<double>& sorted_samples() const noexcept {
-    return sorted_;
-  }
-
   /// Evaluates the CDF at each of the given x positions; convenient for
   /// printing a figure as (x, F(x)) rows.
   std::vector<double> evaluate(const std::vector<double>& xs) const;

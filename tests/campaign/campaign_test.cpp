@@ -2,9 +2,9 @@
 // run_scenarios expands, runs and assembles the job list (failures and
 // duplicate names included), the headline determinism matrix —
 // artifacts must be byte-identical across --jobs 1 / --jobs 8 /
-// cold-vs-warm cache, with a warm rerun reporting every job as a cache
-// hit — and the paper's shape claims for the catalogue's Figs. 1(b)
-// and 4.
+// cold-vs-warm cache and shared-vs-own network builds, with a warm
+// rerun reporting every job as a cache hit — and the paper's shape
+// claims for the catalogue's Figs. 1(b) and 4.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -20,6 +20,8 @@
 #include "campaign/json.hpp"
 #include "campaign/result_io.hpp"
 #include "campaign/scenarios.hpp"
+#include "obs/span.hpp"
+#include "stats/file.hpp"
 #include "stats/hash.hpp"
 
 namespace dq::campaign {
@@ -302,6 +304,56 @@ TEST(Determinism, CorruptCacheArtifactsHealOnTheNextRun) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Determinism, SharedTopologiesMatchOwnBuilds) {
+  // fig01 (a star), fig04 and the backbone-depth sweep (two power-law
+  // graphs): three distinct graphs, and six depth jobs that share one
+  // graph under six different role cutoffs.
+  const std::vector<ScenarioDef> catalogue =
+      builtin_scenarios(core::ExperimentOptions::quick());
+  std::vector<ScenarioDef> scenarios;
+  for (const char* name : {"fig01", "fig04", "ablation-backbone-depth"})
+    scenarios.push_back(*find_scenario(catalogue, name));
+  const auto builds = [](const obs::Profiler& profiler) {
+    std::uint64_t count = 0;
+    for (const obs::PhaseStats& phase : profiler.aggregate())
+      if (phase.name == "build_network") count += phase.count;
+    return count;
+  };
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "dq-shared-topology";
+  std::filesystem::remove_all(root);
+
+  for (const std::size_t jobs : {1u, 3u}) {
+    SCOPED_TRACE(jobs);
+    const std::filesystem::path dir = root / std::to_string(jobs);
+    obs::Profiler cold_profile;
+    RunOptions options;
+    options.jobs = jobs;
+    options.cache_dir = dir;
+    options.profiler = &cold_profile;
+    const CampaignReport cold = run_scenarios(scenarios, options);
+    EXPECT_EQ(builds(cold_profile), 3u);
+    ASSERT_EQ(cold.outcomes.size(), 15u);
+    for (const JobOutcome& o : cold.outcomes) {
+      SCOPED_TRACE(o.name);
+      ASSERT_TRUE(o.ok()) << o.error;
+      // The same config run alone, on a network it builds itself.
+      RunOptions alone;
+      alone.use_cache = false;
+      const JobOutcome own = execute_job(o.name, o.config, alone);
+      ASSERT_TRUE(own.ok()) << own.error;
+      EXPECT_EQ(read_file(ArtifactCache(dir).path_for(o.hash)), own.artifact);
+    }
+
+    obs::Profiler warm_profile;
+    options.profiler = &warm_profile;
+    const CampaignReport warm = run_scenarios(scenarios, options);
+    EXPECT_EQ(builds(warm_profile), 0u);
+    EXPECT_EQ(warm.manifest.at("cache_hits").as_uint(), 15u);
+  }
+  std::filesystem::remove_all(root);
+}
+
 TEST(Scenarios, BuiltinCatalogueExpandsAndDedups) {
   const std::vector<ScenarioDef> catalogue =
       builtin_scenarios(core::ExperimentOptions::quick());
@@ -329,11 +381,15 @@ TEST(Scenarios, FailedJobIsReportedAndOnlyItsFigureIsLeftOut) {
   bad.figure_id = "not-a-figure";
   JobConfig good = bad;
   good.figure_id = "fig2";
+  // A graph that cannot be built fails its job, not the campaign.
+  JobConfig bad_graph = small_sim_job();
+  bad_graph.topology.nodes = 1;
   ScenarioDef s;
   s.name = "mixed";
   s.jobs.push_back({"bad", bad});
   s.jobs.push_back({"good", good});
   s.jobs.push_back({"sim", small_sim_job()});
+  s.jobs.push_back({"bad-graph", bad_graph});
   s.figures.push_back({"broken", "", "", "", "bad", {}});
   s.figures.push_back({"fig2", "", "", "", "good", {}});
   s.figures.push_back({"sim-fig", "", "", "", "", {{"sim", "sim"}}});
@@ -343,7 +399,7 @@ TEST(Scenarios, FailedJobIsReportedAndOnlyItsFigureIsLeftOut) {
   options.jobs = 3;
   const CampaignReport report = run_scenarios({s}, options);
 
-  ASSERT_EQ(report.outcomes.size(), 3u);
+  ASSERT_EQ(report.outcomes.size(), 4u);
   EXPECT_EQ(report.outcomes[0].name, "mixed/bad");
   EXPECT_FALSE(report.outcomes[0].ok());
   EXPECT_NE(report.outcomes[0].error.find("not-a-figure"), std::string::npos)
@@ -352,7 +408,9 @@ TEST(Scenarios, FailedJobIsReportedAndOnlyItsFigureIsLeftOut) {
   EXPECT_TRUE(report.outcomes[1].figure.has_value());
   EXPECT_TRUE(report.outcomes[2].ok()) << report.outcomes[2].error;
   EXPECT_TRUE(report.outcomes[2].sim_result.has_value());
-  EXPECT_EQ(report.manifest.at("failures").as_uint(), 1u);
+  EXPECT_NE(report.outcomes[3].error.find("make_star"), std::string::npos)
+      << report.outcomes[3].error;
+  EXPECT_EQ(report.manifest.at("failures").as_uint(), 2u);
   EXPECT_EQ(report.manifest.at("jobs").items()[0].at("error").as_string(),
             report.outcomes[0].error);
 

@@ -122,7 +122,8 @@ void expect_network_matches(const sim::Network& net,
   for (NodeId at = 0; at < ref.n; ++at)
     for (NodeId dst = 0; dst < ref.n; ++dst) {
       if (at == dst) continue;
-      const sim::Network::HopStep hop = net.hop_toward(at, dst);
+      const sim::RoutedTopology::HopStep hop =
+          net.topology().hop_toward(at, dst);
       if (hop.next != ref.next[ref.at(at, dst)]) ++hop_mismatches;
       if (!(net.link(hop.link) == key_of(at, hop.next))) ++link_mismatches;
     }

@@ -27,9 +27,14 @@ std::string ndjson_of(const MultiRunSink& sink) {
 
 TEST(TraceRing, KeepsNewestDropsOldest) {
   TraceRing ring(4);
-  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_TRUE(ring.push(at(i, i)));
-  for (std::uint32_t i = 4; i < 10; ++i) EXPECT_FALSE(ring.push(at(i, i)));
+  for (std::uint32_t i = 0; i < 4; ++i) ring.push(at(i, i));
   EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.evicted(), 0u);
+  for (std::uint32_t i = 4; i < 10; ++i) {
+    ring.push(at(i, i));
+    EXPECT_EQ(ring.size(), 4u);
+    EXPECT_EQ(ring.evicted(), i - 3);
+  }
   EXPECT_EQ(ring.evicted(), 6u);
   const std::vector<Event> events = ring.events();
   ASSERT_EQ(events.size(), 4u);
@@ -39,8 +44,10 @@ TEST(TraceRing, KeepsNewestDropsOldest) {
 
 TEST(TraceRing, ZeroCapacityDropsEverythingLoudly) {
   TraceRing ring(0);
-  EXPECT_FALSE(ring.push(at(1.0, 1)));
-  EXPECT_FALSE(ring.push(at(2.0, 2)));
+  ring.push(at(1.0, 1));
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.evicted(), 1u);
+  ring.push(at(2.0, 2));
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_EQ(ring.evicted(), 2u);
 }
@@ -53,7 +60,9 @@ TEST(TraceRing, ClearResetsEviction) {
   ring.clear();
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_EQ(ring.evicted(), 0u);
-  EXPECT_TRUE(ring.push(at(3.0, 3)));
+  ring.push(at(3.0, 3));
+  EXPECT_EQ(ring.size(), 1u);
+  EXPECT_EQ(ring.evicted(), 0u);
 }
 
 TEST(Sink, NullSinkIsInert) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 namespace dq::sim {
@@ -151,7 +152,7 @@ TEST(Network, TreeBackendRoutesEveryPairAlongRealLinks) {
       graph::NodeId at = a;
       std::size_t hops = 0;
       while (at != b) {
-        const Network::HopStep hop = net.hop_toward(at, b);
+        const RoutedTopology::HopStep hop = net.topology().hop_toward(at, b);
         ASSERT_TRUE(g.has_edge(at, hop.next)) << at << "->" << hop.next;
         const graph::LinkKey crossed = {std::min(at, hop.next),
                                         std::max(at, hop.next)};
@@ -175,14 +176,58 @@ TEST(Network, TreeBackendIsExactOnAStar) {
   for (graph::NodeId a = 0; a < 30; ++a)
     for (graph::NodeId b = 0; b < 30; ++b) {
       if (a == b) continue;
-      const Network::HopStep x = tree.hop_toward(a, b);
-      const Network::HopStep y = table.hop_toward(a, b);
+      const RoutedTopology::HopStep x = tree.topology().hop_toward(a, b);
+      const RoutedTopology::HopStep y = table.topology().hop_toward(a, b);
       EXPECT_EQ(x.next, y.next);
       EXPECT_EQ(x.link, y.link);
     }
   for (std::size_t l = 0; l < tree.num_links(); ++l)
     EXPECT_EQ(tree.link_load(l), table.link_load(l));
   EXPECT_EQ(tree.total_link_load(), table.total_link_load());
+}
+
+TEST(Network, SpecsDifferingInRolesShareOneTopology) {
+  // build_network(spec, topology) puts the spec's roles on a topology
+  // built once: the same roles and routes as a fresh build_network.
+  TopologySpec spec;
+  spec.nodes = 200;
+  const TopologySpec::GraphKey key = spec.graph_key();
+  const std::shared_ptr<const RoutedTopology> topology = build_topology(spec);
+  for (const double depth : {0.0, 0.02, 0.2}) {
+    spec.backbone_fraction = depth;
+    spec.edge_fraction = 0.0;
+    EXPECT_EQ(spec.graph_key(), key);
+    const Network shared = build_network(spec, topology);
+    const Network fresh = build_network(spec);
+    EXPECT_EQ(&shared.topology(), topology.get());
+    EXPECT_EQ(shared.roles().role, fresh.roles().role);
+    EXPECT_EQ(shared.roles().backbone, fresh.roles().backbone);
+    EXPECT_EQ(shared.roles().hosts, fresh.roles().hosts);
+    EXPECT_EQ(shared.graph().num_edges(), fresh.graph().num_edges());
+    for (graph::NodeId b = 1; b < 200; ++b)
+      EXPECT_EQ(shared.topology().hop_toward(0, b).link,
+                fresh.topology().hop_toward(0, b).link);
+  }
+  spec.build_seed += 1;
+  EXPECT_NE(spec.graph_key(), key);
+  // A subnet spec's roles are its gateways, shared or not.
+  TopologySpec subnets;
+  subnets.kind = TopologySpec::Kind::kSubnets;
+  subnets.num_subnets = 4;
+  subnets.hosts_per_subnet = 5;
+  const Network shared = build_network(subnets, build_topology(subnets));
+  EXPECT_EQ(shared.roles().edge, build_network(subnets).roles().edge);
+  EXPECT_EQ(shared.roles().edge, shared.topology().gateways());
+}
+
+TEST(Network, SharedTopologyRejectsMismatchedRoles) {
+  const auto topology =
+      std::make_shared<const RoutedTopology>(graph::make_star(5));
+  EXPECT_THROW(Network(nullptr, graph::RoleAssignment{}),
+               std::invalid_argument);
+  EXPECT_THROW(Network(topology, graph::assign_roles(graph::make_star(6))),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Network(topology, graph::assign_roles(topology->graph())));
 }
 
 }  // namespace
