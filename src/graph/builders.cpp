@@ -45,20 +45,19 @@ Graph make_barabasi_albert(std::size_t n, std::size_t m, Rng& rng) {
   if (m < 1) throw std::invalid_argument("make_barabasi_albert: m >= 1");
   if (n <= m)
     throw std::invalid_argument("make_barabasi_albert: need n > m");
-  Graph g(n);
-  // Seed clique of m+1 nodes.
+  // The edges are drawn first and the graph built from them in one
+  // pass, which sizes each row once. Seed clique of m+1 nodes:
+  std::vector<Edge> edges;
+  edges.reserve(m * n);
   for (NodeId a = 0; a < m + 1; ++a)
-    for (NodeId b = a + 1; b < m + 1; ++b) g.add_edge(a, b);
+    for (NodeId b = a + 1; b < m + 1; ++b) edges.emplace_back(a, b);
 
   // Degree-proportional sampling via the repeated-endpoints trick: each
-  // edge contributes both endpoints to the urn.
+  // edge contributes both endpoints to the urn, so each clique node
+  // enters it m times.
   std::vector<NodeId> urn;
   urn.reserve(2 * m * n);
-  for (NodeId a = 0; a < m + 1; ++a)
-    for (NodeId b : g.neighbors(a)) {
-      (void)b;
-      urn.push_back(a);
-    }
+  for (NodeId a = 0; a < m + 1; ++a) urn.insert(urn.end(), m, a);
 
   std::vector<NodeId> chosen;
   for (NodeId v = static_cast<NodeId>(m + 1); v < n; ++v) {
@@ -69,12 +68,12 @@ Graph make_barabasi_albert(std::size_t n, std::size_t m, Rng& rng) {
         chosen.push_back(candidate);
     }
     for (NodeId target : chosen) {
-      g.add_edge(v, target);
+      edges.emplace_back(v, target);
       urn.push_back(v);
       urn.push_back(target);
     }
   }
-  return g;
+  return Graph(n, edges);
 }
 
 Graph make_waxman(std::size_t n, double alpha, double beta, Rng& rng) {

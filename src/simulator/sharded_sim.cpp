@@ -61,7 +61,12 @@ ShardedSimulation::ShardedSimulation(const Network& net,
       topology_(net.topology()),
       config_(config),
       obs_(obs),
-      selector_(make_selector(topology_, config)) {
+      selector_(make_selector(topology_, config)),
+      worm_rate_(config.worm.contact_rate),
+      filtered_rate_(config.worm.filtered_contact_rate),
+      throttle_rate_(config.quarantine.policy.throttle_rate),
+      predator_rate_(config.predator.contact_rate),
+      legit_rate_(config.legit.rate_per_node) {
   validate_config();
 
   const std::size_t n = topology_.num_nodes();
@@ -109,6 +114,7 @@ ShardedSimulation::ShardedSimulation(const Network& net,
       if (obs_) sh.quarantine->set_obs(obs_);
     }
   }
+  shard_scale_ = (static_cast<std::uint64_t>(num_shards) << 32) / n;
   quarantine_armed_ =
       config_.quarantine.enabled && !config_.quarantine.start_on_detection;
 
@@ -196,10 +202,11 @@ void ShardedSimulation::validate_config() const {
 
 std::size_t ShardedSimulation::shard_of(NodeId v) const noexcept {
   if (shards_.size() == 1) return 0;
-  // begin[s] = floor(s*n/S), so v*S/n lands within one of v's shard.
-  std::size_t s = static_cast<std::size_t>(v) * shards_.size() /
-                  topology_.num_nodes();
-  if (s >= shards_.size()) s = shards_.size() - 1;
+  // begin[s] = floor(s*n/S), so floor(v*S/n) lands within one of v's
+  // shard. The multiply by floor(S*2^32/n) undershoots that by at most
+  // one (v < 2^32) and never passes S-1; the loops walk the rest.
+  std::size_t s = static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(v) * shard_scale_) >> 32);
   while (v < shards_[s].begin) --s;
   while (s + 1 < shards_.size() && v >= shards_[s].end) ++s;
   return s;
@@ -342,15 +349,19 @@ void ShardedSimulation::queue_packet(Shard& shard, PacketKind kind,
 
 template <typename PickDest>
 void ShardedSimulation::emit_from(Shard& shard, NodeId v, PacketKind kind,
-                                  double rate, Rng& rng, PickDest&& pick) {
+                                  const PoissonMean& rate, Rng& rng,
+                                  PickDest&& pick) {
   const auto& qpolicy = config_.quarantine.policy;
   const std::uint32_t local = v - shard.begin;
   const bool q = shard.quarantine && shard.quarantine->quarantined(local);
-  // A throttled host's scans slow down; its legitimate traffic does not.
-  if (q && kind != PacketKind::kLegit &&
-      qpolicy.treatment == quarantine::Treatment::kThrottle)
-    rate = std::min(rate, qpolicy.throttle_rate);
-  const std::uint64_t attempts = rng.poisson(rate);
+  // A throttled host's scans slow down (to the lesser of the two rates);
+  // its legitimate traffic does not.
+  const bool throttled =
+      q && kind != PacketKind::kLegit &&
+      qpolicy.treatment == quarantine::Treatment::kThrottle &&
+      throttle_rate_.mean < rate.mean;
+  const std::uint64_t attempts =
+      rng.poisson(throttled ? throttle_rate_ : rate);
   if (q && qpolicy.treatment == quarantine::Treatment::kDropAll) {
     // Full isolation: everything dies at the host's own uplink. No
     // destinations are drawn — the packets never exist.
@@ -406,8 +417,7 @@ void ShardedSimulation::phase_emit(Shard& shard, std::uint64_t tick_index) {
     if (state_[v] != NodeState::kInfected) continue;  // compact away
     shard.infected[out++] = v;
     Rng rng = node_rng(emit_base, v);
-    const double rate = filtered_[v] ? config_.worm.filtered_contact_rate
-                                     : config_.worm.contact_rate;
+    const PoissonMean& rate = filtered_[v] ? filtered_rate_ : worm_rate_;
     emit_from(shard, v, PacketKind::kWorm, rate, rng, [&] {
       const NodeId dest = selector_.pick(v, rng);
       ++shard.d.scan_packets;
@@ -420,7 +430,7 @@ void ShardedSimulation::phase_emit(Shard& shard, std::uint64_t tick_index) {
 
   // Predator scans and legitimate packets go to uniform random peers
   // (Welchia swept address ranges like its prey).
-  const auto random_peer = [n = static_cast<NodeId>(topology_.num_nodes())](
+  const auto random_peer = [n = UniformBound(topology_.num_nodes())](
                                NodeId v, Rng& rng) {
     NodeId dest;
     do {
@@ -441,8 +451,8 @@ void ShardedSimulation::phase_emit(Shard& shard, std::uint64_t tick_index) {
       }
       shard.predators[out++] = v;
       Rng rng = node_rng(pred_base, v);
-      emit_from(shard, v, PacketKind::kPredator, config_.predator.contact_rate,
-                rng, [&] { return random_peer(v, rng); });
+      emit_from(shard, v, PacketKind::kPredator, predator_rate_, rng,
+                [&] { return random_peer(v, rng); });
     }
     shard.predators.resize(out);
   }
@@ -451,11 +461,10 @@ void ShardedSimulation::phase_emit(Shard& shard, std::uint64_t tick_index) {
     const std::uint64_t legit_base = base(kLegitSalt);
     for (NodeId v = shard.begin; v < shard.end; ++v) {
       Rng rng = node_rng(legit_base, v);
-      emit_from(shard, v, PacketKind::kLegit, config_.legit.rate_per_node,
-                rng, [&] {
-                  ++shard.d.legit_sent;
-                  return random_peer(v, rng);
-                });
+      emit_from(shard, v, PacketKind::kLegit, legit_rate_, rng, [&] {
+        ++shard.d.legit_sent;
+        return random_peer(v, rng);
+      });
     }
   }
 }

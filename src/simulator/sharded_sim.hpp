@@ -32,6 +32,7 @@
 #include "quarantine/engine.hpp"
 #include "simulator/config.hpp"
 #include "simulator/network.hpp"
+#include "stats/rng.hpp"
 #include "stats/timeseries.hpp"
 #include "worm/target_selector.hpp"
 
@@ -293,8 +294,8 @@ class ShardedSimulation {
   /// sender's detector, and destinations handed to the outboxes (or
   /// the fresh list).
   template <typename PickDest>
-  void emit_from(Shard& shard, NodeId v, PacketKind kind, double rate,
-                 Rng& rng, PickDest&& pick);
+  void emit_from(Shard& shard, NodeId v, PacketKind kind,
+                 const PoissonMean& rate, Rng& rng, PickDest&& pick);
   void queue_packet(Shard& shard, PacketKind kind, NodeId v, NodeId dest);
   void release_predator();
 
@@ -331,6 +332,12 @@ class ShardedSimulation {
   SimulationConfig config_;
   obs::Sink obs_;
   worm::TargetSelector selector_;
+  /// The run's emission rates, each with its exp(-rate) computed once.
+  PoissonMean worm_rate_;
+  PoissonMean filtered_rate_;
+  PoissonMean throttle_rate_;
+  PoissonMean predator_rate_;
+  PoissonMean legit_rate_;
 
   // Struct-of-arrays node state.
   std::vector<NodeState> state_;
@@ -340,6 +347,8 @@ class ShardedSimulation {
   std::vector<double> predator_tick_;  ///< empty unless the predator runs
 
   std::vector<Shard> shards_;
+  /// floor(shards · 2³² / num_nodes): shard_of's estimate of v · S / n.
+  std::uint64_t shard_scale_ = 0;
 
   std::uint64_t infected_count_ = 0;
   std::uint64_t ever_count_ = 0;

@@ -6,15 +6,11 @@
 
 namespace dq {
 
-std::uint64_t Rng::uniform_int(std::uint64_t bound) noexcept {
-  if (bound == 0) return 0;  // degenerate; callers validate, keep noexcept
-  // Lemire-style rejection on the top bits.
-  const std::uint64_t threshold = (~bound + 1) % bound;  // (2^64 - bound) % bound
-  for (;;) {
-    const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
-  }
-}
+// Out of line, so exp(-mean) is always the library's, never a
+// compile-time fold of a constant mean that could round differently.
+PoissonMean::PoissonMean(double lambda) noexcept
+    : mean(lambda),
+      limit(lambda > 0.0 && lambda < 64.0 ? std::exp(-lambda) : 0.0) {}
 
 double Rng::exponential(double lambda) noexcept {
   // Inverse transform; guard against log(0).
@@ -23,22 +19,21 @@ double Rng::exponential(double lambda) noexcept {
   return -std::log(1.0 - u) / lambda;
 }
 
-std::uint64_t Rng::poisson(double lambda) noexcept {
-  if (lambda <= 0.0) return 0;
-  if (lambda < 64.0) {
+std::uint64_t Rng::poisson(const PoissonMean& m) noexcept {
+  if (m.mean <= 0.0) return 0;
+  if (m.mean < 64.0) {
     // Knuth: multiply uniforms until below e^-lambda.
-    const double limit = std::exp(-lambda);
     std::uint64_t k = 0;
     double p = 1.0;
     do {
       ++k;
       p *= uniform();
-    } while (p > limit);
+    } while (p > m.limit);
     return k - 1;
   }
   // Normal approximation with continuity correction; adequate for
   // workload generation at high rates.
-  const double x = normal(lambda, std::sqrt(lambda));
+  const double x = normal(m.mean, std::sqrt(m.mean));
   return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
 }
 

@@ -82,6 +82,31 @@ class Xoshiro256StarStar {
   std::uint64_t state_[4];
 };
 
+/// An upper bound for Rng::uniform_int with its rejection threshold
+/// computed once, for callers that draw many values under one bound.
+struct UniformBound {
+  explicit UniformBound(std::uint64_t n) noexcept
+      : bound(n), threshold(n == 0 ? 0 : (~n + 1) % n) {}
+
+  std::uint64_t bound;
+  /// (2^64 - bound) mod bound. uniform_int rejects raw words below it
+  /// and returns r % bound, so every residue keeps the same number of
+  /// accepted words: OpenBSD's arc4random_uniform, over the whole word.
+  /// (Lemire's multiply-shift would draw differently and so change
+  /// every stream.)
+  std::uint64_t threshold;
+};
+
+/// A mean for Rng::poisson with its Knuth limit exp(-mean) computed
+/// once, for callers that draw many counts at one rate.
+struct PoissonMean {
+  explicit PoissonMean(double lambda) noexcept;
+
+  double mean;
+  /// exp(-mean) when 0 < mean < 64 (the Knuth range), else unused.
+  double limit;
+};
+
 /// Rng: seedable source of the distributions used across the library.
 /// All sampling is implemented directly (no std:: distributions) so the
 /// stream is identical on every platform for a given seed.
@@ -103,9 +128,18 @@ class Rng {
     return lo + (hi - lo) * uniform();
   }
 
-  /// Uniform integer in [0, bound). bound must be > 0.
-  /// Uses rejection to avoid modulo bias.
-  std::uint64_t uniform_int(std::uint64_t bound) noexcept;
+  /// Uniform integer in [0, bound). bound must be > 0 (0 returns 0
+  /// without drawing). Rejection avoids modulo bias (UniformBound).
+  std::uint64_t uniform_int(const UniformBound& b) noexcept {
+    if (b.bound == 0) return 0;  // degenerate; callers validate, keep noexcept
+    for (;;) {
+      const std::uint64_t r = next_u64();
+      if (r >= b.threshold) return r % b.bound;
+    }
+  }
+  std::uint64_t uniform_int(std::uint64_t bound) noexcept {
+    return uniform_int(UniformBound(bound));
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
@@ -121,7 +155,10 @@ class Rng {
 
   /// Poisson with mean lambda >= 0. Uses Knuth for small lambda and a
   /// normal approximation above 64 (fine for workload generation).
-  std::uint64_t poisson(double lambda) noexcept;
+  std::uint64_t poisson(const PoissonMean& m) noexcept;
+  std::uint64_t poisson(double lambda) noexcept {
+    return poisson(PoissonMean(lambda));
+  }
 
   /// Pareto (Lomax-free classic form): support [scale, inf), shape > 0.
   double pareto(double scale, double shape) noexcept;

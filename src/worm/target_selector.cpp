@@ -11,6 +11,7 @@ TargetSelector::TargetSelector(
     const std::vector<std::vector<NodeId>>* subnet_members, std::uint64_t seed)
     : config_(config),
       num_nodes_(num_nodes),
+      node_bound_(num_nodes),
       subnet_of_(subnet_of),
       subnet_members_(subnet_members) {
   if (num_nodes_ < 2)
@@ -29,7 +30,7 @@ TargetSelector::TargetSelector(
     case ScanStrategy::kPermutation: {
       cursor_.resize(num_nodes_);
       for (auto& c : cursor_)
-        c = static_cast<std::uint32_t>(rng.uniform_int(num_nodes_));
+        c = static_cast<std::uint32_t>(rng.uniform_int(node_bound_));
       if (config_.strategy == ScanStrategy::kPermutation) {
         // Pick a multiplier coprime to N (odd steps from a random
         // start always find one).
@@ -37,7 +38,7 @@ TargetSelector::TargetSelector(
         while (std::gcd(perm_a_, static_cast<std::uint64_t>(num_nodes_)) !=
                1)
           perm_a_ = perm_a_ % (num_nodes_ - 1) + 1;
-        perm_b_ = rng.uniform_int(num_nodes_);
+        perm_b_ = rng.uniform_int(node_bound_);
       }
       break;
     }
@@ -64,7 +65,7 @@ TargetSelector::TargetSelector(
 
 NodeId TargetSelector::pick_random(NodeId scanner, Rng& rng) const {
   for (;;) {
-    const NodeId t = static_cast<NodeId>(rng.uniform_int(num_nodes_));
+    const NodeId t = static_cast<NodeId>(rng.uniform_int(node_bound_));
     if (t != scanner) return t;
   }
 }

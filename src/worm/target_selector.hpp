@@ -88,6 +88,7 @@ class TargetSelector {
 
   TargetSelectorConfig config_;
   std::size_t num_nodes_;
+  UniformBound node_bound_;  ///< num_nodes_, for uniform draws over ids
   const std::vector<std::size_t>* subnet_of_;                // borrowed
   const std::vector<std::vector<NodeId>>* subnet_members_;   // borrowed
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 namespace dq::graph {
 namespace {
@@ -53,6 +55,48 @@ TEST(Builders, BarabasiAlbertStructure) {
   EXPECT_TRUE(g.is_connected());
   EXPECT_THROW(make_barabasi_albert(2, 2, rng), std::invalid_argument);
   EXPECT_THROW(make_barabasi_albert(10, 0, rng), std::invalid_argument);
+}
+
+/// The BA builder as written before it drew its edge list first: the
+/// graph and stream make_barabasi_albert is pinned to.
+Graph reference_barabasi_albert(std::size_t n, std::size_t m, Rng& rng) {
+  Graph g(n);
+  for (NodeId a = 0; a < m + 1; ++a)
+    for (NodeId b = a + 1; b < m + 1; ++b) g.add_edge(a, b);
+  std::vector<NodeId> urn;
+  for (NodeId a = 0; a < m + 1; ++a)
+    for (std::size_t k = 0; k < g.degree(a); ++k) urn.push_back(a);
+  std::vector<NodeId> chosen;
+  for (NodeId v = static_cast<NodeId>(m + 1); v < n; ++v) {
+    chosen.clear();
+    while (chosen.size() < m) {
+      const NodeId candidate = urn[rng.uniform_int(urn.size())];
+      if (std::find(chosen.begin(), chosen.end(), candidate) == chosen.end())
+        chosen.push_back(candidate);
+    }
+    for (NodeId target : chosen) {
+      g.add_edge(v, target);
+      urn.push_back(v);
+      urn.push_back(target);
+    }
+  }
+  return g;
+}
+
+TEST(Builders, BarabasiAlbertMatchesAddEdgeBuilder) {
+  for (const std::size_t m : {1u, 2u, 3u}) {
+    Rng rng(40 + m), ref_rng(40 + m);
+    const Graph g = make_barabasi_albert(5000, m, rng);
+    const Graph want = reference_barabasi_albert(5000, m, ref_rng);
+    ASSERT_EQ(g.num_edges(), want.num_edges());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const auto row = g.neighbors(v), ref = want.neighbors(v);
+      ASSERT_TRUE(std::equal(row.begin(), row.end(), ref.begin(), ref.end()))
+          << "m " << m << " row " << v;
+    }
+    // Both consumed the same draws.
+    EXPECT_EQ(rng.next_u64(), ref_rng.next_u64()) << "m " << m;
+  }
 }
 
 TEST(Builders, BarabasiAlbertHeavyTail) {

@@ -87,6 +87,102 @@ TEST(Rng, UniformIntUnbiasedRoughly) {
   for (int c : counts) EXPECT_NEAR(c, n / 5.0, n * 0.01);
 }
 
+// The bounded and Poisson draws as written before their precomputed
+// forms existed, counting the raw words they consume: the reference the
+// streams are pinned to.
+struct ReferenceDraws {
+  Rng rng;
+  std::uint64_t words = 0;
+
+  std::uint64_t next() {
+    ++words;
+    return rng.next_u64();
+  }
+  double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
+
+  std::uint64_t uniform_int(std::uint64_t bound) {
+    if (bound == 0) return 0;
+    const std::uint64_t threshold = (~bound + 1) % bound;
+    for (;;) {
+      const std::uint64_t r = next();
+      if (r >= threshold) return r % bound;
+    }
+  }
+
+  std::uint64_t poisson(double lambda) {
+    if (lambda <= 0.0) return 0;
+    if (lambda < 64.0) {
+      const double limit = std::exp(-lambda);
+      std::uint64_t k = 0;
+      double p = 1.0;
+      do {
+        ++k;
+        p *= uniform();
+      } while (p > limit);
+      return k - 1;
+    }
+    words += 2;  // Box-Muller: two uniforms
+    const double x = rng.normal(lambda, std::sqrt(lambda));
+    return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
+  }
+};
+
+/// True when the two generators sit at the same point of one stream,
+/// i.e. consumed the same number of words from the same seed.
+bool same_position(const Rng& a, const Rng& b) {
+  Rng pa = a, pb = b;
+  return pa.next_u64() == pb.next_u64() && pa.next_u64() == pb.next_u64();
+}
+
+TEST(Rng, BoundedDrawsMatchReference) {
+  std::vector<std::uint64_t> bounds = {0,
+                                       1,
+                                       2,
+                                       3,
+                                       1'000'000,
+                                       (1ULL << 32) - 1,
+                                       1ULL << 32,
+                                       (1ULL << 32) + 1,
+                                       (1ULL << 63) + 1,
+                                       ~0ULL};
+  SplitMix64 pick(2024);
+  for (int i = 0; i < 100; ++i) bounds.push_back(pick() >> (pick() % 64));
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    const std::uint64_t n = bounds[i];
+    const UniformBound bound(n);
+    ReferenceDraws ref{Rng(500 + i)};
+    Rng plain(500 + i), cached(500 + i);
+    for (int k = 0; k < 300; ++k) {
+      const std::uint64_t want = ref.uniform_int(n);
+      ASSERT_EQ(plain.uniform_int(n), want) << "bound " << n << " draw " << k;
+      ASSERT_EQ(cached.uniform_int(bound), want) << "bound " << n;
+    }
+    EXPECT_TRUE(same_position(plain, ref.rng)) << "bound " << n;
+    EXPECT_TRUE(same_position(cached, ref.rng)) << "bound " << n;
+    // Above 2^63 about half the raw words are rejected, so this bound
+    // pins the rejection path too.
+    if (n == (1ULL << 63) + 1) {
+      EXPECT_GT(ref.words, 400u);
+    }
+  }
+}
+
+TEST(Rng, PoissonDrawsMatchReference) {
+  for (const double lambda :
+       {-1.0, 0.0, 1e-12, 0.5, 1.0, 3.7, 63.999, 64.0, 200.0}) {
+    const PoissonMean mean(lambda);
+    ReferenceDraws ref{Rng(77)};
+    Rng plain(77), cached(77);
+    for (int k = 0; k < 2000; ++k) {
+      const std::uint64_t want = ref.poisson(lambda);
+      ASSERT_EQ(plain.poisson(lambda), want) << "mean " << lambda;
+      ASSERT_EQ(cached.poisson(mean), want) << "mean " << lambda;
+    }
+    EXPECT_TRUE(same_position(plain, ref.rng)) << "mean " << lambda;
+    EXPECT_TRUE(same_position(cached, ref.rng)) << "mean " << lambda;
+  }
+}
+
 TEST(Rng, BernoulliFrequency) {
   Rng rng(9);
   int hits = 0;
