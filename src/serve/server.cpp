@@ -40,6 +40,10 @@ extern "C" void stop_signal_handler(int) { g_stop.store(true); }
 
 constexpr std::size_t kWorkerBatch = 256;
 constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
+/// Longest a decided line waits in the router while flows keep
+/// arriving: the first flow ingested this long after the last write
+/// has the router write and flush what is ready.
+constexpr std::uint64_t kFlushAgeNs = 200'000;
 constexpr std::size_t kMaxSummarySamples = 5;
 
 /// One decision line as its worker formatted it: the slot type of the
@@ -50,10 +54,11 @@ struct DecisionLine {
 };
 static_assert(kMaxDecisionLineBytes <= 0xff, "size must fit DecisionLine");
 
-/// Bounded exponential backoff for full-queue waits: a few yields,
-/// then sleeps doubling from 1 µs to a 1 ms cap — a stalled peer costs
-/// microseconds of wake-up latency instead of a pegged core, and the
-/// caller gets a periodic hook (each pause) to notice aborts.
+/// Bounded exponential backoff for queue waits (a full queue, or an
+/// idle worker's empty one): a few yields, then sleeps doubling from
+/// 1 µs to a 1 ms cap — a stalled peer costs microseconds of wake-up
+/// latency instead of a pegged core, and the caller gets a periodic
+/// hook (each pause) to notice aborts.
 class Backoff {
  public:
   void pause() noexcept {
@@ -470,14 +475,18 @@ void ServeServer::Impl::worker_loop(std::size_t shard, bool emit) {
   // bit width) and folded into the shared histogram once per batch.
   std::array<std::uint64_t, obs::Histogram::kBuckets> latency_counts{};
   DecisionLine line{};
+  // An idle shard backs off to 1 ms sleeps instead of spinning on its
+  // empty in-queue, so a quiet input costs no cores.
+  Backoff idle;
   while (true) {
     if (abort.load(std::memory_order_relaxed)) return;
     const std::size_t n = in.pop_batch(batch, kWorkerBatch);
     if (n == 0) {
       if (in.closed() && in.empty()) break;
-      std::this_thread::yield();
+      idle.pause();
       continue;
     }
+    idle = Backoff{};
     // One span per popped batch, not per flow: batch granularity keeps
     // the profiler's cost well under the 1.05x gate while still showing
     // where worker time goes.
@@ -702,33 +711,44 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
       throw ServeStallError(im.stall_diag);
     }
   };
-  const auto write_decisions = [&](bool force) {
-    if (outbuf.size() >= kFlushBytes || (force && !outbuf.empty())) {
-      if (fp_active) {
-        if (force) {
-          // The final flush may not fail — absorb any pending injected
-          // errors as retries so no bytes are lost.
-          while (Failpoints::global().consume_sink_error()) {
-            im.sink_retries->add();
-            im.options.obs.emit(robustness_event(obs::EventKind::kSinkRetry,
-                                                 last_time, 0,
-                                                 im.sink_retries->value()));
-          }
-        } else if (Failpoints::global().consume_sink_error()) {
-          // Transient sink failure: keep the bytes buffered and retry
-          // at the next flush point. The emitted stream stays
-          // byte-identical, just later.
+  /// When write_decisions writes: kFull once outbuf holds kFlushBytes,
+  /// kNow whenever it holds anything, kFinal likewise but never failing.
+  enum class Write { kFull, kNow, kFinal };
+  /// The ingest clock at which waiting lines go out whatever their
+  /// size: kFlushAgeNs after the last write.
+  std::uint64_t age_flush_ns = t_start + kFlushAgeNs;
+  /// Hands outbuf to the sink and flushes the stream, so `std::cout`
+  /// and `--out` files see the bytes at once.
+  const auto write_decisions = [&](Write when) {
+    if (outbuf.empty() ||
+        (when == Write::kFull && outbuf.size() < kFlushBytes))
+      return;
+    if (fp_active) {
+      if (when == Write::kFinal) {
+        // The final flush may not fail — absorb any pending injected
+        // errors as retries so no bytes are lost.
+        while (Failpoints::global().consume_sink_error()) {
           im.sink_retries->add();
           im.options.obs.emit(robustness_event(obs::EventKind::kSinkRetry,
                                                last_time, 0,
                                                im.sink_retries->value()));
-          return;
         }
+      } else if (Failpoints::global().consume_sink_error()) {
+        // Transient sink failure: keep the bytes buffered and retry
+        // at the next write. The emitted stream stays byte-identical,
+        // just later.
+        im.sink_retries->add();
+        im.options.obs.emit(robustness_event(obs::EventKind::kSinkRetry,
+                                             last_time, 0,
+                                             im.sink_retries->value()));
+        return;
       }
-      decisions->write(outbuf.data(),
-                       static_cast<std::streamsize>(outbuf.size()));
-      outbuf.clear();
     }
+    decisions->write(outbuf.data(),
+                     static_cast<std::streamsize>(outbuf.size()));
+    decisions->flush();
+    outbuf.clear();
+    age_flush_ns = now_ns() + kFlushAgeNs;
   };
   /// Splices every decision line that is ready, in seq order, into
   /// outbuf — writing each time it reaches kFlushBytes — then frees
@@ -742,13 +762,18 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
       ++pend_head;
       --pend_size;
       outbuf.append(line->bytes, line->size);
-      write_decisions(false);
+      write_decisions(Write::kFull);
     }
     for (std::size_t s = 0; s < shards; ++s) {
       if (taken[s] == 0) continue;
       im.out_queues[s]->consume(taken[s]);
       taken[s] = 0;
     }
+  };
+  /// Writes every line that is ready, whatever the buffer holds.
+  const auto flush_decisions = [&] {
+    merge();
+    write_decisions(Write::kNow);
   };
   std::uint64_t last_parse_errors = 0;
   const auto sync_parse_errors = [&] {
@@ -848,6 +873,14 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
   std::uint64_t shed_episode_base = 0;
   Flow flow;
   while (!stop_requested()) {
+    // Before the router waits on a quiet source, every decision it
+    // holds goes out: the shards finish their flows and the merge
+    // writes all of their lines.
+    if (emit && (pend_size > 0 || !outbuf.empty()) &&
+        source.would_block()) {
+      quiesce_shards();
+      flush_decisions();
+    }
     if (!source.next(flow)) {
       exhausted = true;
       break;
@@ -906,15 +939,19 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
             static_cast<std::uint8_t>(s);
         ++pend_size;
         // Merge only when it can matter: when the pending lines, at
-        // their longest, could complete the next flush (so no line
-        // reaches the sink later than with a merge per flow), or when
-        // they could fill an out-queue and stall its worker.
+        // their longest, could complete the next 64 KiB write (so no
+        // line reaches the sink later than with a merge per flow), or
+        // when they could fill an out-queue and stall its worker.
         if (outbuf.size() + pend_size * kMaxDecisionLineBytes >=
                 kFlushBytes ||
             pend_size >= out_cap)
           merge();
       }
     }
+    // While flows arrive, no ready line waits more than kFlushAgeNs
+    // for the 64 KiB write: this covers sources that wait inside next()
+    // without saying so, such as an open-loop generator.
+    if (emit && flow.ingest_ns >= age_flush_ns) flush_decisions();
     if (opt.metrics_interval_flows > 0 &&
         seq % opt.metrics_interval_flows == 0)
       write_metrics_snapshot();
@@ -945,10 +982,7 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
   // The last decisions go out now, not behind the final checkpoint and
   // report (tens of ms over 2^20 hosts); the summary line follows in a
   // write of its own.
-  if (decisions != nullptr) {
-    write_decisions(true);
-    decisions->flush();
-  }
+  if (emit) write_decisions(Write::kFinal);
   for (auto& w : im.workers) w.join();
   im.watchdog_done.store(true, std::memory_order_release);
   if (im.watchdog.joinable()) im.watchdog.join();
@@ -1012,11 +1046,10 @@ ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
   summary.slo_breached = summary.slo_breaches > 0;
   registry_->gauge("serve.flows_per_sec").set(summary.flows_per_sec);
 
-  if (decisions != nullptr) {
+  if (emit) {
     outbuf += summary.to_json().dump();
     outbuf += '\n';
-    write_decisions(true);
-    decisions->flush();
+    write_decisions(Write::kFinal);
   }
   // Final health sample + prom render so the last snapshot/file reflect
   // the drained pipeline (zero queues, final counters).

@@ -193,7 +193,10 @@ class ServeServer {
   /// snapshot lines to `metrics`, and returns the summary. Either
   /// stream may be null; with no decision stream the workers skip the
   /// decision queues entirely (the summary and metrics still cover
-  /// every flow). One run() per server.
+  /// every flow). Decision lines go out in flushed writes of at most
+  /// ~64 KiB: within ~200 µs of the last write while flows arrive, and
+  /// all of them before the router calls next() on a source whose
+  /// would_block() is true. One run() per server.
   ServeSummary run(FlowSource& source, std::ostream* decisions,
                    std::ostream* metrics);
 

@@ -40,6 +40,10 @@ bool NdjsonFlowSource::next(Flow& out) {
   return false;
 }
 
+bool NdjsonFlowSource::would_block() const {
+  return in_.rdbuf() != nullptr && in_.rdbuf()->in_avail() == 0;
+}
+
 TraceFlowSource::TraceFlowSource(const trace::Trace& trace, double speed)
     : trace_(trace), speed_(speed) {
   if (!trace_.finalized())
@@ -50,6 +54,16 @@ TraceFlowSource::TraceFlowSource(const trace::Trace& trace, double speed)
 
 double TraceFlowSource::end_time_hint() const noexcept {
   return next_event_ >= trace_.events().size() ? trace_.duration() : -1.0;
+}
+
+bool TraceFlowSource::would_block() const {
+  // Unpaced, or the first contact (which starts the clock) not yet read.
+  if (speed_ <= 0.0 || start_ns_ == 0) return false;
+  const auto& events = trace_.events();
+  for (std::size_t i = next_event_; i < events.size(); ++i)
+    if (events[i].type == trace::EventType::kOutboundContact)
+      return due_ns(events[i].time) > now_ns();
+  return false;
 }
 
 bool TraceFlowSource::next(Flow& out) {
@@ -64,11 +78,10 @@ bool TraceFlowSource::next(Flow& out) {
     if (e.type != trace::EventType::kOutboundContact) continue;
     if (speed_ > 0.0) {
       if (start_ns_ == 0) start_ns_ = now_ns();
-      const auto due_ns =
-          start_ns_ + static_cast<std::uint64_t>(e.time / speed_ * 1e9);
+      const std::uint64_t due = due_ns(e.time);
       const std::uint64_t now = now_ns();
-      if (due_ns > now)
-        std::this_thread::sleep_for(std::chrono::nanoseconds(due_ns - now));
+      if (due > now)
+        std::this_thread::sleep_for(std::chrono::nanoseconds(due - now));
     }
     out = Flow{};
     out.time = e.time;

@@ -52,6 +52,12 @@ class FlowSource {
   /// outbound contact). Negative when unknown; the server then uses
   /// the last ingested flow time.
   virtual double end_time_hint() const noexcept { return -1.0; }
+
+  /// True when next() would wait for input that has not arrived yet (a
+  /// quiet pipe, a paced replay ahead of its clock). The router then
+  /// writes every decision it holds before it calls next(). Sources
+  /// that never wait, or cannot tell, return false.
+  virtual bool would_block() const { return false; }
 };
 
 class NdjsonFlowSource : public FlowSource {
@@ -66,6 +72,9 @@ class NdjsonFlowSource : public FlowSource {
   static constexpr std::size_t kMaxSampleLength = 120;
 
   bool next(Flow& out) override;
+  /// Nothing buffered and nothing readable on the stream's fd. A
+  /// stdio-synced `std::cin` always says so; `dqctl` unsyncs it.
+  bool would_block() const override;
   std::uint64_t parse_errors() const noexcept override {
     return parse_errors_;
   }
@@ -91,8 +100,15 @@ class TraceFlowSource : public FlowSource {
 
   bool next(Flow& out) override;
   double end_time_hint() const noexcept override;
+  /// Paced, and the next outbound contact is not yet due.
+  bool would_block() const override;
 
  private:
+  /// Wall clock at which a paced event at trace time `time` is due.
+  std::uint64_t due_ns(double time) const noexcept {
+    return start_ns_ + static_cast<std::uint64_t>(time / speed_ * 1e9);
+  }
+
   const trace::Trace& trace_;
   trace::FirstContactOracle oracle_;
   std::size_t next_event_ = 0;

@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "serve/test_pipe.hpp"
 #include "trace/department.hpp"
 #include "trace/quarantine_replay.hpp"
 
@@ -83,23 +91,21 @@ class WriteLog final : public std::streambuf {
   }
 };
 
-/// The server's write rule: decisions go out in writes that each end
-/// at the first line boundary at or past 64 KiB, then the remainder,
-/// then the summary line in a write of its own.
+/// The server's write rule: every decision write ends at a line
+/// boundary and runs no further than the first one at or past 64 KiB.
+/// Shorter writes come from the age bound and from the flush before the
+/// router waits on its source, so their sizes depend on wall time. The
+/// summary line follows in a write of its own.
 void expect_flush_boundaries(const std::vector<std::string>& writes) {
   constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
   ASSERT_GE(writes.size(), 2u);
-  for (std::size_t i = 0; i + 2 < writes.size(); ++i) {
+  for (std::size_t i = 0; i + 1 < writes.size(); ++i) {
     const std::string& w = writes[i];
-    ASSERT_GE(w.size(), kFlushBytes) << "write " << i;
     ASSERT_EQ(w.back(), '\n') << "write " << i;
     const std::size_t last_line = w.rfind('\n', w.size() - 2) + 1;
     EXPECT_LT(last_line, kFlushBytes) << "write " << i << " flushed late";
+    EXPECT_EQ(w.find("\"summary\""), std::string::npos) << "write " << i;
   }
-  const std::string& rest = writes[writes.size() - 2];
-  EXPECT_LT(rest.size(), kFlushBytes);
-  EXPECT_EQ(rest.back(), '\n');
-  EXPECT_EQ(rest.find("\"summary\""), std::string::npos);
   const std::string& summary = writes.back();
   EXPECT_EQ(summary.rfind("{\"summary\":", 0), 0u);
   EXPECT_EQ(summary.find('\n'), summary.size() - 1);
@@ -139,7 +145,7 @@ TEST(ServeServer, DecisionStreamByteIdenticalAcrossShardCounts) {
   const trace::Trace t = small_department_trace();
   std::vector<std::string> streams;
   // Small queues make the merge run on its capacity rule rather than
-  // its flush rule; neither may move a byte or a write boundary.
+  // its 64 KiB rule; neither may move a byte or break the write rule.
   for (const std::size_t capacity : {ServeOptions{}.queue_capacity,
                                      std::size_t{16}, std::size_t{64}}) {
     for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
@@ -298,11 +304,179 @@ TEST(ServeServer, DecisionsReachTheSinkBeforeTheSummaryLine) {
   std::ostream decisions(&sink);
   server.run(source, &decisions, nullptr);
 
-  ASSERT_EQ(sink.writes.size(), 2u);
-  std::size_t lines = 0;
-  for (const char c : sink.writes[0]) lines += c == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, synth.flows);
   expect_flush_boundaries(sink.writes);
+  std::size_t lines = 0;
+  for (std::size_t i = 0; i + 1 < sink.writes.size(); ++i)
+    for (const char c : sink.writes[i]) lines += c == '\n' ? 1 : 0;
+  EXPECT_EQ(lines, synth.flows);
+}
+
+/// Thread-safe sink that counts the lines it receives, so another
+/// thread can wait for a decision.
+class LineSink final : public std::streambuf {
+ public:
+  std::size_t lines() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return lines_;
+  }
+  /// Waits until `n` lines have arrived; false when `timeout` passes
+  /// first.
+  bool wait_for_lines(std::size_t n, std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return arrived_.wait_for(lock, timeout, [&] { return lines_ >= n; });
+  }
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      lines_ += static_cast<std::size_t>(std::count(s, s + n, '\n'));
+    }
+    arrived_.notify_all();
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      const char ch = traits_type::to_char_type(c);
+      xsputn(&ch, 1);
+    }
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable arrived_;
+  std::size_t lines_ = 0;
+};
+
+std::uint64_t flows_decided(const ServeServer& server) {
+  return server.metrics()
+      .snapshot(false)
+      .at("counters")
+      .at("serve.flows_decided")
+      .as_uint();
+}
+
+/// Sleeps 2 ms before every flow without saying so (would_block() stays
+/// false), as an open-loop generator waits inside next(). Before it
+/// hands out flow k+1 it also waits until flow k is decided, so the test
+/// checks the router's write rule and not the shards' scheduling.
+class SleepySource final : public FlowSource {
+ public:
+  SleepySource(const SyntheticConfig& config, const ServeServer& server,
+               const LineSink& sink)
+      : inner_(config), server_(server), sink_(sink) {}
+
+  /// Flows asked for before the sink held every line but the last two.
+  std::vector<std::uint64_t> late;
+
+  bool next(Flow& out) override {
+    if (sink_.lines() + 1 < returned_) late.push_back(returned_ + 1);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (flows_decided(server_) < returned_ &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (!inner_.next(out)) return false;
+    ++returned_;
+    return true;
+  }
+
+ private:
+  SyntheticFlowSource inner_;
+  const ServeServer& server_;
+  const LineSink& sink_;
+  std::uint64_t returned_ = 0;
+};
+
+ServeOptions small_options(std::uint32_t hosts) {
+  ServeOptions options;
+  options.shards = 2;
+  options.num_hosts = hosts;
+  options.quarantine = replay_config();
+  return options;
+}
+
+TEST(ServeServer, AgeBoundWritesWhileTheSourceWaitsInsideNext) {
+  // 30 lines are ~3 KiB, far below one 64 KiB write: only the age bound
+  // gets them out before the stream ends. When the source is asked for
+  // flow k+2, line k must already be in the sink.
+  SyntheticConfig synth;
+  synth.flows = 30;
+  synth.hosts = 64;
+  ServeServer server(small_options(synth.hosts));
+  LineSink sink;
+  std::ostream decisions(&sink);
+  SleepySource source(synth, server, sink);
+  server.run(source, &decisions, nullptr);
+
+  EXPECT_TRUE(source.late.empty())
+      << source.late.size() << " flows asked for early, the first is flow "
+      << source.late.front();
+  EXPECT_EQ(sink.lines(), synth.flows + 1);
+}
+
+TEST(ServeServer, EachDecisionReachesTheSinkBeforeTheRouterWaitsOnAPipe) {
+  // A producer writes one flow, waits for its decision, then writes the
+  // next: the router must write each decision before it blocks reading
+  // the quiet pipe.
+  constexpr std::size_t kLines = 20;
+  TestPipe pipe;
+  NdjsonFlowSource source(pipe.in(), 64);
+  ServeServer server(small_options(64));
+  LineSink sink;
+  std::ostream decisions(&sink);
+  std::size_t answered = 0;
+  std::thread producer([&] {
+    for (std::size_t i = 0; i < kLines; ++i) {
+      pipe.write("{\"t\":" + std::to_string(i) + ",\"host\":" +
+                 std::to_string(i % 64) + ",\"dest\":9}\n");
+      if (!sink.wait_for_lines(i + 1, std::chrono::seconds(10))) break;
+      ++answered;
+    }
+    pipe.close_writer();
+  });
+  const ServeSummary summary = server.run(source, &decisions, nullptr);
+  producer.join();
+
+  EXPECT_EQ(answered, kLines);
+  EXPECT_EQ(summary.flows_decided, kLines);
+  EXPECT_EQ(sink.lines(), kLines + 1);
+}
+
+double process_cpu_seconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(ServeServer, IdleShardsSleepWhileTheInputIsQuiet) {
+  // The router blocks on an empty pipe; the two workers must back off
+  // to sleeps rather than spin on their empty in-queues.
+  TestPipe pipe;
+  NdjsonFlowSource source(pipe.in(), 64);
+  ServeServer server(small_options(64));
+  std::ostringstream decisions;
+  std::thread router([&] { server.run(source, &decisions, nullptr); });
+  // Let the workers get past their yields to the longest sleep.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const double cpu_start = process_cpu_seconds();
+  const auto wall_start = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu = process_cpu_seconds() - cpu_start;
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_start)
+                          .count();
+  pipe.close_writer();
+  router.join();
+
+  EXPECT_LT(cpu / wall, 0.3) << cpu << " s of CPU in " << wall << " s";
+  EXPECT_EQ(decisions.str().rfind("{\"summary\":", 0), 0u);
 }
 
 TEST(ServeServer, GarbageInputCountedInSummaryAndMetric) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "serve/test_pipe.hpp"
 #include "trace/department.hpp"
 
 namespace dq::serve {
@@ -73,6 +76,27 @@ TEST(NdjsonFlowSource, BlankAndCrlfLinesAreTolerated) {
   EXPECT_EQ(source.parse_errors(), 0u);
 }
 
+TEST(NdjsonFlowSource, WouldBlockOnlyWhenNothingIsReadable) {
+  std::istringstream text(
+      "{\"t\":1,\"host\":0,\"dest\":5}\n"
+      "{\"t\":2,\"host\":1,\"dest\":5}\n");
+  NdjsonFlowSource from_string(text, 4);
+  Flow f;
+  EXPECT_FALSE(from_string.would_block());
+  ASSERT_TRUE(from_string.next(f));
+  EXPECT_FALSE(from_string.would_block());  // one line remains
+
+  TestPipe pipe;
+  NdjsonFlowSource from_pipe(pipe.in(), 4);
+  EXPECT_TRUE(from_pipe.would_block());  // empty, the writer still open
+  pipe.write("{\"t\":1,\"host\":0,\"dest\":5}\n");
+  EXPECT_FALSE(from_pipe.would_block());
+  ASSERT_TRUE(from_pipe.next(f));
+  EXPECT_TRUE(from_pipe.would_block());  // read dry again
+  pipe.close_writer();
+  EXPECT_FALSE(from_pipe.next(f));
+}
+
 TEST(TraceFlowSource, FailureBitsMatchFirstContactOracle) {
   // Host 0: dns answer then outbound to the resolved ip (not failed),
   // outbound to a cold ip (failed), inbound then reply (not failed).
@@ -123,6 +147,50 @@ TEST(TraceFlowSource, PacingDoesNotChangeContent) {
     EXPECT_EQ(a[i].dest, b[i].dest);
     EXPECT_EQ(a[i].failed, b[i].failed);
   }
+}
+
+TEST(TraceFlowSource, WouldBlockOnlyWhilePacedAheadOfTheClock) {
+  // A DNS answer sits between two contacts: pacing looks past it to
+  // the next flow.
+  trace::Trace t;
+  t.add({0.0, trace::EventType::kOutboundContact, 0, 100, 0.0});
+  t.add({0.5, trace::EventType::kDnsAnswer, 0, 200, 60.0});
+  t.add({3600.0, trace::EventType::kOutboundContact, 0, 200, 0.0});
+  t.finalize();
+  t.set_host_categories({trace::HostCategory::kNormalClient});
+  Flow f;
+
+  TraceFlowSource unpaced(t);
+  EXPECT_FALSE(unpaced.would_block());
+  ASSERT_TRUE(unpaced.next(f));
+  EXPECT_FALSE(unpaced.would_block());
+
+  // At 1000x the DNS answer is due after 0.5 ms, the contact after
+  // 3.6 s.
+  TraceFlowSource paced(t, 1000.0);
+  EXPECT_FALSE(paced.would_block());  // the first contact starts the clock
+  ASSERT_TRUE(paced.next(f));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(paced.would_block());
+
+  // At 10^6x the second contact is due 3.6 ms after the first.
+  TraceFlowSource due(t, 1e6);
+  ASSERT_TRUE(due.next(f));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(due.would_block());
+  ASSERT_TRUE(due.next(f));
+  EXPECT_FALSE(due.would_block());  // exhausted: next() returns at once
+  EXPECT_FALSE(due.next(f));
+}
+
+TEST(SyntheticFlowSource, NeverWouldBlock) {
+  SyntheticConfig config;
+  config.flows = 2;
+  SyntheticFlowSource source(config);
+  Flow f;
+  EXPECT_FALSE(source.would_block());
+  ASSERT_TRUE(source.next(f));
+  EXPECT_FALSE(source.would_block());
 }
 
 TEST(SyntheticFlowSource, DeterministicAndSeedSensitive) {

@@ -1135,6 +1135,11 @@ int cmd_campaign(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Nothing here writes through C stdio, so the standard streams need
+  // not stay synced with it. A synced std::cin reads one getc per byte
+  // (`serve`'s default input) and reports no buffered input, which
+  // would make the server flush after every flow.
+  std::ios::sync_with_stdio(false);
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const Args args(argc, argv, 2);
