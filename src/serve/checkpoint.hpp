@@ -13,8 +13,9 @@
 // before gathering, checkpoint bytes are identical at any shard count,
 // and a restore may change the shard count freely.
 //
-// Writes are atomic (PATH.tmp + rename) so a crash mid-write leaves
-// either the previous checkpoint or none — never a torn file; loading
+// Writes go through dq::replace_file (fsync the file, rename it over
+// PATH, fsync the directory), so a crash, even of the OS, leaves the
+// previous checkpoint or the new one — never a torn file. Loading
 // anything malformed raises CheckpointError, which `dqctl serve
 // --restore` turns into a stderr diagnostic and exit 1, never a crash
 // or a silent fresh start.

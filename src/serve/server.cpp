@@ -26,13 +26,6 @@ namespace dq::serve {
 
 namespace {
 
-std::uint64_t now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 std::atomic<bool> g_stop{false};
 std::atomic<bool> g_handlers_installed{false};
 
@@ -45,6 +38,11 @@ constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
 /// has the router write and flush what is ready.
 constexpr std::uint64_t kFlushAgeNs = 200'000;
 constexpr std::size_t kMaxSummarySamples = 5;
+
+/// What write_decisions writes: kFull, merge()'s own call, writes once
+/// outbuf holds kFlushBytes; kNow merges first and writes whatever is
+/// ready; kFinal likewise but never fails.
+enum class Write { kFull, kNow, kFinal };
 
 /// One decision line as its worker formatted it: the slot type of the
 /// out-queues, so the merge only splices bytes.
@@ -79,10 +77,10 @@ class Backoff {
 };
 
 /// Sleeps `micros` in <=1 ms slices so an injected slow shard still
-/// reacts to an abort within about a millisecond.
+/// reacts to a stop within about a millisecond.
 void interruptible_sleep_us(std::uint64_t micros,
-                            const std::atomic<bool>& abort) {
-  while (micros > 0 && !abort.load(std::memory_order_relaxed)) {
+                            const std::atomic<bool>& stop) {
+  while (micros > 0 && !stop.load(std::memory_order_relaxed)) {
     const std::uint64_t slice = std::min<std::uint64_t>(micros, 1000);
     std::this_thread::sleep_for(std::chrono::microseconds(slice));
     micros -= slice;
@@ -152,6 +150,8 @@ campaign::JsonValue ServeSummary::to_json() const {
 }
 
 struct ServeServer::Impl {
+  Impl(const ServeOptions& opts, obs::MetricsRegistry& metrics_registry);
+
   ServeOptions options;
   bool ran = false;
 
@@ -188,10 +188,9 @@ struct ServeServer::Impl {
   };
   std::unique_ptr<ShardProgress[]> progress;
 
-  std::atomic<double> end_time{0.0};
-
-  /// Emergency teardown: workers drop everything and exit promptly.
-  std::atomic<bool> abort{false};
+  /// Tells every thread run() started to exit at once: a worker drops
+  /// what it holds, which after a drain's quiesce is nothing.
+  std::atomic<bool> stop{false};
   /// Set by the watchdog after writing stall_diag.
   std::atomic<bool> stalled{false};
   std::string stall_diag;
@@ -199,11 +198,9 @@ struct ServeServer::Impl {
   /// the router emits the kStall trace event — the ring is
   /// single-writer, so the watchdog thread must never push.
   std::atomic<std::uint32_t> stall_shard{0};
-  std::atomic<bool> watchdog_done{false};
   std::thread watchdog;
 
   // Health sampler (wall-clock cadence) + Prometheus exposition.
-  std::atomic<bool> sampler_done{false};
   std::thread sampler;
   /// Serializes writes to the metrics ostream (router flow-count
   /// snapshots vs sampler wall-clock snapshots).
@@ -221,14 +218,6 @@ struct ServeServer::Impl {
 
   std::uint64_t slo_ns = 0;  ///< 0 disables breach counting
 
-  // Accounting carried in from a restored checkpoint.
-  std::uint64_t base_flows = 0;
-  double base_last_time = 0.0;
-  std::uint64_t base_time_regressions = 0;
-  std::uint64_t base_parse_errors = 0;
-  std::uint64_t base_shed = 0;
-  std::vector<std::string> base_samples;
-
   obs::MetricsRegistry* registry = nullptr;
   obs::Counter* flows_ingested = nullptr;
   obs::Counter* flows_decided = nullptr;
@@ -241,16 +230,108 @@ struct ServeServer::Impl {
   obs::Counter* slo_breaches = nullptr;
   obs::Histogram* latency = nullptr;
 
-  void worker_loop(std::size_t shard, bool emit);
+  // The run's streams, set before any thread starts.
+  FlowSource* source = nullptr;
+  std::ostream* decisions = nullptr;  ///< null: the workers skip the lines
+  std::ostream* metrics_out = nullptr;
+
+  // Ingest: the router clock and sequence, continuing a restored
+  // checkpoint's. From here on the router writes per flow, so this
+  // starts a cache line that no worker reads.
+  alignas(kCacheLine) double last_time = 0.0;  ///< max of flow times
+  std::uint64_t seq = 0;   ///< flows ingested
+  std::uint64_t t_start = 0;
+
+  // Scatter: the shed episode in progress.
+  bool shedding = false;
+  std::uint64_t shed_episode_base = 0;
+
+  // Merge and write. `pending` is a ring of the shard that got each
+  // outstanding seq; `taken` counts the lines each out-queue has
+  // handed to the merge in progress.
+  std::vector<std::uint8_t> pending;
+  std::size_t pend_head = 0, pend_size = 0;
+  std::vector<std::size_t> taken;
+  std::string outbuf;
+  /// The ingest clock at which waiting lines go out whatever their
+  /// size: kFlushAgeNs after the last write.
+  std::uint64_t age_flush_ns = 0;
+
+  void worker_loop(std::size_t shard);
   void watchdog_loop();
-  void sampler_loop(std::ostream* metrics);
+  void sampler_loop();
   void sample_health();
   std::string render_prom();
+  /// Writes one full metrics snapshot line. The router's flow-count lines
+  /// and the sampler's wall-clock lines share the stream; each line is a
+  /// complete snapshot, so readers need no ordering between the two
+  /// cadences, and the lock keeps each line whole.
+  void write_metrics_line() {
+    std::string line = registry->snapshot(false).dump();
+    line += '\n';
+    const std::lock_guard<std::mutex> lock(metrics_mu);
+    metrics_out->write(line.data(), static_cast<std::streamsize>(line.size()));
+    metrics_out->flush();
+  }
+  /// Stops the threads run() started and waits for them. Idempotent.
+  void stop_threads() {
+    stop.store(true, std::memory_order_release);
+    for (auto& w : workers)
+      if (w.joinable()) w.join();
+    if (watchdog.joinable()) watchdog.join();
+    if (sampler.joinable()) sampler.join();
+  }
+
+  // Router stages, in the order a flow meets them: ingest, scatter,
+  // merge and write, checkpoint, then drain and report.
+  bool ingest(Flow& flow);
+  void scatter(const Flow& flow);
+  void end_shed_episode(double time) {
+    if (!shedding) return;
+    shedding = false;
+    options.obs.emit(robustness_event(obs::EventKind::kShedEnd, time, 0,
+                                      shed_flows->value() -
+                                          shed_episode_base));
+  }
+  void throw_if_stalled() {
+    if (!stalled.load(std::memory_order_acquire)) return;
+    // The stall event rides the ring from here (router thread), not from
+    // the watchdog: TraceRing is single-writer.
+    options.obs.emit(robustness_event(
+        obs::EventKind::kStall, last_time,
+        stall_shard.load(std::memory_order_relaxed)));
+    throw ServeStallError(stall_diag);
+  }
+  void merge();
+  void write_decisions(Write when);
+  std::vector<std::string> sync_parse_errors();
+  void write_metrics_snapshot() {
+    if (metrics_out == nullptr) return;
+    const obs::Span span(router_spans, "metrics_snapshot");
+    sync_parse_errors();
+    write_metrics_line();
+  }
+  void quiesce_shards();
+  void write_checkpoint(double at_time);
+  /// Fills `records` with every host's record in global host order — the
+  /// float accumulation order of a single engine — and returns the
+  /// engines' total quarantine events. The engines must be quiescent.
+  std::uint64_t gather_records(
+      std::vector<quarantine::HostRecord>& records) const {
+    records.resize(options.num_hosts);
+    for (std::uint32_t h = 0; h < options.num_hosts; ++h)
+      records[h] = engines[owner[h]]->record(local_id[h]);
+    std::uint64_t events = 0;
+    for (const auto& engine : engines)
+      if (engine != nullptr) events += engine->quarantine_events();
+    return events;
+  }
+  ServeSummary drain(bool exhausted);
 };
 
-ServeServer::ServeServer(const ServeOptions& options)
-    : impl_(std::make_unique<Impl>()),
-      registry_(std::make_unique<obs::MetricsRegistry>()) {
+ServeServer::Impl::Impl(const ServeOptions& opts,
+                        obs::MetricsRegistry& metrics_registry)
+    : options(opts), registry(&metrics_registry) {
   if (options.shards == 0 || options.shards > 256)
     throw std::invalid_argument("ServeServer: shards must be in [1, 256]");
   if (options.num_hosts == 0)
@@ -263,30 +344,26 @@ ServeServer::ServeServer(const ServeOptions& options)
         "ServeServer: checkpoint interval needs a checkpoint path");
   options.quarantine.validate();
 
-  impl_->options = options;
-  impl_->registry = registry_.get();
-  impl_->flows_ingested = &registry_->counter("serve.flows_ingested");
-  impl_->flows_decided = &registry_->counter("serve.flows_decided");
-  impl_->parse_errors = &registry_->counter("serve.parse_errors");
-  impl_->time_regressions = &registry_->counter("serve.time_regressions");
+  flows_ingested = &registry->counter("serve.flows_ingested");
+  flows_decided = &registry->counter("serve.flows_decided");
+  parse_errors = &registry->counter("serve.parse_errors");
+  time_regressions = &registry->counter("serve.time_regressions");
   // Overload/stall accounting depends on machine timing, never on the
   // flow stream — wall-clock class keeps deterministic snapshots
   // byte-stable.
-  impl_->shed_flows = &registry_->counter("serve.shed_flows",
-                                          obs::Determinism::kWallClock);
-  impl_->router_stalls = &registry_->counter("serve.router_stalls",
-                                             obs::Determinism::kWallClock);
-  impl_->worker_stalls = &registry_->counter("serve.worker_stalls",
-                                             obs::Determinism::kWallClock);
-  impl_->sink_retries = &registry_->counter("serve.sink_retries",
-                                            obs::Determinism::kWallClock);
-  impl_->slo_breaches = &registry_->counter("serve.slo_breaches",
-                                            obs::Determinism::kWallClock);
-  impl_->latency = &registry_->histogram("serve.decision_latency_ns",
-                                         obs::Determinism::kWallClock);
+  const auto wall_clock = [this](const char* name) {
+    return &registry->counter(name, obs::Determinism::kWallClock);
+  };
+  shed_flows = wall_clock("serve.shed_flows");
+  router_stalls = wall_clock("serve.router_stalls");
+  worker_stalls = wall_clock("serve.worker_stalls");
+  sink_retries = wall_clock("serve.sink_retries");
+  slo_breaches = wall_clock("serve.slo_breaches");
+  latency = &registry->histogram("serve.decision_latency_ns",
+                                 obs::Determinism::kWallClock);
   if (options.slo_ms < 0.0)
     throw std::invalid_argument("ServeServer: slo_ms must be >= 0");
-  impl_->slo_ns = static_cast<std::uint64_t>(options.slo_ms * 1e6);
+  slo_ns = static_cast<std::uint64_t>(options.slo_ms * 1e6);
 
   // Hash-partition hosts across shards; shard-local ids are assigned in
   // ascending global host order, so gathering records back in global
@@ -300,74 +377,72 @@ ServeServer::ServeServer(const ServeOptions& options)
   const bool compact = options.quarantine.estimator_backend ==
                        quarantine::EstimatorBackend::kSharedBitmap;
   const std::uint32_t block_hosts = options.quarantine.compact.block_hosts;
-  impl_->owner.resize(options.num_hosts);
-  impl_->local_id.resize(options.num_hosts);
-  impl_->owned_count.assign(shards, 0);
+  owner.resize(options.num_hosts);
+  local_id.resize(options.num_hosts);
+  owned_count.assign(shards, 0);
   for (std::uint32_t h = 0; h < options.num_hosts; ++h) {
     const std::uint64_t key = compact ? h / block_hosts : h;
     const auto s = static_cast<std::size_t>(mix64(key + 1) % shards);
-    impl_->owner[h] = static_cast<std::uint8_t>(s);
-    impl_->local_id[h] = impl_->owned_count[s]++;
+    owner[h] = static_cast<std::uint8_t>(s);
+    local_id[h] = owned_count[s]++;
   }
   if (compact) {
     const std::size_t num_blocks =
         (options.num_hosts + block_hosts - 1) / block_hosts;
-    impl_->block_owner.resize(num_blocks);
-    impl_->block_local.resize(num_blocks);
+    block_owner.resize(num_blocks);
+    block_local.resize(num_blocks);
     std::vector<std::uint32_t> blocks_owned(shards, 0);
     for (std::size_t b = 0; b < num_blocks; ++b) {
       const std::uint8_t s =
-          impl_->owner[static_cast<std::uint32_t>(b) * block_hosts];
-      impl_->block_owner[b] = s;
-      impl_->block_local[b] = blocks_owned[s]++;
+          owner[static_cast<std::uint32_t>(b) * block_hosts];
+      block_owner[b] = s;
+      block_local[b] = blocks_owned[s]++;
     }
   }
-  impl_->label_time.assign(options.num_hosts, -1.0);
-  impl_->progress = std::make_unique<Impl::ShardProgress[]>(shards);
+  label_time.assign(options.num_hosts, -1.0);
+  progress = std::make_unique<ShardProgress[]>(shards);
 
   // Per-shard health gauges are registered only when something will
   // sample them (the ms-cadence sampler, the prom file, or the HTTP
   // listener) — registering unconditionally would change full-snapshot
   // bytes for every existing run. All kWallClock: they reflect machine
   // timing, never the flow stream.
-  impl_->health_enabled = options.metrics_interval_ms > 0 ||
-                          !options.prom_path.empty() ||
-                          !options.metrics_addr.empty();
-  if (impl_->health_enabled) {
+  health_enabled = options.metrics_interval_ms > 0 ||
+                   !options.prom_path.empty() || !options.metrics_addr.empty();
+  if (health_enabled) {
     for (std::size_t s = 0; s < shards; ++s) {
       const std::vector<std::pair<std::string, std::string>> labels{
           {"shard", std::to_string(s)}};
-      impl_->queue_depth_g.push_back(
-          &registry_->gauge(obs::labeled("serve.shard_queue_depth", labels)));
-      impl_->backlog_g.push_back(
-          &registry_->gauge(obs::labeled("serve.shard_backlog", labels)));
-      impl_->decided_g.push_back(
-          &registry_->gauge(obs::labeled("serve.shard_decided", labels)));
+      queue_depth_g.push_back(
+          &registry->gauge(obs::labeled("serve.shard_queue_depth", labels)));
+      backlog_g.push_back(
+          &registry->gauge(obs::labeled("serve.shard_backlog", labels)));
+      decided_g.push_back(
+          &registry->gauge(obs::labeled("serve.shard_decided", labels)));
     }
-    impl_->rss_g = &registry_->gauge("serve.rss_bytes");
+    rss_g = &registry->gauge("serve.rss_bytes");
   }
+  worker_spans.assign(shards, nullptr);
   if (options.profiler != nullptr) {
-    impl_->router_spans = options.profiler->track("serve/router");
+    router_spans = options.profiler->track("serve/router");
     for (std::size_t s = 0; s < shards; ++s)
-      impl_->worker_spans.push_back(
-          options.profiler->track("serve/shard" + std::to_string(s)));
-  } else {
-    impl_->worker_spans.assign(shards, nullptr);
+      worker_spans[s] =
+          options.profiler->track("serve/shard" + std::to_string(s));
   }
 
   obs::Sink engine_sink;
-  engine_sink.metrics = registry_.get();
+  engine_sink.metrics = registry;
   for (std::size_t s = 0; s < shards; ++s) {
-    impl_->in_queues.push_back(
+    in_queues.push_back(
         std::make_unique<SpscQueue<Flow>>(options.queue_capacity));
-    impl_->out_queues.push_back(
+    out_queues.push_back(
         std::make_unique<SpscQueue<DecisionLine>>(options.queue_capacity));
-    if (impl_->owned_count[s] > 0) {
-      impl_->engines.push_back(std::make_unique<quarantine::QuarantineEngine>(
-          impl_->owned_count[s], options.quarantine));
-      impl_->engines.back()->set_obs(engine_sink);
+    if (owned_count[s] > 0) {
+      engines.push_back(std::make_unique<quarantine::QuarantineEngine>(
+          owned_count[s], options.quarantine));
+      engines.back()->set_obs(engine_sink);
     } else {
-      impl_->engines.push_back(nullptr);
+      engines.push_back(nullptr);
     }
   }
 
@@ -383,7 +458,7 @@ ServeServer::ServeServer(const ServeOptions& options)
       throw std::invalid_argument(
           "ServeServer: restore quarantine config mismatch — resuming "
           "under different thresholds would silently diverge");
-    impl_->label_time = ck.label_time;
+    label_time = ck.label_time;
     // Block pools first: compact host windows restore relative to
     // their block's window.
     if (compact) {
@@ -392,10 +467,9 @@ ServeServer::ServeServer(const ServeOptions& options)
             "ServeServer: restore checkpoint has no estimator block "
             "pools but the configured backend is shared_bitmap");
       const quarantine::StoreArrays& store = *ck.store;
-      const std::size_t num_blocks = impl_->block_owner.size();
-      const std::size_t wpb = impl_->engines[impl_->block_owner[0]]
-                                  ->compact_store()
-                                  ->words_per_block();
+      const std::size_t num_blocks = block_owner.size();
+      const std::size_t wpb =
+          engines[block_owner[0]]->compact_store()->words_per_block();
       const auto reject = [](const std::string& what) {
         throw std::invalid_argument(
             "ServeServer: restore estimator store: " + what);
@@ -407,9 +481,8 @@ ServeServer::ServeServer(const ServeOptions& options)
         reject("window/pool length mismatch");
       for (std::size_t b = 0; b < num_blocks; ++b) {
         try {
-          quarantine::scatter_block(
-              *impl_->engines[impl_->block_owner[b]]->compact_store(),
-              impl_->block_local[b], store, b);
+          quarantine::scatter_block(*engines[block_owner[b]]->compact_store(),
+                                    block_local[b], store, b);
         } catch (const std::invalid_argument& e) {
           reject(e.what());
         }
@@ -420,37 +493,35 @@ ServeServer::ServeServer(const ServeOptions& options)
           "pools but the configured backend is exact");
     }
     for (std::uint32_t h = 0; h < options.num_hosts; ++h)
-      impl_->engines[impl_->owner[h]]->restore_host(
-          impl_->local_id[h], ck.hosts.records[h], ck.hosts.detectors[h]);
-    for (auto& engine : impl_->engines)
+      engines[owner[h]]->restore_host(
+          local_id[h], ck.hosts.records[h], ck.hosts.detectors[h]);
+    for (auto& engine : engines)
       if (engine != nullptr) {
         engine->add_quarantine_events(ck.quarantine_events);
         break;
       }
-    impl_->base_flows = ck.flows_ingested;
-    impl_->base_last_time = ck.last_time;
-    impl_->base_time_regressions = ck.time_regressions;
-    impl_->base_parse_errors = ck.parse_errors;
-    impl_->base_shed = ck.shed_flows;
-    impl_->base_samples = ck.parse_error_samples;
-    // Seed the counters so live metrics continue from the checkpoint.
-    impl_->flows_ingested->add(ck.flows_ingested);
-    impl_->flows_decided->add(ck.flows_ingested - ck.shed_flows);
-    impl_->parse_errors->add(ck.parse_errors);
-    impl_->time_regressions->add(ck.time_regressions);
-    impl_->shed_flows->add(ck.shed_flows);
-    impl_->options.obs.emit(robustness_event(obs::EventKind::kCheckpointRestore,
-                                             ck.last_time, 0,
-                                             ck.flows_ingested));
+    // Continue the checkpoint's clock, sequence and counts.
+    last_time = ck.last_time;
+    seq = ck.flows_ingested;
+    flows_ingested->add(ck.flows_ingested);
+    flows_decided->add(ck.flows_ingested - ck.shed_flows);
+    parse_errors->add(ck.parse_errors);
+    time_regressions->add(ck.time_regressions);
+    shed_flows->add(ck.shed_flows);
+    options.obs.emit(robustness_event(obs::EventKind::kCheckpointRestore,
+                                      ck.last_time, 0, ck.flows_ingested));
   }
 
   // The listener binds here, not in run(), so tests (and callers using
   // an ephemeral port) can read metrics_port() before the run starts.
   if (!options.metrics_addr.empty())
-    impl_->listener = std::make_unique<obs::PromHttpListener>(
-        options.metrics_addr,
-        [impl = impl_.get()] { return impl->render_prom(); });
+    listener = std::make_unique<obs::PromHttpListener>(
+        options.metrics_addr, [this] { return render_prom(); });
 }
+
+ServeServer::ServeServer(const ServeOptions& options)
+    : registry_(std::make_unique<obs::MetricsRegistry>()),
+      impl_(std::make_unique<Impl>(options, *registry_)) {}
 
 ServeServer::~ServeServer() = default;
 
@@ -458,7 +529,7 @@ std::uint16_t ServeServer::metrics_port() const noexcept {
   return impl_->listener != nullptr ? impl_->listener->port() : 0;
 }
 
-void ServeServer::Impl::worker_loop(std::size_t shard, bool emit) {
+void ServeServer::Impl::worker_loop(std::size_t shard) {
   SpscQueue<Flow>& in = *in_queues[shard];
   SpscQueue<DecisionLine>& out = *out_queues[shard];
   quarantine::QuarantineEngine* engine = engines[shard].get();
@@ -479,10 +550,9 @@ void ServeServer::Impl::worker_loop(std::size_t shard, bool emit) {
   // empty in-queue, so a quiet input costs no cores.
   Backoff idle;
   while (true) {
-    if (abort.load(std::memory_order_relaxed)) return;
+    if (stop.load(std::memory_order_relaxed)) return;
     const std::size_t n = in.pop_batch(batch, kWorkerBatch);
     if (n == 0) {
-      if (in.closed() && in.empty()) break;
       idle.pause();
       continue;
     }
@@ -497,8 +567,8 @@ void ServeServer::Impl::worker_loop(std::size_t shard, bool emit) {
     for (std::size_t i = 0; i < n; ++i) {
       const Flow& f = batch[i];
       if (slow_us != 0) {
-        interruptible_sleep_us(slow_us, abort);
-        if (abort.load(std::memory_order_relaxed)) return;
+        interruptible_sleep_us(slow_us, stop);
+        if (stop.load(std::memory_order_relaxed)) return;
       }
       engine->advance_to(f.time);
       const std::uint32_t local = local_id[f.host];
@@ -506,11 +576,11 @@ void ServeServer::Impl::worker_loop(std::size_t shard, bool emit) {
         label_time[f.host] = f.time;
       const bool was_quarantined = engine->quarantined(local);
       engine->observe(local, f.dest, f.time, f.failed);
-      const std::uint64_t lat_ns = now_ns() - f.ingest_ns;
+      const std::uint64_t lat_ns = obs::span_clock_ns() - f.ingest_ns;
       ++latency_counts[std::bit_width(lat_ns)];
       latency_sum += lat_ns;
       if (slo_ns > 0 && lat_ns > slo_ns) ++breaches;
-      if (emit) {
+      if (decisions != nullptr) {
         Decision d;
         d.seq = f.seq;
         d.time = f.time;
@@ -529,7 +599,7 @@ void ServeServer::Impl::worker_loop(std::size_t shard, bool emit) {
           worker_stalls->add();
           Backoff backoff;
           do {
-            if (abort.load(std::memory_order_relaxed)) return;
+            if (stop.load(std::memory_order_relaxed)) return;
             backoff.pause();
           } while (!out.try_push(line));
         }
@@ -541,24 +611,18 @@ void ServeServer::Impl::worker_loop(std::size_t shard, bool emit) {
                        std::memory_order_release);
     flows_decided->add(n);
   }
-  // Apply releases pending at the stream's end so gathered records
-  // match a single engine advanced to the same time (the end time is
-  // published before the queue closes).
-  if (engine != nullptr)
-    engine->advance_to(end_time.load(std::memory_order_acquire));
 }
 
 void ServeServer::Impl::watchdog_loop() {
-  using Clock = std::chrono::steady_clock;
   const double timeout = options.stall_timeout_seconds;
   const auto poll = std::chrono::duration<double>(
       std::clamp(timeout / 8.0, 0.001, 0.05));
   const std::size_t shards = options.shards;
   std::vector<std::uint64_t> last_decided(shards, 0);
-  std::vector<Clock::time_point> last_progress(shards, Clock::now());
-  while (!watchdog_done.load(std::memory_order_acquire)) {
+  std::vector<std::uint64_t> last_progress(shards, obs::span_clock_ns());
+  while (!stop.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(poll);
-    const auto now = Clock::now();
+    const std::uint64_t now = obs::span_clock_ns();
     for (std::size_t s = 0; s < shards; ++s) {
       const std::uint64_t pushed =
           progress[s].pushed.load(std::memory_order_acquire);
@@ -569,8 +633,7 @@ void ServeServer::Impl::watchdog_loop() {
         last_progress[s] = now;
         continue;
       }
-      const double quiet =
-          std::chrono::duration<double>(now - last_progress[s]).count();
+      const double quiet = static_cast<double>(now - last_progress[s]) * 1e-9;
       if (quiet < timeout) continue;
       char buf[256];
       std::snprintf(buf, sizeof buf,
@@ -611,28 +674,21 @@ std::string ServeServer::Impl::render_prom() {
   return obs::prometheus_render(registry->snapshot(false));
 }
 
-void ServeServer::Impl::sampler_loop(std::ostream* metrics) {
+void ServeServer::Impl::sampler_loop() {
   const std::uint64_t interval_ms =
       options.metrics_interval_ms > 0 ? options.metrics_interval_ms : 1000;
-  std::uint64_t next_ns = now_ns() + interval_ms * 1000000;
-  while (!sampler_done.load(std::memory_order_acquire)) {
+  std::uint64_t next_ns = obs::span_clock_ns() + interval_ms * 1000000;
+  while (!stop.load(std::memory_order_acquire)) {
     // Sleep in short slices so shutdown never waits a whole interval.
     std::this_thread::sleep_for(std::chrono::milliseconds(
         std::min<std::uint64_t>(interval_ms, 10)));
-    if (now_ns() < next_ns) continue;
-    next_ns = now_ns() + interval_ms * 1000000;
+    if (obs::span_clock_ns() < next_ns) continue;
+    next_ns = obs::span_clock_ns() + interval_ms * 1000000;
     sample_health();
-    // Wall-clock snapshot lines interleave with the router's flow-count
-    // lines; each line is a complete snapshot, so readers need no
-    // ordering between the two cadences. parse_errors may lag here —
-    // syncing it requires the source, which is router-owned.
-    if (options.metrics_interval_ms > 0 && metrics != nullptr) {
-      std::string line = registry->snapshot(false).dump();
-      line += '\n';
-      const std::lock_guard<std::mutex> lock(metrics_mu);
-      metrics->write(line.data(), static_cast<std::streamsize>(line.size()));
-      metrics->flush();
-    }
+    // parse_errors may lag here — syncing it requires the source, which
+    // is router-owned.
+    if (options.metrics_interval_ms > 0 && metrics_out != nullptr)
+      write_metrics_line();
     if (!options.prom_path.empty()) {
       // A failed rewrite (a full disk, say) keeps the last good file
       // and is retried at the next tick; run()'s final rewrite reports
@@ -645,418 +701,315 @@ void ServeServer::Impl::sampler_loop(std::ostream* metrics) {
   }
 }
 
-ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
-                              std::ostream* metrics) {
-  Impl& im = *impl_;
-  if (im.ran) throw std::logic_error("ServeServer: one run() per server");
-  im.ran = true;
-  const ServeOptions& opt = im.options;
-  const bool emit = decisions != nullptr;
-  const bool fp_active = Failpoints::global().active();
-  if (opt.stop_after_flows > 0) install_stop_handlers();
+/// Takes the next flow, clamps its time to the router clock, numbers it
+/// and stamps its ingest time; false at the end of the stream.
+bool ServeServer::Impl::ingest(Flow& flow) {
+  if (!source->next(flow)) return false;
+  // Detectors assume non-decreasing time per host; enforce it
+  // globally at the router so every shard count sees the same clock.
+  if (flow.time < last_time) {
+    flow.time = last_time;
+    time_regressions->add();
+  } else {
+    last_time = flow.time;
+  }
+  flow.seq = ++seq;
+  flow.ingest_ns = obs::span_clock_ns();
+  flows_ingested->add();
+  return true;
+}
 
-  const std::size_t shards = opt.shards;
-  for (std::size_t s = 0; s < shards; ++s)
-    im.workers.emplace_back([this, s, emit] { impl_->worker_loop(s, emit); });
-
-  // On any exit — normal return (threads already joined, every step
-  // idempotent) or exception (stall, checkpoint IO failure) — make sure
-  // no thread outlives run().
-  struct TeardownGuard {
-    Impl& im;
-    ~TeardownGuard() {
-      im.abort.store(true, std::memory_order_release);
-      im.watchdog_done.store(true, std::memory_order_release);
-      im.sampler_done.store(true, std::memory_order_release);
-      for (auto& q : im.in_queues) q->close();
-      for (auto& w : im.workers)
-        if (w.joinable()) w.join();
-      if (im.watchdog.joinable()) im.watchdog.join();
-      if (im.sampler.joinable()) im.sampler.join();
-    }
-  } teardown_guard{im};
-  if (opt.stall_timeout_seconds > 0.0)
-    im.watchdog = std::thread([this] { impl_->watchdog_loop(); });
-  if (opt.metrics_interval_ms > 0 || !opt.prom_path.empty())
-    im.sampler = std::thread([this, metrics] { impl_->sampler_loop(metrics); });
-
-  // In-order merge bookkeeping: which shard got each outstanding seq.
-  // Outstanding flows are bounded by the queues, so a fixed ring
-  // suffices: every in-flight flow occupies an in-queue slot, a
-  // worker-batch slot, or an out-queue slot.
-  const std::size_t out_cap = im.out_queues[0]->capacity();
-  const std::size_t ring_cap = std::bit_ceil(
-      shards * (im.in_queues[0]->capacity() + out_cap + kWorkerBatch + 2));
-  std::vector<std::uint8_t> pending(ring_cap);
-  std::size_t pend_head = 0, pend_size = 0;
-  /// Lines each out-queue has handed to the merge in progress.
-  std::vector<std::size_t> taken(shards, 0);
-  std::string outbuf;
-  std::string metric_buf;
-
-  ServeSummary summary;
-  summary.time_regressions = im.base_time_regressions;
-  summary.shed_flows = im.base_shed;
-  const std::uint64_t t_start = now_ns();
-  double last_time = im.base_last_time;
-  std::uint64_t seq = im.base_flows;
-
-  const auto throw_if_stalled = [&] {
-    if (im.stalled.load(std::memory_order_acquire)) {
-      // The stall event rides the ring from here (router thread), not
-      // from the watchdog: TraceRing is single-writer.
-      im.options.obs.emit(robustness_event(
-          obs::EventKind::kStall, last_time,
-          im.stall_shard.load(std::memory_order_relaxed)));
-      throw ServeStallError(im.stall_diag);
-    }
-  };
-  /// When write_decisions writes: kFull once outbuf holds kFlushBytes,
-  /// kNow whenever it holds anything, kFinal likewise but never failing.
-  enum class Write { kFull, kNow, kFinal };
-  /// The ingest clock at which waiting lines go out whatever their
-  /// size: kFlushAgeNs after the last write.
-  std::uint64_t age_flush_ns = t_start + kFlushAgeNs;
-  /// Hands outbuf to the sink and flushes the stream, so `std::cout`
-  /// and `--out` files see the bytes at once.
-  const auto write_decisions = [&](Write when) {
-    if (outbuf.empty() ||
-        (when == Write::kFull && outbuf.size() < kFlushBytes))
-      return;
-    if (fp_active) {
-      if (when == Write::kFinal) {
-        // The final flush may not fail — absorb any pending injected
-        // errors as retries so no bytes are lost.
-        while (Failpoints::global().consume_sink_error()) {
-          im.sink_retries->add();
-          im.options.obs.emit(robustness_event(obs::EventKind::kSinkRetry,
-                                               last_time, 0,
-                                               im.sink_retries->value()));
+/// Pushes the flow to its host's shard. A full in-queue first gets a
+/// merge, which frees out-queue slots its worker may wait on; then the
+/// overload policy sheds the flow or waits.
+void ServeServer::Impl::scatter(const Flow& flow) {
+  throw_if_stalled();
+  const std::size_t s = owner[flow.host];
+  if (!in_queues[s]->try_push(flow)) {
+    merge();
+    if (!in_queues[s]->try_push(flow)) {
+      if (options.overload == OverloadPolicy::kShed) {
+        if (!shedding) {
+          shedding = true;
+          shed_episode_base = shed_flows->value();
+          options.obs.emit(
+              robustness_event(obs::EventKind::kShedStart, flow.time));
         }
-      } else if (Failpoints::global().consume_sink_error()) {
-        // Transient sink failure: keep the bytes buffered and retry
-        // at the next write. The emitted stream stays byte-identical,
-        // just later.
-        im.sink_retries->add();
-        im.options.obs.emit(robustness_event(obs::EventKind::kSinkRetry,
-                                             last_time, 0,
-                                             im.sink_retries->value()));
+        shed_flows->add();
         return;
       }
-    }
-    decisions->write(outbuf.data(),
-                     static_cast<std::streamsize>(outbuf.size()));
-    decisions->flush();
-    outbuf.clear();
-    age_flush_ns = now_ns() + kFlushAgeNs;
-  };
-  /// Splices every decision line that is ready, in seq order, into
-  /// outbuf — writing each time it reaches kFlushBytes — then frees
-  /// the spliced out-queue slots.
-  const auto merge = [&] {
-    while (pend_size > 0) {
-      const std::uint8_t s = pending[pend_head & (ring_cap - 1)];
-      const DecisionLine* line = im.out_queues[s]->peek(taken[s]);
-      if (line == nullptr) break;
-      ++taken[s];
-      ++pend_head;
-      --pend_size;
-      outbuf.append(line->bytes, line->size);
-      write_decisions(Write::kFull);
-    }
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (taken[s] == 0) continue;
-      im.out_queues[s]->consume(taken[s]);
-      taken[s] = 0;
-    }
-  };
-  /// Writes every line that is ready, whatever the buffer holds.
-  const auto flush_decisions = [&] {
-    merge();
-    write_decisions(Write::kNow);
-  };
-  std::uint64_t last_parse_errors = 0;
-  const auto sync_parse_errors = [&] {
-    const std::uint64_t pe = source.parse_errors();
-    im.parse_errors->add(pe - last_parse_errors);
-    last_parse_errors = pe;
-  };
-  const auto write_metrics_snapshot = [&] {
-    if (metrics == nullptr) return;
-    const obs::Span span(im.router_spans, "metrics_snapshot");
-    sync_parse_errors();
-    metric_buf = im.registry->snapshot(false).dump();
-    metric_buf += '\n';
-    const std::lock_guard<std::mutex> lock(im.metrics_mu);
-    metrics->write(metric_buf.data(),
-                   static_cast<std::streamsize>(metric_buf.size()));
-    metrics->flush();
-  };
-  const auto merged_samples = [&] {
-    std::vector<std::string> samples = im.base_samples;
-    for (const std::string& line : source.parse_error_samples()) {
-      if (samples.size() >= kMaxSummarySamples) break;
-      samples.push_back(line);
-    }
-    return samples;
-  };
-
-  /// Waits until every shard has decided everything pushed to it; the
-  /// merge keeps draining so workers never wedge on a full out-queue,
-  /// and a tripped watchdog aborts the wait.
-  const auto quiesce_shards = [&] {
-    for (std::size_t s = 0; s < shards; ++s) {
+      router_stalls->add();
       Backoff backoff;
-      while (im.progress[s].decided.load(std::memory_order_acquire) <
-             im.progress[s].pushed.load(std::memory_order_relaxed)) {
-        if (emit) merge();
+      do {
         throw_if_stalled();
         backoff.pause();
-      }
+        merge();
+      } while (!in_queues[s]->try_push(flow));
     }
-  };
-  /// Gathers full pipeline state (engines must be quiescent and
-  /// advanced to `at_time`) in global host order, so checkpoint bytes
-  /// are identical at any shard count.
-  const auto gather_checkpoint = [&](std::uint64_t flows, double at_time) {
-    CheckpointState ck;
-    ck.num_hosts = opt.num_hosts;
-    ck.flows_ingested = flows;
-    ck.last_time = at_time;
-    ck.time_regressions = summary.time_regressions;
-    sync_parse_errors();
-    ck.parse_errors = im.base_parse_errors + source.parse_errors();
-    ck.parse_error_samples = merged_samples();
-    ck.shed_flows = summary.shed_flows;
-    std::uint64_t events = 0;
-    for (const auto& engine : im.engines)
-      if (engine != nullptr) events += engine->quarantine_events();
-    ck.quarantine_events = events;
-    ck.config = quarantine::config_to_json(opt.quarantine);
-    ck.label_time = im.label_time;
-    ck.hosts.records.resize(opt.num_hosts);
-    ck.hosts.detectors.resize(opt.num_hosts);
-    for (std::uint32_t h = 0; h < opt.num_hosts; ++h) {
-      const quarantine::QuarantineEngine& engine = *im.engines[im.owner[h]];
-      ck.hosts.records[h] = engine.record(im.local_id[h]);
-      ck.hosts.detectors[h] = engine.detector_state(im.local_id[h]);
-    }
-    // Shared-bitmap block pools, gathered in *global* block order so
-    // checkpoint bytes stay shard-count independent (robustness tests
-    // assert this).
-    if (!im.block_owner.empty()) {
-      ck.store.emplace();
-      for (std::size_t b = 0; b < im.block_owner.size(); ++b)
-        quarantine::gather_block(
-            *ck.store, *im.engines[im.block_owner[b]]->compact_store(),
-            im.block_local[b]);
-    }
-    return ck;
-  };
-  const auto write_checkpoint = [&](std::uint64_t flows, double at_time) {
-    const obs::Span span(im.router_spans, "checkpoint");
-    quiesce_shards();
-    // Normalize: apply releases due by the checkpoint clock so the
-    // serialized records are independent of each shard's own advance
-    // schedule (a release is popped lazily, at the owning shard's next
-    // flow — semantically identical, but byte-different until applied).
-    for (auto& engine : im.engines)
-      if (engine != nullptr) engine->advance_to(at_time);
-    write_checkpoint_file(opt.checkpoint_path,
-                          gather_checkpoint(flows, at_time));
-    im.options.obs.emit(robustness_event(obs::EventKind::kCheckpointWrite,
-                                         at_time, 0, flows));
-  };
-
-  bool exhausted = false;
-  bool shedding = false;
-  std::uint64_t shed_episode_base = 0;
-  Flow flow;
-  while (!stop_requested()) {
-    // Before the router waits on a quiet source, every decision it
-    // holds goes out: the shards finish their flows and the merge
-    // writes all of their lines.
-    if (emit && (pend_size > 0 || !outbuf.empty()) &&
-        source.would_block()) {
-      quiesce_shards();
-      flush_decisions();
-    }
-    if (!source.next(flow)) {
-      exhausted = true;
-      break;
-    }
-    // Detectors assume non-decreasing time per host; enforce it
-    // globally at the router so every shard count sees the same clock.
-    if (flow.time < last_time) {
-      flow.time = last_time;
-      ++summary.time_regressions;
-      im.time_regressions->add();
-    } else {
-      last_time = flow.time;
-    }
-    flow.seq = ++seq;
-    flow.ingest_ns = now_ns();
-    im.flows_ingested->add();
-    throw_if_stalled();
-    const std::size_t s = im.owner[flow.host];
-    bool accepted = im.in_queues[s]->try_push(flow);
-    if (!accepted) {
-      if (emit) merge();
-      accepted = im.in_queues[s]->try_push(flow);
-      if (!accepted) {
-        if (opt.overload == OverloadPolicy::kShed) {
-          if (!shedding) {
-            shedding = true;
-            shed_episode_base = summary.shed_flows;
-            im.options.obs.emit(
-                robustness_event(obs::EventKind::kShedStart, flow.time));
-          }
-          ++summary.shed_flows;
-          im.shed_flows->add();
-        } else {
-          im.router_stalls->add();
-          Backoff backoff;
-          do {
-            throw_if_stalled();
-            backoff.pause();
-            if (emit) merge();
-          } while (!(accepted = im.in_queues[s]->try_push(flow)));
-        }
-      }
-    }
-    if (accepted) {
-      if (shedding) {
-        shedding = false;
-        im.options.obs.emit(robustness_event(
-            obs::EventKind::kShedEnd, flow.time, 0,
-            summary.shed_flows - shed_episode_base));
-      }
-      Impl::ShardProgress& prog = im.progress[s];
-      prog.pushed.store(prog.pushed.load(std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
-      if (emit) {
-        pending[(pend_head + pend_size) & (ring_cap - 1)] =
-            static_cast<std::uint8_t>(s);
-        ++pend_size;
-        // Merge only when it can matter: when the pending lines, at
-        // their longest, could complete the next 64 KiB write (so no
-        // line reaches the sink later than with a merge per flow), or
-        // when they could fill an out-queue and stall its worker.
-        if (outbuf.size() + pend_size * kMaxDecisionLineBytes >=
-                kFlushBytes ||
-            pend_size >= out_cap)
-          merge();
-      }
-    }
-    // While flows arrive, no ready line waits more than kFlushAgeNs
-    // for the 64 KiB write: this covers sources that wait inside next()
-    // without saying so, such as an open-loop generator.
-    if (emit && flow.ingest_ns >= age_flush_ns) flush_decisions();
-    if (opt.metrics_interval_flows > 0 &&
-        seq % opt.metrics_interval_flows == 0)
-      write_metrics_snapshot();
-    if (opt.checkpoint_interval_flows > 0 &&
-        seq % opt.checkpoint_interval_flows == 0)
-      write_checkpoint(seq, last_time);
-    if (opt.stop_after_flows > 0 && seq == opt.stop_after_flows)
-      std::raise(SIGTERM);
   }
-  summary.interrupted = !exhausted;
-
-  // Graceful drain: publish the end time, close the in-queues, wait for
-  // every pushed flow to be decided (stall-checked — never an unbounded
-  // hang), absorb outstanding decisions, then join.
-  double end_time = last_time;
-  if (exhausted) {
-    const double hint = source.end_time_hint();
-    if (hint > end_time) end_time = hint;
-  }
-  im.end_time.store(end_time, std::memory_order_release);
-  for (auto& q : im.in_queues) q->close();
-  quiesce_shards();
-  while (pend_size > 0) {
+  end_shed_episode(flow.time);
+  ShardProgress& prog = progress[s];
+  prog.pushed.store(prog.pushed.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+  if (decisions == nullptr) return;
+  pending[(pend_head + pend_size) & (pending.size() - 1)] =
+      static_cast<std::uint8_t>(s);
+  ++pend_size;
+  // Merge only when it can matter: when the pending lines, at their
+  // longest, could complete the next 64 KiB write (so no line reaches
+  // the sink later than with a merge per flow), or when they could
+  // fill an out-queue and stall its worker.
+  if (outbuf.size() + pend_size * kMaxDecisionLineBytes >= kFlushBytes ||
+      pend_size >= out_queues[s]->capacity())
     merge();
-    throw_if_stalled();
-    if (pend_size > 0) std::this_thread::yield();
-  }
-  // The last decisions go out now, not behind the final checkpoint and
-  // report (tens of ms over 2^20 hosts); the summary line follows in a
-  // write of its own.
-  if (emit) write_decisions(Write::kFinal);
-  for (auto& w : im.workers) w.join();
-  im.watchdog_done.store(true, std::memory_order_release);
-  if (im.watchdog.joinable()) im.watchdog.join();
-  // Stop the sampler before the final prom/metrics writes below so the
-  // metrics stream has a single writer again and the final prom file
-  // is the last one renamed into place.
-  im.sampler_done.store(true, std::memory_order_release);
-  if (im.sampler.joinable()) im.sampler.join();
-  if (shedding)
-    im.options.obs.emit(robustness_event(
-        obs::EventKind::kShedEnd, end_time, 0,
-        summary.shed_flows - shed_episode_base));
+}
 
-  // Final checkpoint: the engines are already advanced to end_time by
-  // their workers, so the gathered state equals a quiesced mid-run
-  // checkpoint taken at the same flow count.
-  if (!opt.checkpoint_path.empty()) {
-    const obs::Span span(im.router_spans, "checkpoint");
-    write_checkpoint_file(opt.checkpoint_path,
-                          gather_checkpoint(seq, end_time));
-    im.options.obs.emit(robustness_event(obs::EventKind::kCheckpointWrite,
-                                         end_time, 0, seq));
+/// Splices every decision line that is ready, in seq order, into
+/// outbuf — writing each time it reaches kFlushBytes — then frees the
+/// spliced out-queue slots.
+void ServeServer::Impl::merge() {
+  while (pend_size > 0) {
+    const std::uint8_t s = pending[pend_head & (pending.size() - 1)];
+    const DecisionLine* line = out_queues[s]->peek(taken[s]);
+    if (line == nullptr) break;
+    ++taken[s];
+    ++pend_head;
+    --pend_size;
+    outbuf.append(line->bytes, line->size);
+    write_decisions(Write::kFull);
   }
+  for (std::size_t s = 0; s < options.shards; ++s) {
+    if (taken[s] == 0) continue;
+    out_queues[s]->consume(taken[s]);
+    taken[s] = 0;
+  }
+}
 
-  // Assemble the final report from per-shard records in global host
-  // order — the float accumulation order of a single engine.
-  std::vector<quarantine::HostRecord> records(opt.num_hosts);
-  {
-    const obs::Span span(im.router_spans, "gather_report");
-    for (std::uint32_t h = 0; h < opt.num_hosts; ++h) {
-      const quarantine::QuarantineEngine* engine =
-          im.engines[im.owner[h]].get();
-      if (engine != nullptr) records[h] = engine->record(im.local_id[h]);
+/// Hands outbuf to the sink and flushes the stream, so `std::cout` and
+/// `--out` files see the bytes at once.
+void ServeServer::Impl::write_decisions(Write when) {
+  if (when != Write::kFull) merge();
+  if (outbuf.empty() || (when == Write::kFull && outbuf.size() < kFlushBytes))
+    return;
+  // Transient sink failure: keep the bytes buffered and retry at the
+  // next write. The emitted stream stays byte-identical, just later.
+  // The final flush may not fail — it absorbs any pending injected
+  // errors as retries so no bytes are lost.
+  while (Failpoints::global().active() &&
+         Failpoints::global().consume_sink_error()) {
+    sink_retries->add();
+    options.obs.emit(robustness_event(obs::EventKind::kSinkRetry, last_time,
+                                      0, sink_retries->value()));
+    if (when != Write::kFinal) return;
+  }
+  decisions->write(outbuf.data(), static_cast<std::streamsize>(outbuf.size()));
+  decisions->flush();
+  outbuf.clear();
+  age_flush_ns = obs::span_clock_ns() + kFlushAgeNs;
+}
+
+/// Brings serve.parse_errors up to date with the source, and returns
+/// the samples to report: the restored checkpoint's, then the source's.
+std::vector<std::string> ServeServer::Impl::sync_parse_errors() {
+  static const CheckpointState kNoRestore;
+  const CheckpointState& base =
+      options.restore != nullptr ? *options.restore : kNoRestore;
+  parse_errors->add(base.parse_errors + source->parse_errors() -
+                    parse_errors->value());
+  std::vector<std::string> samples = base.parse_error_samples;
+  for (const std::string& line : source->parse_error_samples()) {
+    if (samples.size() >= kMaxSummarySamples) break;
+    samples.push_back(line);
+  }
+  return samples;
+}
+
+/// Waits until every shard has decided everything pushed to it; the
+/// merge keeps draining so workers never wedge on a full out-queue,
+/// and a tripped watchdog aborts the wait.
+void ServeServer::Impl::quiesce_shards() {
+  for (std::size_t s = 0; s < options.shards; ++s) {
+    Backoff backoff;
+    while (progress[s].decided.load(std::memory_order_acquire) <
+           progress[s].pushed.load(std::memory_order_relaxed)) {
+      merge();
+      throw_if_stalled();
+      backoff.pause();
     }
   }
-  std::uint64_t events = 0;
-  for (const auto& engine : im.engines)
-    if (engine != nullptr) events += engine->quarantine_events();
+}
 
-  sync_parse_errors();
+/// Writes the full pipeline state, gathered in global host order so
+/// checkpoint bytes are identical at any shard count.
+void ServeServer::Impl::write_checkpoint(double at_time) {
+  const obs::Span span(router_spans, "checkpoint");
+  quiesce_shards();
+  // Normalize: apply releases due by the checkpoint clock so the
+  // serialized records are independent of each shard's own advance
+  // schedule (a release is popped lazily, at the owning shard's next
+  // flow — semantically identical, but byte-different until applied).
+  for (auto& engine : engines)
+    if (engine != nullptr) engine->advance_to(at_time);
+  CheckpointState ck;
+  ck.parse_error_samples = sync_parse_errors();
+  ck.num_hosts = options.num_hosts;
+  ck.flows_ingested = seq;
+  ck.last_time = at_time;
+  ck.time_regressions = time_regressions->value();
+  ck.parse_errors = parse_errors->value();
+  ck.shed_flows = shed_flows->value();
+  ck.quarantine_events = gather_records(ck.hosts.records);
+  ck.config = quarantine::config_to_json(options.quarantine);
+  ck.label_time = label_time;
+  ck.hosts.detectors.resize(options.num_hosts);
+  for (std::uint32_t h = 0; h < options.num_hosts; ++h)
+    ck.hosts.detectors[h] = engines[owner[h]]->detector_state(local_id[h]);
+  // Shared-bitmap block pools, gathered in *global* block order so
+  // checkpoint bytes stay shard-count independent (robustness tests
+  // assert this).
+  if (!block_owner.empty()) {
+    ck.store.emplace();
+    for (std::size_t b = 0; b < block_owner.size(); ++b)
+      quarantine::gather_block(*ck.store,
+                               *engines[block_owner[b]]->compact_store(),
+                               block_local[b]);
+  }
+  write_checkpoint_file(options.checkpoint_path, ck);
+  options.obs.emit(robustness_event(obs::EventKind::kCheckpointWrite,
+                                    at_time, 0, seq));
+}
+
+/// Graceful drain (stall-checked — never an unbounded hang), then the
+/// final checkpoint and the summary.
+ServeSummary ServeServer::Impl::drain(bool exhausted) {
+  double end_time = last_time;
+  if (exhausted) end_time = std::max(end_time, source->end_time_hint());
+  quiesce_shards();
+  // Every pushed flow is decided, so every pending line is in its
+  // out-queue: the write's one merge takes them all. They go out now,
+  // not behind the final checkpoint and report (tens of ms over 2^20
+  // hosts); the summary line follows in a write of its own.
+  write_decisions(Write::kFinal);
+  // The sampler stops before the final prom/metrics writes below, so
+  // the metrics stream has a single writer again and the final prom
+  // file is the last one renamed into place.
+  stop_threads();
+  // Apply releases pending at the stream's end, so the gathered state
+  // equals a quiesced mid-run checkpoint taken at the same flow count.
+  for (auto& engine : engines)
+    if (engine != nullptr) engine->advance_to(end_time);
+  end_shed_episode(end_time);
+  if (!options.checkpoint_path.empty()) write_checkpoint(end_time);
+
+  std::vector<quarantine::HostRecord> records;
+  std::uint64_t events = 0;
+  {
+    const obs::Span span(router_spans, "gather_report");
+    events = gather_records(records);
+  }
+  ServeSummary summary;
+  summary.parse_error_samples = sync_parse_errors();
   summary.flows_ingested = seq;
-  summary.flows_decided = im.flows_decided->value();
-  summary.parse_errors = im.base_parse_errors + source.parse_errors();
-  summary.parse_error_samples = merged_samples();
+  summary.flows_decided = flows_decided->value();
+  summary.parse_errors = parse_errors->value();
+  summary.time_regressions = time_regressions->value();
+  summary.shed_flows = shed_flows->value();
   summary.degraded = summary.shed_flows > 0;
   summary.end_time = end_time;
-  summary.report = quarantine::report_from_records(records, im.label_time,
-                                                   end_time, events);
+  summary.interrupted = !exhausted;
+  summary.report =
+      quarantine::report_from_records(records, label_time, end_time, events);
   summary.wall_seconds =
-      static_cast<double>(now_ns() - t_start) * 1e-9;
+      static_cast<double>(obs::span_clock_ns() - t_start) * 1e-9;
   summary.flows_per_sec =
       summary.wall_seconds > 0.0
           ? static_cast<double>(summary.flows_ingested) / summary.wall_seconds
           : 0.0;
-  summary.latency_p50_ns = obs::histogram_quantile(*im.latency, 0.50);
-  summary.latency_p90_ns = obs::histogram_quantile(*im.latency, 0.90);
-  summary.latency_p99_ns = obs::histogram_quantile(*im.latency, 0.99);
-  summary.latency_p999_ns = obs::histogram_quantile(*im.latency, 0.999);
-  summary.slo_ms = opt.slo_ms;
-  summary.slo_breaches = im.slo_breaches->value();
+  summary.latency_p50_ns = obs::histogram_quantile(*latency, 0.50);
+  summary.latency_p90_ns = obs::histogram_quantile(*latency, 0.90);
+  summary.latency_p99_ns = obs::histogram_quantile(*latency, 0.99);
+  summary.latency_p999_ns = obs::histogram_quantile(*latency, 0.999);
+  summary.slo_ms = options.slo_ms;
+  summary.slo_breaches = slo_breaches->value();
   summary.slo_breached = summary.slo_breaches > 0;
-  registry_->gauge("serve.flows_per_sec").set(summary.flows_per_sec);
+  registry->gauge("serve.flows_per_sec").set(summary.flows_per_sec);
 
-  if (emit) {
+  if (decisions != nullptr) {
     outbuf += summary.to_json().dump();
     outbuf += '\n';
     write_decisions(Write::kFinal);
   }
   // Final health sample + prom render so the last snapshot/file reflect
   // the drained pipeline (zero queues, final counters).
-  im.sample_health();
-  if (!opt.prom_path.empty()) replace_file(opt.prom_path, im.render_prom());
+  sample_health();
+  if (!options.prom_path.empty())
+    replace_file(options.prom_path, render_prom());
   write_metrics_snapshot();
   return summary;
+}
+
+ServeSummary ServeServer::run(FlowSource& source, std::ostream* decisions,
+                              std::ostream* metrics) {
+  Impl& im = *impl_;
+  if (im.ran) throw std::logic_error("ServeServer: one run() per server");
+  im.ran = true;
+  const ServeOptions& opt = im.options;
+  if (opt.stop_after_flows > 0) install_stop_handlers();
+  // On any exit — normal return (threads already stopped) or exception
+  // (stall, checkpoint IO failure) — make sure no thread outlives run().
+  struct TeardownGuard {
+    Impl& im;
+    ~TeardownGuard() { im.stop_threads(); }
+  } teardown_guard{im};
+  im.source = &source;
+  im.decisions = decisions;
+  im.metrics_out = metrics;
+  // Outstanding flows are bounded by the queues, so a fixed ring
+  // suffices: every in-flight flow occupies an in-queue slot, a
+  // worker-batch slot, or an out-queue slot.
+  im.pending.resize(std::bit_ceil(
+      opt.shards * (im.in_queues[0]->capacity() +
+                    im.out_queues[0]->capacity() + kWorkerBatch + 2)));
+  im.taken.assign(opt.shards, 0);
+  for (std::size_t s = 0; s < opt.shards; ++s)
+    im.workers.emplace_back([&im, s] { im.worker_loop(s); });
+  if (opt.stall_timeout_seconds > 0.0)
+    im.watchdog = std::thread([&im] { im.watchdog_loop(); });
+  if (opt.metrics_interval_ms > 0 || !opt.prom_path.empty())
+    im.sampler = std::thread([&im] { im.sampler_loop(); });
+  im.t_start = obs::span_clock_ns();
+  im.age_flush_ns = im.t_start + kFlushAgeNs;
+
+  bool exhausted = false;
+  Flow flow;
+  while (!stop_requested()) {
+    // Before the router waits on a quiet source, every decision it
+    // holds goes out: the shards finish their flows and the merge
+    // writes all of their lines.
+    if ((im.pend_size > 0 || !im.outbuf.empty()) && source.would_block()) {
+      im.quiesce_shards();
+      im.write_decisions(Write::kNow);
+    }
+    if (!im.ingest(flow)) {
+      exhausted = true;
+      break;
+    }
+    im.scatter(flow);
+    // While flows arrive, no ready line waits more than kFlushAgeNs
+    // for the 64 KiB write: this covers sources that wait inside next()
+    // without saying so, such as an open-loop generator.
+    if (decisions != nullptr && flow.ingest_ns >= im.age_flush_ns)
+      im.write_decisions(Write::kNow);
+    if (opt.metrics_interval_flows > 0 &&
+        im.seq % opt.metrics_interval_flows == 0)
+      im.write_metrics_snapshot();
+    if (opt.checkpoint_interval_flows > 0 &&
+        im.seq % opt.checkpoint_interval_flows == 0)
+      im.write_checkpoint(im.last_time);
+    if (opt.stop_after_flows > 0 && im.seq == opt.stop_after_flows)
+      std::raise(SIGTERM);
+  }
+  return im.drain(exhausted);
 }
 
 }  // namespace dq::serve

@@ -211,8 +211,10 @@ class ServeServer {
 
  private:
   struct Impl;
-  std::unique_ptr<Impl> impl_;
+  // The registry comes first so it outlives the Impl, whose threads and
+  // metrics listener read it.
   std::unique_ptr<obs::MetricsRegistry> registry_;
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace dq::serve

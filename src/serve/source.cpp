@@ -1,21 +1,16 @@
 #include "serve/source.hpp"
 
 #include <chrono>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
 
+#include "obs/span.hpp"
 #include "stats/hash.hpp"
 
 namespace dq::serve {
 
 namespace {
-
-std::uint64_t now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 bool is_worm_category(trace::HostCategory c) noexcept {
   return c == trace::HostCategory::kWormBlaster ||
@@ -25,23 +20,65 @@ bool is_worm_category(trace::HostCategory c) noexcept {
 }  // namespace
 
 NdjsonFlowSource::NdjsonFlowSource(std::istream& in, std::uint32_t num_hosts)
-    : in_(in), num_hosts_(num_hosts) {}
+    : in_(in), num_hosts_(num_hosts), buf_(kBlockBytes) {}
 
-bool NdjsonFlowSource::next(Flow& out) {
-  while (std::getline(in_, line_)) {
-    // Tolerate CRLF input; a bare '\r' line is then empty, i.e. blank.
-    if (!line_.empty() && line_.back() == '\r') line_.pop_back();
-    if (line_.empty()) continue;
-    if (parse_flow_line(line_, num_hosts_, out)) return true;
-    ++parse_errors_;
-    if (samples_.size() < kMaxErrorSamples)
-      samples_.push_back(line_.substr(0, kMaxSampleLength));
-  }
-  return false;
+bool NdjsonFlowSource::find_newline() noexcept {
+  const char* data = buf_.data();
+  const void* nl = std::memchr(data + searched_, '\n', end_ - searched_);
+  searched_ = nl != nullptr ? static_cast<const char*>(nl) - data : end_;
+  return nl != nullptr;
 }
 
-bool NdjsonFlowSource::would_block() const {
-  return in_.rdbuf() != nullptr && in_.rdbuf()->in_avail() == 0;
+bool NdjsonFlowSource::fill(bool block) {
+  // Only a partial line is buffered here. It moves to the front once:
+  // a line that grows over many calls is already there.
+  if (begin_ > 0)
+    std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+  end_ -= begin_;
+  searched_ -= begin_;
+  begin_ = 0;
+  if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
+  // read() of one byte waits for input and asks for no more; readsome()
+  // takes only what in_avail() reports, so it never blocks.
+  const std::size_t before = end_;
+  if (block) {
+    if (!in_.read(buf_.data() + end_, 1)) return false;
+    ++end_;
+  }
+  const auto room = static_cast<std::streamsize>(buf_.size() - end_);
+  end_ += static_cast<std::size_t>(in_.readsome(buf_.data() + end_, room));
+  return end_ > before;
+}
+
+bool NdjsonFlowSource::next(Flow& out) {
+  while (true) {
+    std::string_view line;
+    if (find_newline()) {
+      line = {buf_.data() + begin_, searched_ - begin_};
+      begin_ = searched_ = searched_ + 1;
+    } else if (fill(false) || fill(true)) {
+      continue;
+    } else if (begin_ < end_) {  // the last line, with no '\n'
+      line = {buf_.data() + begin_, end_ - begin_};
+      begin_ = searched_ = end_;
+    } else {
+      return false;
+    }
+    // Tolerate CRLF input; a bare '\r' line is then empty, i.e. blank.
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line.empty()) continue;
+    if (parse_flow_line(line, num_hosts_, out)) return true;
+    ++parse_errors_;
+    if (samples_.size() < kMaxErrorSamples)
+      samples_.emplace_back(line.substr(0, kMaxSampleLength));
+  }
+}
+
+bool NdjsonFlowSource::would_block() {
+  if (find_newline()) return false;
+  fill(false);
+  return !find_newline() && in_.rdbuf() != nullptr &&
+         in_.rdbuf()->in_avail() <= 0;
 }
 
 TraceFlowSource::TraceFlowSource(const trace::Trace& trace, double speed)
@@ -56,13 +93,13 @@ double TraceFlowSource::end_time_hint() const noexcept {
   return next_event_ >= trace_.events().size() ? trace_.duration() : -1.0;
 }
 
-bool TraceFlowSource::would_block() const {
+bool TraceFlowSource::would_block() {
   // Unpaced, or the first contact (which starts the clock) not yet read.
   if (speed_ <= 0.0 || start_ns_ == 0) return false;
   const auto& events = trace_.events();
   for (std::size_t i = next_event_; i < events.size(); ++i)
     if (events[i].type == trace::EventType::kOutboundContact)
-      return due_ns(events[i].time) > now_ns();
+      return due_ns(events[i].time) > obs::span_clock_ns();
   return false;
 }
 
@@ -77,9 +114,9 @@ bool TraceFlowSource::next(Flow& out) {
     const bool failed = oracle_.observe(e);
     if (e.type != trace::EventType::kOutboundContact) continue;
     if (speed_ > 0.0) {
-      if (start_ns_ == 0) start_ns_ = now_ns();
+      if (start_ns_ == 0) start_ns_ = obs::span_clock_ns();
       const std::uint64_t due = due_ns(e.time);
-      const std::uint64_t now = now_ns();
+      const std::uint64_t now = obs::span_clock_ns();
       if (due > now)
         std::this_thread::sleep_for(std::chrono::nanoseconds(due - now));
     }

@@ -56,8 +56,9 @@ class FlowSource {
   /// True when next() would wait for input that has not arrived yet (a
   /// quiet pipe, a paced replay ahead of its clock). The router then
   /// writes every decision it holds before it calls next(). Sources
-  /// that never wait, or cannot tell, return false.
-  virtual bool would_block() const { return false; }
+  /// that never wait, or cannot tell, return false. Not const: a source
+  /// may take in what is ready to find out.
+  virtual bool would_block() { return false; }
 };
 
 class NdjsonFlowSource : public FlowSource {
@@ -71,10 +72,16 @@ class NdjsonFlowSource : public FlowSource {
   static constexpr std::size_t kMaxErrorSamples = 5;
   static constexpr std::size_t kMaxSampleLength = 120;
 
+  /// Bytes the reader asks the stream for at a time. A longer line
+  /// grows the buffer to hold it.
+  static constexpr std::size_t kBlockBytes = std::size_t{1} << 16;
+
   bool next(Flow& out) override;
-  /// Nothing buffered and nothing readable on the stream's fd. A
-  /// stdio-synced `std::cin` always says so; `dqctl` unsyncs it.
-  bool would_block() const override;
+  /// Buffers what the stream has ready, then true when no whole line is
+  /// buffered and nothing more is ready: a partial line is not input,
+  /// as next() would wait for its end. A stdio-synced `std::cin` never
+  /// reports bytes ready; `dqctl` unsyncs it.
+  bool would_block() override;
   std::uint64_t parse_errors() const noexcept override {
     return parse_errors_;
   }
@@ -84,11 +91,24 @@ class NdjsonFlowSource : public FlowSource {
   }
 
  private:
+  /// True when a whole line is buffered; its '\n' is then at
+  /// searched_. Searches only bytes no earlier call searched.
+  bool find_newline() noexcept;
+  /// Appends the bytes the stream has ready, growing the buffer when a
+  /// partial line fills it; with `block`, first waits for one byte.
+  /// False when it appended nothing.
+  bool fill(bool block);
+
   std::istream& in_;
   std::uint32_t num_hosts_;
   std::uint64_t parse_errors_ = 0;
   std::vector<std::string> samples_;
-  std::string line_;
+  /// Bytes read but not yet handed out are buf_[begin_, end_);
+  /// buf_[begin_, searched_) holds no '\n'.
+  std::vector<char> buf_;
+  std::size_t begin_ = 0;
+  std::size_t searched_ = 0;
+  std::size_t end_ = 0;
 };
 
 class TraceFlowSource : public FlowSource {
@@ -101,7 +121,7 @@ class TraceFlowSource : public FlowSource {
   bool next(Flow& out) override;
   double end_time_hint() const noexcept override;
   /// Paced, and the next outbound contact is not yet due.
-  bool would_block() const override;
+  bool would_block() override;
 
  private:
   /// Wall clock at which a paced event at trace time `time` is due.

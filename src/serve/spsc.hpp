@@ -1,7 +1,7 @@
 // Lock-free bounded single-producer / single-consumer ring queue — the
 // transport between the serve router (one producer) and each shard
 // worker (one consumer), and between each worker and the decision
-// merger. One producer thread calls try_push/close, one consumer
+// merger. One producer thread calls try_push, one consumer
 // thread calls pop_batch (copying) or peek/consume (in place); head and
 // tail live on separate cache lines and each side caches the other's
 // index so the fast path is one relaxed load + one release store per
@@ -80,19 +80,6 @@ class SpscQueue {
                 std::memory_order_release);
   }
 
-  /// Producer signals end of stream; consumers drain then observe
-  /// closed() && empty().
-  void close() noexcept { closed_.store(true, std::memory_order_release); }
-  bool closed() const noexcept {
-    return closed_.load(std::memory_order_acquire);
-  }
-
-  /// Approximate (exact from the consumer thread).
-  bool empty() const noexcept {
-    return head_.load(std::memory_order_acquire) ==
-           tail_.load(std::memory_order_acquire);
-  }
-
   /// Approximate occupancy from any thread (the health sampler's
   /// queue-depth gauge): racy but always in [0, capacity] because the
   /// tail is read after the head.
@@ -109,7 +96,6 @@ class SpscQueue {
   alignas(kCacheLine) std::uint64_t tail_cache_ = 0;   ///< consumer-owned
   alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};
   alignas(kCacheLine) std::uint64_t head_cache_ = 0;   ///< producer-owned
-  std::atomic<bool> closed_{false};
 };
 
 }  // namespace dq::serve

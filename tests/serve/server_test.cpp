@@ -445,6 +445,41 @@ TEST(ServeServer, EachDecisionReachesTheSinkBeforeTheRouterWaitsOnAPipe) {
   EXPECT_EQ(sink.lines(), kLines + 1);
 }
 
+TEST(ServeServer, AWholeLineIsDecidedWhileTheNextIsHalfWritten) {
+  // The producer writes one whole line and half of the next, then
+  // waits: the whole line's decision must reach the sink within 1 s,
+  // without the rest of the next line. The bytes come in one write, in
+  // two (the whole line, then the half), or with the half line split
+  // across the two writes.
+  const std::vector<std::vector<std::string>> cases = {
+      {"{\"t\":1,\"host\":1,\"dest\":9}\n{\"t\":2,\"ho"},
+      {"{\"t\":1,\"host\":1,\"dest\":9}\n", "{\"t\":2,\"ho"},
+      {"{\"t\":1,\"host\":1,\"dest\":9}\n{\"t\"", ":2,\"ho"},
+  };
+  for (const std::vector<std::string>& writes : cases) {
+    TestPipe pipe;
+    NdjsonFlowSource source(pipe.in(), 64);
+    ServeServer server(small_options(64));
+    LineSink sink;
+    std::ostream decisions(&sink);
+    std::thread router([&] { server.run(source, &decisions, nullptr); });
+    for (const std::string& w : writes) {
+      pipe.write(w);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    const bool first = sink.wait_for_lines(1, std::chrono::seconds(1));
+    pipe.write("st\":2,\"dest\":9}\n");
+    const bool second = sink.wait_for_lines(2, std::chrono::seconds(10));
+    pipe.close_writer();
+    router.join();
+
+    EXPECT_TRUE(first) << "no decision within 1 s after " << writes.size()
+                       << " write(s)";
+    EXPECT_TRUE(second);
+    EXPECT_EQ(sink.lines(), 3u);  // two decisions and the summary
+  }
+}
+
 double process_cpu_seconds() {
   rusage usage{};
   ::getrusage(RUSAGE_SELF, &usage);

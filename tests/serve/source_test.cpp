@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "serve/test_pipe.hpp"
+#include "stats/rng.hpp"
 #include "trace/department.hpp"
 
 namespace dq::serve {
@@ -95,6 +99,165 @@ TEST(NdjsonFlowSource, WouldBlockOnlyWhenNothingIsReadable) {
   EXPECT_TRUE(from_pipe.would_block());  // read dry again
   pipe.close_writer();
   EXPECT_FALSE(from_pipe.next(f));
+
+  // Half a line is not input: next() would wait for the rest of it.
+  TestPipe split;
+  NdjsonFlowSource from_split(split.in(), 4);
+  split.write("{\"t\":1,\"host\":0,\"dest\":5}\n{\"t\":2,\"ho");
+  EXPECT_FALSE(from_split.would_block());
+  ASSERT_TRUE(from_split.next(f));
+  EXPECT_TRUE(from_split.would_block());
+  split.write("st\":3,\"dest\":5}\n");
+  EXPECT_FALSE(from_split.would_block());
+  ASSERT_TRUE(from_split.next(f));
+  EXPECT_EQ(f.host, 3u);
+}
+
+/// Hands `bytes` out in pieces of random sizes, as a pipe hands out
+/// what each write put in it. in_avail() tells the truth: the rest of
+/// the current piece, 0 between pieces (the next one has not arrived
+/// yet) and -1 at the end.
+class PieceBuf final : public std::streambuf {
+ public:
+  PieceBuf(std::string bytes, std::vector<std::size_t> pieces)
+      : bytes_(std::move(bytes)), pieces_(std::move(pieces)) {}
+
+ protected:
+  int_type underflow() override {
+    if (next_ == bytes_.size()) return traits_type::eof();
+    const std::size_t n = std::min(pieces_[piece_++ % pieces_.size()],
+                                   bytes_.size() - next_);
+    char* p = bytes_.data() + next_;
+    setg(p, p, p + n);
+    next_ += n;
+    return traits_type::to_int_type(*p);
+  }
+  std::streamsize showmanyc() override {
+    return next_ == bytes_.size() ? -1 : 0;
+  }
+
+ private:
+  std::string bytes_;
+  std::vector<std::size_t> pieces_;
+  std::size_t piece_ = 0;
+  std::size_t next_ = 0;
+};
+
+/// What the source must produce: the whole string split at '\n', one
+/// trailing '\r' stripped, empty lines skipped, the rest parsed.
+struct Reference {
+  std::vector<Flow> flows;
+  std::uint64_t errors = 0;
+  std::vector<std::string> samples;
+};
+
+Reference split_whole(const std::string& bytes, std::uint32_t num_hosts) {
+  Reference ref;
+  std::size_t begin = 0;
+  while (begin < bytes.size()) {
+    std::size_t end = bytes.find('\n', begin);
+    if (end == std::string::npos) end = bytes.size();
+    std::string_view line(bytes.data() + begin, end - begin);
+    begin = end + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line.empty()) continue;
+    Flow f;
+    if (parse_flow_line(line, num_hosts, f)) {
+      ref.flows.push_back(f);
+      continue;
+    }
+    ++ref.errors;
+    if (ref.samples.size() < NdjsonFlowSource::kMaxErrorSamples)
+      ref.samples.emplace_back(
+          line.substr(0, NdjsonFlowSource::kMaxSampleLength));
+  }
+  return ref;
+}
+
+/// A seeded stream of flow lines, garbage, CRLF endings, blank lines,
+/// NUL bytes and, now and then, a line longer than the reader's block.
+std::string random_stream(Rng& rng) {
+  std::string s;
+  const std::uint64_t parts = 1 + rng.uniform_int(40);
+  for (std::uint64_t i = 0; i < parts; ++i) {
+    switch (rng.uniform_int(8)) {
+      case 0:
+      case 1:
+      case 2:
+        s += "{\"t\":" + std::to_string(rng.uniform_int(1000)) +
+             ",\"host\":" + std::to_string(rng.uniform_int(20)) +
+             ",\"dest\":" + std::to_string(rng.uniform_int(1u << 20)) +
+             (rng.bernoulli(0.3) ? ",\"failed\":true" : "") +
+             (rng.bernoulli(0.2) ? ",\"worm\":true}" : "}");
+        break;
+      case 3:  // garbage bytes, NULs and line breaks among them
+        for (std::uint64_t n = rng.uniform_int(30); n > 0; --n)
+          s += static_cast<char>(rng.uniform_int(256));
+        break;
+      case 4:
+        s += rng.bernoulli(0.5) ? "\r" : "";
+        break;
+      case 5:
+        s += std::string(1 + rng.uniform_int(3), '\0');
+        break;
+      case 6:  // a line past the block: a skipped key pads a valid flow
+        if (rng.bernoulli(0.004)) {
+          s += "{\"t\":1,\"host\":2,\"dest\":3,\"pad\":\"";
+          constexpr std::size_t kBlock = NdjsonFlowSource::kBlockBytes;
+          s += std::string(kBlock + rng.uniform_int(2 * kBlock),
+                           rng.bernoulli(0.5) ? 'x' : '\0');
+          s += "\"}";
+        }
+        break;
+      default:
+        break;
+    }
+    if (rng.bernoulli(0.8)) s += "\n";
+  }
+  return s;
+}
+
+TEST(NdjsonFlowSource, AnyPieceSizesGiveTheFlowsOfTheWholeString) {
+  constexpr int kStreams = 10'000;
+  constexpr std::uint32_t kHosts = 16;  // some flows are out of range
+  Rng rng(20261019);
+  std::size_t long_lines = 0;
+  for (int stream = 0; stream < kStreams; ++stream) {
+    const std::string bytes = random_stream(rng);
+    long_lines += bytes.size() > NdjsonFlowSource::kBlockBytes ? 1 : 0;
+    // Pieces of one byte, a few bytes, or up to a few blocks.
+    const std::uint64_t scale[] = {1, 8, 200,
+                                   3 * NdjsonFlowSource::kBlockBytes};
+    const std::uint64_t max_piece = scale[rng.uniform_int(4)];
+    std::vector<std::size_t> pieces(1 + rng.uniform_int(16));
+    for (std::size_t& p : pieces) p = 1 + rng.uniform_int(max_piece);
+    PieceBuf buf(bytes, pieces);
+    std::istream in(&buf);
+    NdjsonFlowSource source(in, kHosts);
+    std::vector<Flow> flows;
+    Flow f;
+    while (true) {
+      // would_block() moves bytes into the reader's buffer; asking it
+      // at random must not change what next() returns.
+      if (rng.bernoulli(0.5)) source.would_block();
+      if (!source.next(f)) break;
+      flows.push_back(f);
+    }
+    const Reference ref = split_whole(bytes, kHosts);
+    ASSERT_EQ(flows.size(), ref.flows.size()) << "stream " << stream;
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      ASSERT_EQ(flows[i].time, ref.flows[i].time) << "stream " << stream;
+      ASSERT_EQ(flows[i].host, ref.flows[i].host) << "stream " << stream;
+      ASSERT_EQ(flows[i].dest, ref.flows[i].dest) << "stream " << stream;
+      ASSERT_EQ(flows[i].failed, ref.flows[i].failed) << "stream " << stream;
+      ASSERT_EQ(flows[i].labeled_worm, ref.flows[i].labeled_worm)
+          << "stream " << stream;
+    }
+    ASSERT_EQ(source.parse_errors(), ref.errors) << "stream " << stream;
+    ASSERT_EQ(source.parse_error_samples(), ref.samples)
+        << "stream " << stream;
+  }
+  EXPECT_GE(long_lines, 50u);  // the buffer grew in some streams
 }
 
 TEST(TraceFlowSource, FailureBitsMatchFirstContactOracle) {

@@ -70,33 +70,19 @@ TEST(SpscQueue, PeekedSlotsStayTakenUntilConsumed) {
   EXPECT_EQ(*q.peek(1), 4);
 }
 
-TEST(SpscQueue, CloseSignalsEndOfStream) {
-  SpscQueue<int> q(4);
-  EXPECT_FALSE(q.closed());
-  ASSERT_TRUE(q.try_push(7));
-  q.close();
-  EXPECT_TRUE(q.closed());
-  int out = 0;
-  ASSERT_EQ(q.pop_batch(&out, 1), 1u);  // drain after close
-  EXPECT_EQ(out, 7);
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(SpscQueue, TwoThreadTransferIsLossless) {
   constexpr std::uint64_t kCount = 200'000;
   SpscQueue<std::uint64_t> q(256);
   std::thread producer([&] {
     for (std::uint64_t i = 0; i < kCount; ++i)
       while (!q.try_push(i)) std::this_thread::yield();
-    q.close();
   });
   std::uint64_t expected = 0, sum = 0;
   std::uint64_t batch[64];
   bool ordered = true;
-  while (true) {
+  while (expected < kCount) {
     const std::size_t n = q.pop_batch(batch, 64);
     if (n == 0) {
-      if (q.closed() && q.empty()) break;
       std::this_thread::yield();
       continue;
     }
@@ -106,6 +92,7 @@ TEST(SpscQueue, TwoThreadTransferIsLossless) {
     }
   }
   producer.join();
+  EXPECT_EQ(q.pop_batch(batch, 64), 0u);  // nothing beyond kCount
   EXPECT_TRUE(ordered);
   EXPECT_EQ(expected, kCount);
   EXPECT_EQ(sum, kCount * (kCount - 1) / 2);
@@ -120,11 +107,10 @@ TEST(SpscQueue, TwoThreadPeekConsumeIsLossless) {
   std::thread producer([&] {
     for (std::uint64_t i = 0; i < kCount; ++i)
       while (!q.try_push(Slot{i, i, i, i})) std::this_thread::yield();
-    q.close();
   });
   std::uint64_t expected = 0;
   bool intact = true;
-  while (true) {
+  while (expected < kCount) {
     std::size_t n = 0;
     while (n < 64) {
       const Slot* s = q.peek(n);
@@ -134,13 +120,13 @@ TEST(SpscQueue, TwoThreadPeekConsumeIsLossless) {
       ++n;
     }
     if (n == 0) {
-      if (q.closed() && q.empty()) break;
       std::this_thread::yield();
       continue;
     }
     q.consume(n);
   }
   producer.join();
+  EXPECT_EQ(q.peek(0), nullptr);  // nothing beyond kCount
   EXPECT_TRUE(intact);
   EXPECT_EQ(expected, kCount);
 }
