@@ -169,49 +169,14 @@ double QuarantineEngine::quarantine_time(std::uint32_t host,
   return record_quarantine_time(hosts_[host], now);
 }
 
-QuarantineReport report_from_records(const std::vector<HostRecord>& hosts,
-                                     const std::vector<double>& label_time,
-                                     double now, std::uint64_t events) {
-  if (label_time.size() != hosts.size())
-    throw std::invalid_argument(
-        "report_from_records: label vector size mismatch");
-  QuarantineReport out;
-  double latency_sum = 0.0;
-  for (std::size_t h = 0; h < hosts.size(); ++h) {
-    const HostRecord& rec = hosts[h];
-    if (label_time[h] >= 0.0) {
-      ++out.target_hosts;
-      out.target_quarantine_time += record_quarantine_time(rec, now);
-      if (rec.first_quarantined >= 0.0) {
-        out.detected_targets += 1.0;
-        latency_sum += std::max(0.0, rec.first_quarantined - label_time[h]);
-      }
-    } else {
-      ++out.benign_hosts;
-      if (rec.offenses > 0) {
-        out.false_positive_hosts += 1.0;
-        out.benign_quarantine_time += record_quarantine_time(rec, now);
-      }
-    }
-  }
-  if (out.target_hosts > 0)
-    out.detection_rate =
-        out.detected_targets / static_cast<double>(out.target_hosts);
-  if (out.detected_targets > 0.0)
-    out.mean_detection_latency = latency_sum / out.detected_targets;
-  if (out.benign_hosts > 0)
-    out.false_positive_rate =
-        out.false_positive_hosts / static_cast<double>(out.benign_hosts);
-  if (out.false_positive_hosts > 0.0)
-    out.mean_benign_quarantine_time =
-        out.benign_quarantine_time / out.false_positive_hosts;
-  out.quarantine_events = static_cast<double>(events);
-  return out;
-}
-
 QuarantineReport QuarantineEngine::report(
     const std::vector<double>& label_time, double now) const {
-  return report_from_records(hosts_, label_time, now, events_);
+  if (label_time.size() != hosts_.size())
+    throw std::invalid_argument(
+        "QuarantineEngine::report: label vector size mismatch");
+  return report_from_records(
+      [this](std::size_t h) -> const HostRecord& { return hosts_[h]; },
+      label_time, now, events_);
 }
 
 QuarantineReport average_quarantine_reports(

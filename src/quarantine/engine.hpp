@@ -10,6 +10,7 @@
 // (src/trace/quarantine_replay).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <queue>
@@ -70,15 +71,50 @@ QuarantineReport average_quarantine_reports(
 /// `now` — the per-record form of QuarantineEngine::quarantine_time.
 double record_quarantine_time(const HostRecord& rec, double now) noexcept;
 
-/// The report() computation over an externally assembled host-record
-/// array. Shared by QuarantineEngine::report and the serve pipeline,
-/// which gathers records from per-shard engines in *global host order*
-/// so the floating-point accumulation order — and therefore the bytes
-/// of the report — match a single engine over the same flow stream.
-/// `events` is the total quarantine count (summed across engines).
-QuarantineReport report_from_records(const std::vector<HostRecord>& hosts,
+/// The report() computation over the record `record_at(h)` returns for
+/// each host h < label_time.size(), read in that order. The serve
+/// pipeline and the sharded simulator read each record in place from
+/// per-shard engines in *global host order*, so the floating-point
+/// accumulation order — and therefore the bytes of the report — match a
+/// single engine over the same flow stream. `events` is the total
+/// quarantine count (summed across engines).
+template <class RecordAt>
+QuarantineReport report_from_records(RecordAt&& record_at,
                                      const std::vector<double>& label_time,
-                                     double now, std::uint64_t events);
+                                     double now, std::uint64_t events) {
+  QuarantineReport out;
+  double latency_sum = 0.0;
+  for (std::size_t h = 0; h < label_time.size(); ++h) {
+    const HostRecord& rec = record_at(h);
+    if (label_time[h] >= 0.0) {
+      ++out.target_hosts;
+      out.target_quarantine_time += record_quarantine_time(rec, now);
+      if (rec.first_quarantined >= 0.0) {
+        out.detected_targets += 1.0;
+        latency_sum += std::max(0.0, rec.first_quarantined - label_time[h]);
+      }
+    } else {
+      ++out.benign_hosts;
+      if (rec.offenses > 0) {
+        out.false_positive_hosts += 1.0;
+        out.benign_quarantine_time += record_quarantine_time(rec, now);
+      }
+    }
+  }
+  if (out.target_hosts > 0)
+    out.detection_rate =
+        out.detected_targets / static_cast<double>(out.target_hosts);
+  if (out.detected_targets > 0.0)
+    out.mean_detection_latency = latency_sum / out.detected_targets;
+  if (out.benign_hosts > 0)
+    out.false_positive_rate =
+        out.false_positive_hosts / static_cast<double>(out.benign_hosts);
+  if (out.false_positive_hosts > 0.0)
+    out.mean_benign_quarantine_time =
+        out.benign_quarantine_time / out.false_positive_hosts;
+  out.quarantine_events = static_cast<double>(events);
+  return out;
+}
 
 class QuarantineEngine {
  public:

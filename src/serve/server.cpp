@@ -313,14 +313,12 @@ struct ServeServer::Impl {
   }
   void quiesce_shards();
   void write_checkpoint(double at_time);
-  /// Fills `records` with every host's record in global host order — the
-  /// float accumulation order of a single engine — and returns the
-  /// engines' total quarantine events. The engines must be quiescent.
-  std::uint64_t gather_records(
-      std::vector<quarantine::HostRecord>& records) const {
-    records.resize(options.num_hosts);
-    for (std::uint32_t h = 0; h < options.num_hosts; ++h)
-      records[h] = engines[owner[h]]->record(local_id[h]);
+  /// Global host h's record, read in place from its shard's engine.
+  const quarantine::HostRecord& record(std::size_t h) const {
+    return engines[owner[h]]->record(local_id[h]);
+  }
+  /// The engines' total quarantine events.
+  std::uint64_t quarantine_events() const {
     std::uint64_t events = 0;
     for (const auto& engine : engines)
       if (engine != nullptr) events += engine->quarantine_events();
@@ -561,12 +559,29 @@ void ServeServer::Impl::worker_loop(std::size_t shard) {
     // the profiler's cost well under the 1.05x gate while still showing
     // where worker time goes.
     obs::Span batch_span(spans, "worker_batch");
+    // Latency samples take one clock read per batch, as a read waits for
+    // the engine's outstanding loads: flows [sampled, end) take theirs
+    // when the batch is decided, or before a wait that follows their
+    // decisions (a full out-queue, the slow-shard failpoint), so no
+    // flow's sample counts a wait that came after it was decided.
     latency_counts.fill(0);
     std::uint64_t latency_sum = 0;
     std::uint64_t breaches = 0;
+    std::size_t sampled = 0;
+    const auto sample_to = [&](std::size_t end) {
+      if (sampled == end) return;
+      const std::uint64_t decided_ns = obs::span_clock_ns();
+      for (; sampled < end; ++sampled) {
+        const std::uint64_t lat_ns = decided_ns - batch[sampled].ingest_ns;
+        ++latency_counts[std::bit_width(lat_ns)];
+        latency_sum += lat_ns;
+        if (slo_ns > 0 && lat_ns > slo_ns) ++breaches;
+      }
+    };
     for (std::size_t i = 0; i < n; ++i) {
       const Flow& f = batch[i];
       if (slow_us != 0) {
+        sample_to(i);
         interruptible_sleep_us(slow_us, stop);
         if (stop.load(std::memory_order_relaxed)) return;
       }
@@ -576,10 +591,6 @@ void ServeServer::Impl::worker_loop(std::size_t shard) {
         label_time[f.host] = f.time;
       const bool was_quarantined = engine->quarantined(local);
       engine->observe(local, f.dest, f.time, f.failed);
-      const std::uint64_t lat_ns = obs::span_clock_ns() - f.ingest_ns;
-      ++latency_counts[std::bit_width(lat_ns)];
-      latency_sum += lat_ns;
-      if (slo_ns > 0 && lat_ns > slo_ns) ++breaches;
       if (decisions != nullptr) {
         Decision d;
         d.seq = f.seq;
@@ -596,6 +607,7 @@ void ServeServer::Impl::worker_loop(std::size_t shard) {
         if (!out.try_push(line)) {
           // Full decision queue: bounded backoff instead of an
           // unbounded spin, counted once per stall episode.
+          sample_to(i + 1);
           worker_stalls->add();
           Backoff backoff;
           do {
@@ -605,6 +617,7 @@ void ServeServer::Impl::worker_loop(std::size_t shard) {
         }
       }
     }
+    sample_to(n);
     latency->record_counts(latency_counts, latency_sum);
     if (breaches > 0) slo_breaches->add(breaches);
     prog.decided.store(prog.decided.load(std::memory_order_relaxed) + n,
@@ -858,12 +871,15 @@ void ServeServer::Impl::write_checkpoint(double at_time) {
   ck.time_regressions = time_regressions->value();
   ck.parse_errors = parse_errors->value();
   ck.shed_flows = shed_flows->value();
-  ck.quarantine_events = gather_records(ck.hosts.records);
+  ck.quarantine_events = quarantine_events();
   ck.config = quarantine::config_to_json(options.quarantine);
   ck.label_time = label_time;
+  ck.hosts.records.resize(options.num_hosts);
   ck.hosts.detectors.resize(options.num_hosts);
-  for (std::uint32_t h = 0; h < options.num_hosts; ++h)
+  for (std::uint32_t h = 0; h < options.num_hosts; ++h) {
+    ck.hosts.records[h] = record(h);
     ck.hosts.detectors[h] = engines[owner[h]]->detector_state(local_id[h]);
+  }
   // Shared-bitmap block pools, gathered in *global* block order so
   // checkpoint bytes stay shard-count independent (robustness tests
   // assert this).
@@ -901,13 +917,17 @@ ServeSummary ServeServer::Impl::drain(bool exhausted) {
   end_shed_episode(end_time);
   if (!options.checkpoint_path.empty()) write_checkpoint(end_time);
 
-  std::vector<quarantine::HostRecord> records;
-  std::uint64_t events = 0;
-  {
-    const obs::Span span(router_spans, "gather_report");
-    events = gather_records(records);
-  }
   ServeSummary summary;
+  {
+    // The records are read in global host order, in place: the float
+    // accumulation order of a single engine.
+    const obs::Span span(router_spans, "gather_report");
+    summary.report = quarantine::report_from_records(
+        [this](std::size_t h) -> const quarantine::HostRecord& {
+          return record(h);
+        },
+        label_time, end_time, quarantine_events());
+  }
   summary.parse_error_samples = sync_parse_errors();
   summary.flows_ingested = seq;
   summary.flows_decided = flows_decided->value();
@@ -917,8 +937,6 @@ ServeSummary ServeServer::Impl::drain(bool exhausted) {
   summary.degraded = summary.shed_flows > 0;
   summary.end_time = end_time;
   summary.interrupted = !exhausted;
-  summary.report =
-      quarantine::report_from_records(records, label_time, end_time, events);
   summary.wall_seconds =
       static_cast<double>(obs::span_clock_ns() - t_start) * 1e-9;
   summary.flows_per_sec =

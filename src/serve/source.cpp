@@ -22,6 +22,16 @@ bool is_worm_category(trace::HostCategory c) noexcept {
 NdjsonFlowSource::NdjsonFlowSource(std::istream& in, std::uint32_t num_hosts)
     : in_(in), num_hosts_(num_hosts), buf_(kBlockBytes) {}
 
+NdjsonFlowSource::~NdjsonFlowSource() {
+  if (!parser_.joinable()) return;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    quit_ = true;
+  }
+  handed_cv_.notify_one();
+  parser_.join();
+}
+
 bool NdjsonFlowSource::find_newline() noexcept {
   const char* data = buf_.data();
   const void* nl = std::memchr(data + searched_, '\n', end_ - searched_);
@@ -30,8 +40,9 @@ bool NdjsonFlowSource::find_newline() noexcept {
 }
 
 bool NdjsonFlowSource::fill(bool block) {
-  // Only a partial line is buffered here. It moves to the front once:
-  // a line that grows over many calls is already there.
+  // Buffered here are a partial line and under kChunkBytes of whole
+  // ones. They move to the front once: a line that grows over many calls
+  // is already there. A full buffer then holds a line that needs room.
   if (begin_ > 0)
     std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
   end_ -= begin_;
@@ -50,13 +61,152 @@ bool NdjsonFlowSource::fill(bool block) {
   return end_ > before;
 }
 
+void NdjsonFlowSource::count_error(std::string_view line) {
+  ++parse_errors_;
+  if (samples_.size() < kMaxErrorSamples)
+    samples_.emplace_back(line.substr(0, kMaxSampleLength));
+}
+
+namespace {
+
+enum class LineKind { kFlow, kBlank, kError };
+
+/// Parses one line into `out`. Strips a trailing '\r' from `line` first:
+/// CRLF input is tolerated, and a bare '\r' line is blank.
+LineKind parse_line(std::string_view& line, std::uint32_t num_hosts,
+                    Flow& out) noexcept {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  if (line.empty()) return LineKind::kBlank;
+  return parse_flow_line(line, num_hosts, out) ? LineKind::kFlow
+                                               : LineKind::kError;
+}
+
+}  // namespace
+
+bool NdjsonFlowSource::hand_off() {
+  if (handed_ - retired_ == kChunksInFlight || end_ - begin_ < kChunkBytes)
+    return false;
+  // The last '\n' is past searched_, if there is one, so a partial line
+  // that grows over many calls is searched once.
+  const std::size_t last =
+      std::string_view(buf_.data() + searched_, end_ - searched_).rfind('\n');
+  if (last == std::string_view::npos) {
+    searched_ = end_;
+    return false;
+  }
+  const std::size_t lines_end = searched_ + last + 1;
+  if (lines_end - begin_ < kChunkBytes) return false;
+  if (!parser_.joinable()) parser_ = std::thread([this] { parse_loop(); });
+  // The chunk takes the buffer, whole lines and all; the buffer it held
+  // becomes the reader's and gets the partial line after them.
+  Chunk& chunk = chunks_[handed_ % kChunksInFlight];
+  chunk.bytes.swap(buf_);
+  chunk.begin = begin_;
+  chunk.end = lines_end;
+  chunk.next_flow = chunk.next_error = 0;
+  if (buf_.size() < chunk.bytes.size()) buf_.resize(chunk.bytes.size());
+  end_ -= lines_end;
+  std::memcpy(buf_.data(), chunk.bytes.data() + lines_end, end_);
+  begin_ = 0;
+  searched_ = end_;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++handed_;
+  }
+  handed_cv_.notify_one();
+  return true;
+}
+
+void NdjsonFlowSource::hand_off_ready() {
+  while (handed_ - retired_ < kChunksInFlight)
+    if (!hand_off() && !(fill(false) && hand_off())) return;
+}
+
+NdjsonFlowSource::Chunk& NdjsonFlowSource::parsed_front() {
+  if (parsed_seen_ <= retired_) {
+    std::unique_lock<std::mutex> lock(mu_);
+    parsed_cv_.wait(lock, [this] { return parsed_ > retired_; });
+    parsed_seen_ = parsed_;
+  }
+  return chunks_[retired_ % kChunksInFlight];
+}
+
+void NdjsonFlowSource::count_errors(Chunk& chunk) {
+  for (; chunk.next_error < chunk.errors.size() &&
+         chunk.errors[chunk.next_error].flows_before <= chunk.next_flow;
+       ++chunk.next_error) {
+    const Chunk::Error& e = chunk.errors[chunk.next_error];
+    count_error({chunk.bytes.data() + e.begin, e.size});
+  }
+}
+
+void NdjsonFlowSource::retire(Chunk& chunk) {
+  count_errors(chunk);
+  ++retired_;
+  hand_off_ready();
+}
+
+void NdjsonFlowSource::parse_loop() {
+  for (std::uint64_t i = 0;; ++i) {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      handed_cv_.wait(lock, [&] { return quit_ || handed_ > i; });
+      if (quit_) return;
+    }
+    Chunk& chunk = chunks_[i % kChunksInFlight];
+    try {
+      parse_chunk(chunk);
+    } catch (...) {
+      chunk.failure = std::current_exception();
+    }
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      parsed_ = i + 1;
+    }
+    parsed_cv_.notify_one();
+  }
+}
+
+void NdjsonFlowSource::parse_chunk(Chunk& chunk) {
+  chunk.flows.clear();
+  chunk.errors.clear();
+  chunk.failure = nullptr;
+  const char* data = chunk.bytes.data();
+  for (std::size_t begin = chunk.begin; begin < chunk.end;) {
+    const auto* nl = static_cast<const char*>(
+        std::memchr(data + begin, '\n', chunk.end - begin));
+    std::string_view line(data + begin, nl - (data + begin));
+    begin = nl + 1 - data;
+    Flow flow;
+    const LineKind kind = parse_line(line, num_hosts_, flow);
+    if (kind == LineKind::kFlow)
+      chunk.flows.push_back(flow);
+    else if (kind == LineKind::kError)
+      chunk.errors.push_back({chunk.flows.size(),
+                              static_cast<std::size_t>(line.data() - data),
+                              line.size()});
+  }
+}
+
 bool NdjsonFlowSource::next(Flow& out) {
   while (true) {
+    if (retired_ < handed_) {
+      Chunk& chunk = parsed_front();
+      if (chunk.failure) std::rethrow_exception(chunk.failure);
+      if (chunk.next_flow == chunk.flows.size()) {
+        retire(chunk);
+        continue;
+      }
+      count_errors(chunk);
+      out = chunk.flows[chunk.next_flow++];
+      return true;
+    }
     std::string_view line;
     if (find_newline()) {
       line = {buf_.data() + begin_, searched_ - begin_};
       begin_ = searched_ = searched_ + 1;
     } else if (fill(false) || fill(true)) {
+      hand_off_ready();
       continue;
     } else if (begin_ < end_) {  // the last line, with no '\n'
       line = {buf_.data() + begin_, end_ - begin_};
@@ -64,21 +214,26 @@ bool NdjsonFlowSource::next(Flow& out) {
     } else {
       return false;
     }
-    // Tolerate CRLF input; a bare '\r' line is then empty, i.e. blank.
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-    if (parse_flow_line(line, num_hosts_, out)) return true;
-    ++parse_errors_;
-    if (samples_.size() < kMaxErrorSamples)
-      samples_.emplace_back(line.substr(0, kMaxSampleLength));
+    const LineKind kind = parse_line(line, num_hosts_, out);
+    if (kind == LineKind::kFlow) return true;
+    if (kind == LineKind::kError) count_error(line);
   }
 }
 
 bool NdjsonFlowSource::would_block() {
-  if (find_newline()) return false;
-  fill(false);
-  return !find_newline() && in_.rdbuf() != nullptr &&
-         in_.rdbuf()->in_avail() <= 0;
+  while (true) {
+    if (retired_ < handed_) {
+      Chunk& chunk = parsed_front();
+      if (chunk.failure || chunk.next_flow < chunk.flows.size()) return false;
+      retire(chunk);
+    } else if (find_newline()) {
+      return false;
+    } else if (fill(false)) {
+      hand_off_ready();
+    } else {
+      return in_.rdbuf() != nullptr && in_.rdbuf()->in_avail() <= 0;
+    }
+  }
 }
 
 TraceFlowSource::TraceFlowSource(const trace::Trace& trace, double speed)

@@ -12,13 +12,21 @@
 //    for the flows/sec bench: flow i is a pure function of (seed, i),
 //    so any prefix is reproducible and shard-count independent.
 //
-// Sources are single-threaded (the router owns them); all per-flow
-// state lives here so shard workers stay stateless beyond the engine.
+// The router owns each source and is the only thread that calls it; all
+// per-flow state lives here so shard workers stay stateless beyond the
+// engine. NdjsonFlowSource parses bulk input on a thread of its own,
+// behind that same single-caller interface.
 #pragma once
 
+#include <array>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <istream>
+#include <mutex>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "serve/flow.hpp"
@@ -61,12 +69,24 @@ class FlowSource {
   virtual bool would_block() { return false; }
 };
 
+/// Reads NDJSON flow lines in blocks. The caller's thread does every
+/// read. Once kChunkBytes of whole lines are buffered it hands them to a
+/// parse thread as one chunk, keeping up to kChunksInFlight chunks there
+/// while the stream has bytes ready, and next() returns the flows that
+/// thread parsed. Fewer buffered lines it parses itself, so a trickling
+/// pipe starts no thread. parse_errors() and parse_error_samples() count
+/// only the lines before the last flow handed out, whichever thread
+/// parsed them.
 class NdjsonFlowSource : public FlowSource {
  public:
   /// Flows with host >= num_hosts are parse errors (the engine is
   /// sized up front; a front-end cannot grow its host table per
   /// attacker-controlled line).
   NdjsonFlowSource(std::istream& in, std::uint32_t num_hosts);
+  /// Joins the parse thread, which never waits on the stream.
+  ~NdjsonFlowSource() override;
+  NdjsonFlowSource(const NdjsonFlowSource&) = delete;
+  NdjsonFlowSource& operator=(const NdjsonFlowSource&) = delete;
 
   /// Rejected lines kept as samples, and the per-sample length cap.
   static constexpr std::size_t kMaxErrorSamples = 5;
@@ -75,12 +95,19 @@ class NdjsonFlowSource : public FlowSource {
   /// Bytes the reader asks the stream for at a time. A longer line
   /// grows the buffer to hold it.
   static constexpr std::size_t kBlockBytes = std::size_t{1} << 16;
+  /// Whole lines buffered before they go to the parse thread as a chunk.
+  static constexpr std::size_t kChunkBytes = std::size_t{1} << 14;
+  /// Chunks handed to the parse thread and not yet read out.
+  static constexpr std::size_t kChunksInFlight = 4;
 
+  /// Rethrows an exception the parse thread met.
   bool next(Flow& out) override;
-  /// Buffers what the stream has ready, then true when no whole line is
-  /// buffered and nothing more is ready: a partial line is not input,
-  /// as next() would wait for its end. A stdio-synced `std::cin` never
-  /// reports bytes ready; `dqctl` unsyncs it.
+  /// False while a parsed flow is waiting; chunks that hold only
+  /// malformed lines are waited for and counted. Then buffers what the
+  /// stream has ready, and is true when no whole line is buffered and
+  /// nothing more is ready: a partial line is not input, as next() would
+  /// wait for its end. A stdio-synced `std::cin` never reports bytes
+  /// ready; `dqctl` unsyncs it.
   bool would_block() override;
   std::uint64_t parse_errors() const noexcept override {
     return parse_errors_;
@@ -91,13 +118,52 @@ class NdjsonFlowSource : public FlowSource {
   }
 
  private:
+  /// Whole lines handed to the parse thread, and what it made of them.
+  /// The router sets `bytes`, `begin` and `end` before the hand-off and
+  /// reads the rest once the chunk is parsed; in between only the parse
+  /// thread touches it.
+  struct Chunk {
+    /// A malformed line: the chunk's flows before it, and its bytes.
+    struct Error {
+      std::size_t flows_before;
+      std::size_t begin;
+      std::size_t size;
+    };
+    std::vector<char> bytes;  ///< bytes[begin, end) are whole lines
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::vector<Flow> flows;
+    std::vector<Error> errors;
+    std::exception_ptr failure;
+    std::size_t next_flow = 0;   ///< flows handed out
+    std::size_t next_error = 0;  ///< errors counted
+  };
+
   /// True when a whole line is buffered; its '\n' is then at
   /// searched_. Searches only bytes no earlier call searched.
   bool find_newline() noexcept;
   /// Appends the bytes the stream has ready, growing the buffer when a
   /// partial line fills it; with `block`, first waits for one byte.
-  /// False when it appended nothing.
+  /// False when it appended nothing. Called with fewer than kChunkBytes
+  /// of whole lines buffered.
   bool fill(bool block);
+  /// Counts one malformed line, keeping the first few as samples.
+  void count_error(std::string_view line);
+  /// Hands every buffered whole line to the parse thread as one chunk,
+  /// when they are at least kChunkBytes and a chunk is free.
+  bool hand_off();
+  /// Hands off chunks while one is free and the stream has them ready.
+  void hand_off_ready();
+  /// The oldest chunk in flight, once the parse thread is done with it.
+  Chunk& parsed_front();
+  /// Counts the chunk's malformed lines before its next flow: all that
+  /// are left once its flows are handed out.
+  void count_errors(Chunk& chunk);
+  /// Frees the oldest chunk once its flows are handed out, counting its
+  /// last malformed lines, and hands off what is ready.
+  void retire(Chunk& chunk);
+  void parse_loop();
+  void parse_chunk(Chunk& chunk);
 
   std::istream& in_;
   std::uint32_t num_hosts_;
@@ -109,6 +175,21 @@ class NdjsonFlowSource : public FlowSource {
   std::size_t begin_ = 0;
   std::size_t searched_ = 0;
   std::size_t end_ = 0;
+
+  /// Chunk i lives in chunks_[i % kChunksInFlight]. The router hands
+  /// off chunk handed_ and reads out chunk retired_; the parse thread
+  /// has parsed chunks below parsed_, and the router last saw
+  /// parsed_seen_ of them, so it locks mu_ about once per chunk.
+  std::array<Chunk, kChunksInFlight> chunks_;
+  std::uint64_t retired_ = 0;
+  std::uint64_t parsed_seen_ = 0;
+  std::mutex mu_;
+  std::uint64_t handed_ = 0;  ///< written under mu_
+  std::uint64_t parsed_ = 0;  ///< guarded by mu_
+  bool quit_ = false;         ///< guarded by mu_
+  std::condition_variable handed_cv_;
+  std::condition_variable parsed_cv_;
+  std::thread parser_;  ///< started at the first hand-off
 };
 
 class TraceFlowSource : public FlowSource {

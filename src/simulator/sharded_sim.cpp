@@ -910,22 +910,21 @@ bool ShardedSimulation::saturated() const {
 }
 
 quarantine::QuarantineReport ShardedSimulation::quarantine_report() const {
-  // Host records in global id order: the accumulation order (and float
-  // result) of one unsharded engine, so the report is invariant in the
-  // shard count. Ground truth: a host is a target iff the worm ever
-  // took it, with its infection tick as the detection-latency
-  // reference point.
-  std::vector<quarantine::HostRecord> records;
-  records.reserve(topology_.num_nodes());
+  // Host records read in place in global id order: the accumulation
+  // order (and float result) of one unsharded engine, so the report is
+  // invariant in the shard count. Ground truth: a host is a target iff
+  // the worm ever took it, with its infection tick as the
+  // detection-latency reference point.
   std::uint64_t events = 0;
-  for (const Shard& sh : shards_) {
-    if (!sh.quarantine) continue;  // block rounding emptied this shard
-    for (NodeId v = sh.begin; v < sh.end; ++v)
-      records.push_back(sh.quarantine->record(v - sh.begin));
-    events += sh.quarantine->quarantine_events();
-  }
-  return quarantine::report_from_records(records, infected_tick_, tick_,
-                                         events);
+  for (const Shard& sh : shards_)
+    if (sh.quarantine) events += sh.quarantine->quarantine_events();
+  return quarantine::report_from_records(
+      [this](std::size_t h) -> const quarantine::HostRecord& {
+        const auto v = static_cast<NodeId>(h);
+        const Shard& sh = shards_[shard_of(v)];
+        return sh.quarantine->record(v - sh.begin);
+      },
+      infected_tick_, tick_, events);
 }
 
 void ShardedSimulation::flush_metrics() {

@@ -288,6 +288,21 @@ TEST(ServeRobustness, BlockedRouterCountsStallsAndRecovers) {
   EXPECT_GE(counter_value(r.counters, "serve.router_stalls"), 1u);
 }
 
+TEST(ServeRobustness, LatencySamplesCountNoWaitAfterTheirDecision) {
+  // One shard that sleeps 2 ms per flow gets 40 flows at once, so nearly
+  // all of them land in one popped batch. Flow i is decided about
+  // 2(i+1) ms after its ingest; a sample read at the end of the batch
+  // would count the sleeps of the flows after it and read over 60 ms
+  // for nearly every flow. With a 60 ms SLO only the last ten or so
+  // flows breach.
+  ScopedFailpoints fp("slow_shard:0:2000");
+  ServeOptions opt = base_options(1);
+  opt.slo_ms = 60.0;
+  const RunResult r = run_synthetic(opt, synth_config(40));
+  EXPECT_EQ(r.summary.flows_decided, 40u);
+  EXPECT_LT(r.summary.slo_breaches, 30u);
+}
+
 TEST(ServeRobustness, TransientSinkErrorsRetryWithoutChangingTheStream) {
   const RunResult clean =
       run_synthetic(base_options(2), synth_config(20'000));

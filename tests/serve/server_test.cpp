@@ -566,6 +566,64 @@ TEST(ServeServer, MetricsStreamEmitsPeriodicSnapshots) {
   EXPECT_EQ(n, 5u);
 }
 
+TEST(ServeServer, SnapshotsCountTheParseErrorsBeforeTheirFlow) {
+  // Flows of ~40 bytes, many blocks of them, so the source hands most
+  // of the stream to its parse thread in chunks. Garbage sits right
+  // before and right after each snapshot's flow, and every 97th line.
+  constexpr std::uint64_t kFlows = 40'000;
+  constexpr std::uint64_t kEvery = 1'000;
+  std::string input;
+  std::vector<std::uint64_t> garbage_before(kFlows + 1, 0);
+  std::uint64_t garbage = 0;
+  std::uint64_t lines = 0;
+  const auto add_garbage = [&] {
+    input += "not a flow\n";
+    ++garbage;
+    ++lines;
+  };
+  for (std::uint64_t i = 1; i <= kFlows; ++i) {
+    if (i % kEvery == 0 || lines % 97 == 0) add_garbage();
+    garbage_before[i] = garbage;
+    input += "{\"t\":" + std::to_string(i) + ",\"host\":" +
+             std::to_string(i % 64) + ",\"dest\":" + std::to_string(i) +
+             "}\n";
+    ++lines;
+    if (i % kEvery == 0) add_garbage();
+  }
+  ASSERT_GT(input.size(), 8 * NdjsonFlowSource::kBlockBytes);
+
+  std::istringstream in(input);
+  NdjsonFlowSource source(in, 64);
+  ServeOptions options;
+  options.shards = 2;
+  options.num_hosts = 64;
+  options.quarantine = replay_config();
+  options.metrics_interval_flows = kEvery;
+  ServeServer server(options);
+  std::ostringstream metrics;
+  const ServeSummary summary = server.run(source, nullptr, &metrics);
+  EXPECT_EQ(summary.parse_errors, garbage);
+
+  // One snapshot per kEvery flows, then the final one.
+  std::istringstream snapshots(metrics.str());
+  std::string line;
+  std::uint64_t n = 0;
+  while (std::getline(snapshots, line)) {
+    ++n;
+    const campaign::JsonValue counters =
+        campaign::JsonValue::parse(line).at("counters");
+    const std::uint64_t flows = counters.at("serve.flows_ingested").as_uint();
+    const bool periodic = n <= kFlows / kEvery;
+    if (periodic) {
+      EXPECT_EQ(flows, n * kEvery);
+    }
+    EXPECT_EQ(counters.at("serve.parse_errors").as_uint(),
+              periodic ? garbage_before[n * kEvery] : garbage)
+        << "snapshot " << n << " at " << flows << " flows";
+  }
+  EXPECT_EQ(n, kFlows / kEvery + 1);
+}
+
 TEST(ServeServer, ValidatesOptions) {
   ServeOptions bad_shards;
   bad_shards.shards = 0;

@@ -147,6 +147,8 @@ class PieceBuf final : public std::streambuf {
 /// trailing '\r' stripped, empty lines skipped, the rest parsed.
 struct Reference {
   std::vector<Flow> flows;
+  /// Malformed lines before each flow's line.
+  std::vector<std::uint64_t> errors_before;
   std::uint64_t errors = 0;
   std::vector<std::string> samples;
 };
@@ -164,6 +166,7 @@ Reference split_whole(const std::string& bytes, std::uint32_t num_hosts) {
     Flow f;
     if (parse_flow_line(line, num_hosts, f)) {
       ref.flows.push_back(f);
+      ref.errors_before.push_back(ref.errors);
       continue;
     }
     ++ref.errors;
@@ -217,47 +220,87 @@ std::string random_stream(Rng& rng) {
   return s;
 }
 
+/// Reads `bytes` through a source in `pieces`, asking would_block() at
+/// random, and checks every flow against the reference. After each
+/// flow the error count and samples are those of the lines before it,
+/// however the lines were split among chunks and threads.
+void expect_flows_of_whole_string(const std::string& bytes,
+                                  const std::vector<std::size_t>& pieces,
+                                  std::uint32_t num_hosts, Rng& rng,
+                                  int stream) {
+  const Reference ref = split_whole(bytes, num_hosts);
+  PieceBuf buf(bytes, pieces);
+  std::istream in(&buf);
+  NdjsonFlowSource source(in, num_hosts);
+  std::size_t i = 0;
+  Flow f;
+  while (true) {
+    // would_block() moves bytes into the reader's buffer and may wait
+    // on the parse thread; asking it at random must not change what
+    // next() returns.
+    if (rng.bernoulli(0.5)) source.would_block();
+    if (!source.next(f)) break;
+    ASSERT_LT(i, ref.flows.size()) << "stream " << stream;
+    const Flow& want = ref.flows[i];
+    ASSERT_EQ(f.time, want.time) << "stream " << stream;
+    ASSERT_EQ(f.host, want.host) << "stream " << stream;
+    ASSERT_EQ(f.dest, want.dest) << "stream " << stream;
+    ASSERT_EQ(f.failed, want.failed) << "stream " << stream;
+    ASSERT_EQ(f.labeled_worm, want.labeled_worm) << "stream " << stream;
+    const std::uint64_t errors = ref.errors_before[i];
+    ASSERT_EQ(source.parse_errors(), errors)
+        << "stream " << stream << " flow " << i;
+    const auto& samples = source.parse_error_samples();
+    ASSERT_EQ(samples.size(),
+              std::min<std::uint64_t>(errors,
+                                      NdjsonFlowSource::kMaxErrorSamples))
+        << "stream " << stream << " flow " << i;
+    ASSERT_TRUE(std::equal(samples.begin(), samples.end(),
+                           ref.samples.begin()))
+        << "stream " << stream << " flow " << i;
+    ++i;
+  }
+  ASSERT_EQ(i, ref.flows.size()) << "stream " << stream;
+  ASSERT_EQ(source.parse_errors(), ref.errors) << "stream " << stream;
+  ASSERT_EQ(source.parse_error_samples(), ref.samples) << "stream " << stream;
+}
+
 TEST(NdjsonFlowSource, AnyPieceSizesGiveTheFlowsOfTheWholeString) {
   constexpr int kStreams = 10'000;
   constexpr std::uint32_t kHosts = 16;  // some flows are out of range
+  constexpr std::size_t kBlock = NdjsonFlowSource::kBlockBytes;
   Rng rng(20261019);
   std::size_t long_lines = 0;
   for (int stream = 0; stream < kStreams; ++stream) {
     const std::string bytes = random_stream(rng);
-    long_lines += bytes.size() > NdjsonFlowSource::kBlockBytes ? 1 : 0;
+    long_lines += bytes.size() > kBlock ? 1 : 0;
     // Pieces of one byte, a few bytes, or up to a few blocks.
-    const std::uint64_t scale[] = {1, 8, 200,
-                                   3 * NdjsonFlowSource::kBlockBytes};
+    const std::uint64_t scale[] = {1, 8, 200, 3 * kBlock};
     const std::uint64_t max_piece = scale[rng.uniform_int(4)];
     std::vector<std::size_t> pieces(1 + rng.uniform_int(16));
     for (std::size_t& p : pieces) p = 1 + rng.uniform_int(max_piece);
-    PieceBuf buf(bytes, pieces);
-    std::istream in(&buf);
-    NdjsonFlowSource source(in, kHosts);
-    std::vector<Flow> flows;
-    Flow f;
-    while (true) {
-      // would_block() moves bytes into the reader's buffer; asking it
-      // at random must not change what next() returns.
-      if (rng.bernoulli(0.5)) source.would_block();
-      if (!source.next(f)) break;
-      flows.push_back(f);
-    }
-    const Reference ref = split_whole(bytes, kHosts);
-    ASSERT_EQ(flows.size(), ref.flows.size()) << "stream " << stream;
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-      ASSERT_EQ(flows[i].time, ref.flows[i].time) << "stream " << stream;
-      ASSERT_EQ(flows[i].host, ref.flows[i].host) << "stream " << stream;
-      ASSERT_EQ(flows[i].dest, ref.flows[i].dest) << "stream " << stream;
-      ASSERT_EQ(flows[i].failed, ref.flows[i].failed) << "stream " << stream;
-      ASSERT_EQ(flows[i].labeled_worm, ref.flows[i].labeled_worm)
-          << "stream " << stream;
-    }
-    ASSERT_EQ(source.parse_errors(), ref.errors) << "stream " << stream;
-    ASSERT_EQ(source.parse_error_samples(), ref.samples)
-        << "stream " << stream;
+    expect_flows_of_whole_string(bytes, pieces, kHosts, rng, stream);
+    if (HasFatalFailure()) return;
   }
   EXPECT_GE(long_lines, 50u);  // the buffer grew in some streams
+
+  // Streams of twelve blocks and more, in pieces that mostly carry a whole
+  // chunk: each crosses at least four hand-offs to the parse thread, so
+  // errors are counted across chunk boundaries, among chunks in flight
+  // and between chunks and the lines the reader parses itself.
+  constexpr int kLongStreams = 24;
+  for (int stream = 0; stream < kLongStreams; ++stream) {
+    std::string bytes;
+    while (bytes.size() < 12 * kBlock) bytes += random_stream(rng) + "\n";
+    std::vector<std::size_t> pieces(1 + rng.uniform_int(16));
+    for (std::size_t& p : pieces)
+      p = rng.bernoulli(0.1) ? 1 + rng.uniform_int(200)
+                             : NdjsonFlowSource::kChunkBytes +
+                                   rng.uniform_int(3 * kBlock);
+    expect_flows_of_whole_string(bytes, pieces, kHosts, rng,
+                                 kStreams + stream);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(TraceFlowSource, FailureBitsMatchFirstContactOracle) {
