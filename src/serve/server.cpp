@@ -33,6 +33,9 @@ extern "C" void stop_signal_handler(int) { g_stop.store(true); }
 
 constexpr std::size_t kWorkerBatch = 256;
 constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
+/// Pending flows between the merges that the 64 KiB write asks for: a
+/// merge on every flow mostly finds its worker still deciding.
+constexpr std::size_t kMergeStride = 32;
 /// Longest a decided line waits in the router while flows keep
 /// arriving: the first flow ingested this long after the last write
 /// has the router write and flush what is ready.
@@ -155,16 +158,24 @@ struct ServeServer::Impl {
   ServeOptions options;
   bool ran = false;
 
-  // Host partition: owner shard and shard-local id per global host.
-  std::vector<std::uint8_t> owner;
-  std::vector<std::uint32_t> local_id;
-  std::vector<std::uint32_t> owned_count;
-  // Under the shared-bitmap backend hosts are partitioned in whole
-  // estimator blocks (sharing never crosses a block, so decisions stay
-  // byte-identical at any shard count): global block -> owner shard and
-  // shard-local block index.
+  // Host partition, in blocks of `block_hosts` consecutive hosts: one
+  // host under the exact backend, one estimator block under the shared
+  // bitmap (sharing never crosses a block, so decisions stay
+  // byte-identical at any shard count). Global block -> owner shard and
+  // shard-local block index; hosts owned per shard.
+  bool compact = false;
+  std::uint32_t block_hosts = 1;
   std::vector<std::uint8_t> block_owner;
   std::vector<std::uint32_t> block_local;
+  std::vector<std::uint32_t> owned_count;
+  std::size_t owner_of(std::uint32_t h) const {
+    return block_owner[h / block_hosts];
+  }
+  /// A shard's blocks are whole but for the global last, so its hosts
+  /// before block b number block_local[b] * block_hosts.
+  std::uint32_t local_of(std::uint32_t h) const {
+    return block_local[h / block_hosts] * block_hosts + h % block_hosts;
+  }
 
   // Ground-truth worm onset per global host; each entry is written only
   // by its owner shard's worker, read by the router after the shard has
@@ -314,8 +325,8 @@ struct ServeServer::Impl {
   void quiesce_shards();
   void write_checkpoint(double at_time);
   /// Global host h's record, read in place from its shard's engine.
-  const quarantine::HostRecord& record(std::size_t h) const {
-    return engines[owner[h]]->record(local_id[h]);
+  const quarantine::HostRecord& record(std::uint32_t h) const {
+    return engines[owner_of(h)]->record(local_of(h));
   }
   /// The engines' total quarantine events.
   std::uint64_t quarantine_events() const {
@@ -363,39 +374,30 @@ ServeServer::Impl::Impl(const ServeOptions& opts,
     throw std::invalid_argument("ServeServer: slo_ms must be >= 0");
   slo_ns = static_cast<std::uint64_t>(options.slo_ms * 1e6);
 
-  // Hash-partition hosts across shards; shard-local ids are assigned in
+  // Hash-partition blocks across shards; shard-local ids are assigned in
   // ascending global host order, so gathering records back in global
-  // order needs only the two maps. The shared-bitmap backend hashes the
-  // *block* id instead, keeping every estimator block whole on one
-  // shard: ascending assignment then guarantees a shard's hosts form
-  // whole blocks in global block order (a partial block only at the
-  // global tail), so each shard-local CompactEstimatorStore sees
-  // exactly the same block-local streams as a single engine would.
+  // order needs only the block map. Under the shared bitmap this keeps
+  // every estimator block whole on one shard, in global block order (a
+  // partial block only at the global tail), so each shard-local
+  // CompactEstimatorStore sees exactly the same block-local streams as
+  // a single engine would.
   const std::size_t shards = options.shards;
-  const bool compact = options.quarantine.estimator_backend ==
-                       quarantine::EstimatorBackend::kSharedBitmap;
-  const std::uint32_t block_hosts = options.quarantine.compact.block_hosts;
-  owner.resize(options.num_hosts);
-  local_id.resize(options.num_hosts);
+  compact = options.quarantine.estimator_backend ==
+            quarantine::EstimatorBackend::kSharedBitmap;
+  if (compact) block_hosts = options.quarantine.compact.block_hosts;
+  const std::uint32_t num_blocks =
+      (options.num_hosts - 1) / block_hosts + 1;
+  block_owner.resize(num_blocks);
+  block_local.resize(num_blocks);
   owned_count.assign(shards, 0);
-  for (std::uint32_t h = 0; h < options.num_hosts; ++h) {
-    const std::uint64_t key = compact ? h / block_hosts : h;
-    const auto s = static_cast<std::size_t>(mix64(key + 1) % shards);
-    owner[h] = static_cast<std::uint8_t>(s);
-    local_id[h] = owned_count[s]++;
-  }
-  if (compact) {
-    const std::size_t num_blocks =
-        (options.num_hosts + block_hosts - 1) / block_hosts;
-    block_owner.resize(num_blocks);
-    block_local.resize(num_blocks);
-    std::vector<std::uint32_t> blocks_owned(shards, 0);
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      const std::uint8_t s =
-          owner[static_cast<std::uint32_t>(b) * block_hosts];
-      block_owner[b] = s;
-      block_local[b] = blocks_owned[s]++;
-    }
+  std::vector<std::uint32_t> blocks_owned(shards, 0);
+  for (std::uint32_t b = 0; b < num_blocks; ++b) {
+    const auto s = static_cast<std::size_t>(mix64(std::uint64_t{b} + 1) %
+                                            shards);
+    block_owner[b] = static_cast<std::uint8_t>(s);
+    block_local[b] = blocks_owned[s]++;
+    owned_count[s] +=
+        std::min(block_hosts, options.num_hosts - b * block_hosts);
   }
   label_time.assign(options.num_hosts, -1.0);
   progress = std::make_unique<ShardProgress[]>(shards);
@@ -491,8 +493,8 @@ ServeServer::Impl::Impl(const ServeOptions& opts,
           "pools but the configured backend is exact");
     }
     for (std::uint32_t h = 0; h < options.num_hosts; ++h)
-      engines[owner[h]]->restore_host(
-          local_id[h], ck.hosts.records[h], ck.hosts.detectors[h]);
+      engines[owner_of(h)]->restore_host(
+          local_of(h), ck.hosts.records[h], ck.hosts.detectors[h]);
     for (auto& engine : engines)
       if (engine != nullptr) {
         engine->add_quarantine_events(ck.quarantine_events);
@@ -586,7 +588,7 @@ void ServeServer::Impl::worker_loop(std::size_t shard) {
         if (stop.load(std::memory_order_relaxed)) return;
       }
       engine->advance_to(f.time);
-      const std::uint32_t local = local_id[f.host];
+      const std::uint32_t local = local_of(f.host);
       if (f.labeled_worm && label_time[f.host] < 0.0)
         label_time[f.host] = f.time;
       const bool was_quarantined = engine->quarantined(local);
@@ -737,7 +739,7 @@ bool ServeServer::Impl::ingest(Flow& flow) {
 /// overload policy sheds the flow or waits.
 void ServeServer::Impl::scatter(const Flow& flow) {
   throw_if_stalled();
-  const std::size_t s = owner[flow.host];
+  const std::size_t s = owner_of(flow.host);
   if (!in_queues[s]->try_push(flow)) {
     merge();
     if (!in_queues[s]->try_push(flow)) {
@@ -768,11 +770,13 @@ void ServeServer::Impl::scatter(const Flow& flow) {
   pending[(pend_head + pend_size) & (pending.size() - 1)] =
       static_cast<std::uint8_t>(s);
   ++pend_size;
-  // Merge only when it can matter: when the pending lines, at their
-  // longest, could complete the next 64 KiB write (so no line reaches
-  // the sink later than with a merge per flow), or when they could
-  // fill an out-queue and stall its worker.
-  if (outbuf.size() + pend_size * kMaxDecisionLineBytes >= kFlushBytes ||
+  // Merge only when it can matter: every kMergeStride pending flows
+  // while those lines, at their longest, could complete the next 64 KiB
+  // write (so no line reaches the sink more than kMergeStride flows
+  // later than with a merge per flow), or when they could fill an
+  // out-queue and stall its worker.
+  if ((pend_size % kMergeStride == 0 &&
+       outbuf.size() + pend_size * kMaxDecisionLineBytes >= kFlushBytes) ||
       pend_size >= out_queues[s]->capacity())
     merge();
 }
@@ -878,12 +882,12 @@ void ServeServer::Impl::write_checkpoint(double at_time) {
   ck.hosts.detectors.resize(options.num_hosts);
   for (std::uint32_t h = 0; h < options.num_hosts; ++h) {
     ck.hosts.records[h] = record(h);
-    ck.hosts.detectors[h] = engines[owner[h]]->detector_state(local_id[h]);
+    ck.hosts.detectors[h] = engines[owner_of(h)]->detector_state(local_of(h));
   }
   // Shared-bitmap block pools, gathered in *global* block order so
   // checkpoint bytes stay shard-count independent (robustness tests
   // assert this).
-  if (!block_owner.empty()) {
+  if (compact) {
     ck.store.emplace();
     for (std::size_t b = 0; b < block_owner.size(); ++b)
       quarantine::gather_block(*ck.store,

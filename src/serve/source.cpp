@@ -1,5 +1,6 @@
 #include "serve/source.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
@@ -42,13 +43,19 @@ bool NdjsonFlowSource::find_newline() noexcept {
 bool NdjsonFlowSource::fill(bool block) {
   // Buffered here are a partial line and under kChunkBytes of whole
   // ones. They move to the front once: a line that grows over many calls
-  // is already there. A full buffer then holds a line that needs room.
+  // is already there. A full buffer then holds a line that needs room;
+  // one that fills kMaxBufferBytes is longer than kMaxLineBytes.
   if (begin_ > 0)
     std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
   end_ -= begin_;
   searched_ -= begin_;
   begin_ = 0;
-  if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
+  if (end_ == buf_.size()) {
+    if (end_ < kMaxBufferBytes)
+      buf_.resize(std::min(2 * end_, kMaxBufferBytes));
+    else
+      cut_long_line();
+  }
   // read() of one byte waits for input and asks for no more; readsome()
   // takes only what in_avail() reports, so it never blocks.
   const std::size_t before = end_;
@@ -58,7 +65,35 @@ bool NdjsonFlowSource::fill(bool block) {
   }
   const auto room = static_cast<std::streamsize>(buf_.size() - end_);
   end_ += static_cast<std::size_t>(in_.readsome(buf_.data() + end_, room));
-  return end_ > before;
+  if (end_ == before) return false;
+  if (cutting_) {
+    // Drop the cut line's bytes; its '\n' ends the stub.
+    const char* data = buf_.data();
+    const void* nl = std::memchr(data + before, '\n', end_ - before);
+    if (nl == nullptr) {
+      end_ = before;
+    } else {
+      const std::size_t at = static_cast<const char*>(nl) - data;
+      std::memmove(buf_.data() + before, data + at, end_ - at);
+      end_ -= at - before;
+      cutting_ = false;
+    }
+  }
+  return true;
+}
+
+void NdjsonFlowSource::cut_long_line() {
+  // Whole lines fill under kChunkBytes of the buffer, so the partial
+  // line after them is longer than kMaxLineBytes. The stub keeps its
+  // sample and ends in a NUL byte, which no flow line holds outside a
+  // string and no string holds raw: whichever thread parses it counts
+  // it as malformed, in its place among the lines.
+  const std::size_t last = std::string_view(buf_.data(), end_).rfind('\n');
+  const std::size_t line = last == std::string_view::npos ? 0 : last + 1;
+  end_ = line + kMaxSampleLength;
+  buf_[end_++] = '\0';
+  searched_ = std::min(searched_, end_);
+  cutting_ = true;
 }
 
 void NdjsonFlowSource::count_error(std::string_view line) {
@@ -77,8 +112,10 @@ LineKind parse_line(std::string_view& line, std::uint32_t num_hosts,
                     Flow& out) noexcept {
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   if (line.empty()) return LineKind::kBlank;
-  return parse_flow_line(line, num_hosts, out) ? LineKind::kFlow
-                                               : LineKind::kError;
+  return line.size() <= NdjsonFlowSource::kMaxLineBytes &&
+                 parse_flow_line(line, num_hosts, out)
+             ? LineKind::kFlow
+             : LineKind::kError;
 }
 
 }  // namespace

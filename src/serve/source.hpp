@@ -93,8 +93,14 @@ class NdjsonFlowSource : public FlowSource {
   static constexpr std::size_t kMaxSampleLength = 120;
 
   /// Bytes the reader asks the stream for at a time. A longer line
-  /// grows the buffer to hold it.
+  /// grows the buffer to hold it, up to kMaxBufferBytes.
   static constexpr std::size_t kBlockBytes = std::size_t{1} << 16;
+  /// The longest line that can be a flow. A longer one is one malformed
+  /// line: the reader keeps its first kMaxSampleLength bytes as the
+  /// sample and drops the rest up to its '\n', so no stream, not even
+  /// one that never sends a '\n', grows the buffer past kMaxBufferBytes.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+  static constexpr std::size_t kMaxBufferBytes = kMaxLineBytes + kBlockBytes;
   /// Whole lines buffered before they go to the parse thread as a chunk.
   static constexpr std::size_t kChunkBytes = std::size_t{1} << 14;
   /// Chunks handed to the parse thread and not yet read out.
@@ -144,9 +150,13 @@ class NdjsonFlowSource : public FlowSource {
   bool find_newline() noexcept;
   /// Appends the bytes the stream has ready, growing the buffer when a
   /// partial line fills it; with `block`, first waits for one byte.
-  /// False when it appended nothing. Called with fewer than kChunkBytes
-  /// of whole lines buffered.
+  /// False when it took nothing from the stream. Called with fewer than
+  /// kChunkBytes of whole lines buffered.
   bool fill(bool block);
+  /// Cuts the partial line that fills a kMaxBufferBytes buffer to a stub
+  /// that parses as malformed, and drops the line's bytes until its
+  /// '\n'.
+  void cut_long_line();
   /// Counts one malformed line, keeping the first few as samples.
   void count_error(std::string_view line);
   /// Hands every buffered whole line to the parse thread as one chunk,
@@ -175,6 +185,7 @@ class NdjsonFlowSource : public FlowSource {
   std::size_t begin_ = 0;
   std::size_t searched_ = 0;
   std::size_t end_ = 0;
+  bool cutting_ = false;  ///< dropping a cut line's bytes
 
   /// Chunk i lives in chunks_[i % kChunksInFlight]. The router hands
   /// off chunk handed_ and reads out chunk retired_; the parse thread

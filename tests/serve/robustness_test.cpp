@@ -133,17 +133,24 @@ std::shared_ptr<const CheckpointState> parsed(const std::string& bytes) {
       CheckpointState::from_json(campaign::JsonValue::parse(bytes)));
 }
 
+/// The synthetic stream of `flows` flows over the hosts of `options`.
+SyntheticConfig synth_for(Options options, std::uint64_t flows) {
+  SyntheticConfig s = synth_config(flows);
+  s.hosts = options(1).num_hosts;
+  return s;
+}
+
 /// For each cut, checkpoints the first `cut` flows at one shard count
-/// and resumes the stream at another (1 -> 4 and 4 -> 1): prefix +
-/// resumed decisions must equal the uninterrupted run's byte for byte,
-/// summary line included, and so must the final checkpoint.
+/// and resumes the stream at another (1 -> 4, 4 -> 1 and 2 -> 4):
+/// prefix + resumed decisions must equal the uninterrupted run's byte
+/// for byte, summary line included, and so must the final checkpoint.
 void expect_resume_is_identical(Options options) {
   constexpr std::uint64_t kFlows = 20'000;
   TempFile full_ck("full_ck");
   ServeOptions full_opt = options(1);
   full_opt.checkpoint_path = full_ck.path.string();
   const std::string full =
-      run_synthetic(full_opt, synth_config(kFlows)).decisions;
+      run_synthetic(full_opt, synth_for(options, kFlows)).decisions;
   ASSERT_FALSE(full.empty());
   const std::string full_checkpoint = read_file(full_ck.path);
 
@@ -151,11 +158,12 @@ void expect_resume_is_identical(Options options) {
        {std::uint64_t{1}, std::uint64_t{500}, std::uint64_t{7'321},
         std::uint64_t{12'000}, kFlows - 1}) {
     for (const auto& [ck_shards, resume_shards] :
-         {std::pair<std::size_t, std::size_t>{1, 4}, {4, 1}}) {
+         {std::pair<std::size_t, std::size_t>{1, 4}, {4, 1}, {2, 4}}) {
       TempFile ck("restore_ck");
       ServeOptions prefix_opt = options(ck_shards);
       prefix_opt.checkpoint_path = ck.path.string();
-      const RunResult prefix = run_synthetic(prefix_opt, synth_config(cut));
+      const RunResult prefix =
+          run_synthetic(prefix_opt, synth_for(options, cut));
       EXPECT_EQ(prefix.summary.flows_ingested, cut);
 
       TempFile resumed_ck("resumed_ck");
@@ -163,7 +171,7 @@ void expect_resume_is_identical(Options options) {
       resume_opt.restore = std::make_shared<const CheckpointState>(
           load_checkpoint_file(ck.path.string()));
       resume_opt.checkpoint_path = resumed_ck.path.string();
-      SyntheticConfig resume_synth = synth_config(kFlows);
+      SyntheticConfig resume_synth = synth_for(options, kFlows);
       resume_synth.start_flow = cut;
       const RunResult resumed = run_synthetic(resume_opt, resume_synth);
 
@@ -502,6 +510,42 @@ TEST(ServeRobustness, CompactRestoreIsByteIdenticalAcrossShardCounts) {
 TEST(ServeRobustness, CompactCheckpointBytesAreShardCountInvariant) {
   expect_checkpoint_matches_golden(compact_options,
                                    "checkpoint_shared_bitmap.json");
+}
+
+/// Host counts that leave the last partition block partial: 1,000 hosts
+/// in blocks of 64 under the shared bitmap (15 whole blocks and 40
+/// hosts), and an odd count under the exact backend (blocks of one).
+ServeOptions compact_partial_options(std::size_t shards) {
+  ServeOptions o = compact_options(shards);
+  o.num_hosts = 1'000;
+  return o;
+}
+ServeOptions exact_odd_options(std::size_t shards) {
+  ServeOptions o = base_options(shards);
+  o.num_hosts = 999;
+  return o;
+}
+
+TEST(ServeRobustness, APartialLastBlockKeepsEveryByteAtAnyShardCount) {
+  for (const Options options : {compact_partial_options, exact_odd_options}) {
+    const SyntheticConfig synth = synth_for(options, 20'000);
+    const std::string hosts = std::to_string(synth.hosts) + " hosts";
+    std::string decisions, checkpoint;
+    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+      TempFile ck("partial_ck");
+      ServeOptions opt = options(shards);
+      opt.checkpoint_path = ck.path.string();
+      const RunResult r = run_synthetic(opt, synth);
+      if (shards == 1) {
+        decisions = r.decisions;
+        checkpoint = read_file(ck.path);
+        continue;
+      }
+      EXPECT_EQ(r.decisions, decisions) << hosts << ", " << shards;
+      EXPECT_EQ(read_file(ck.path), checkpoint) << hosts << ", " << shards;
+    }
+    expect_resume_is_identical(options);
+  }
 }
 
 TEST(ServeRobustness, CorruptEstimatorStoreIsRejectedOnRestore) {

@@ -164,7 +164,8 @@ Reference split_whole(const std::string& bytes, std::uint32_t num_hosts) {
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
     Flow f;
-    if (parse_flow_line(line, num_hosts, f)) {
+    if (line.size() <= NdjsonFlowSource::kMaxLineBytes &&
+        parse_flow_line(line, num_hosts, f)) {
       ref.flows.push_back(f);
       ref.errors_before.push_back(ref.errors);
       continue;
@@ -287,11 +288,19 @@ TEST(NdjsonFlowSource, AnyPieceSizesGiveTheFlowsOfTheWholeString) {
   // Streams of twelve blocks and more, in pieces that mostly carry a whole
   // chunk: each crosses at least four hand-offs to the parse thread, so
   // errors are counted across chunk boundaries, among chunks in flight
-  // and between chunks and the lines the reader parses itself.
+  // and between chunks and the lines the reader parses itself. Every
+  // third holds a line past kMaxLineBytes, which the reader cuts.
   constexpr int kLongStreams = 24;
   for (int stream = 0; stream < kLongStreams; ++stream) {
     std::string bytes;
-    while (bytes.size() < 12 * kBlock) bytes += random_stream(rng) + "\n";
+    while (bytes.size() < 12 * kBlock) {
+      bytes += random_stream(rng) + "\n";
+      if (stream % 3 == 0 && rng.bernoulli(0.05))
+        bytes += std::string(NdjsonFlowSource::kMaxLineBytes +
+                                 rng.uniform_int(3 * kBlock),
+                             rng.bernoulli(0.5) ? ' ' : 'x') +
+                 "\n";
+    }
     std::vector<std::size_t> pieces(1 + rng.uniform_int(16));
     for (std::size_t& p : pieces)
       p = rng.bernoulli(0.1) ? 1 + rng.uniform_int(200)
@@ -301,6 +310,105 @@ TEST(NdjsonFlowSource, AnyPieceSizesGiveTheFlowsOfTheWholeString) {
                                  kStreams + stream);
     if (HasFatalFailure()) return;
   }
+}
+
+/// Streams `filler` bytes of `fill` and then `tail`, telling in_avail()
+/// all that is left, and records the largest read the reader asks for.
+class LongLineBuf final : public std::streambuf {
+ public:
+  LongLineBuf(std::size_t filler, char fill, std::string tail)
+      : filler_(filler), fill_(fill), tail_(std::move(tail)) {}
+  std::streamsize largest_read() const noexcept { return largest_; }
+
+ protected:
+  std::streamsize showmanyc() override {
+    return left() > 0 ? left() : -1;
+  }
+  std::streamsize xsgetn(char* s, std::streamsize n) override {
+    largest_ = std::max(largest_, n);
+    n = std::min(n, left());
+    for (std::streamsize i = 0; i < n; ++i, ++next_)
+      s[i] = next_ < filler_ ? fill_ : tail_[next_ - filler_];
+    return n;
+  }
+
+ private:
+  std::streamsize left() const noexcept {
+    return static_cast<std::streamsize>(filler_ + tail_.size() - next_);
+  }
+  std::size_t filler_;
+  char fill_;
+  std::string tail_;
+  std::size_t next_ = 0;
+  std::streamsize largest_ = 0;
+};
+
+TEST(NdjsonFlowSource, ALineLongerThanTheCapIsOneErrorAndBoundsTheBuffer) {
+  constexpr std::size_t kCap = NdjsonFlowSource::kMaxLineBytes;
+  const std::string flow = "{\"t\":2,\"host\":3,\"dest\":4}\n";
+  // Four caps, or one cap and a byte, with no '\n', then one flow: one
+  // malformed line, sampled as usual, and no read request ever grows
+  // with the line.
+  for (const std::size_t filler : {4 * kCap, kCap + 1}) {
+    LongLineBuf buf(filler, 'a', "\n" + flow);
+    std::istream in(&buf);
+    NdjsonFlowSource source(in, 16);
+    const std::vector<Flow> flows = drain(source);
+    ASSERT_EQ(flows.size(), 1u) << filler;
+    EXPECT_EQ(flows[0].host, 3u);
+    EXPECT_EQ(source.parse_errors(), 1u) << filler;
+    EXPECT_EQ(source.parse_error_samples(),
+              std::vector<std::string>{
+                  std::string(NdjsonFlowSource::kMaxSampleLength, 'a')});
+    EXPECT_LE(buf.largest_read(), static_cast<std::streamsize>(
+                                      NdjsonFlowSource::kMaxBufferBytes))
+        << filler;
+  }
+  // A flow padded past the cap is malformed too, whether it arrives
+  // whole or is cut (its stub is a whole flow and the padding's start),
+  // and counts after the flows before it.
+  for (const std::size_t pad : {kCap, 4 * kCap}) {
+    std::istringstream in(flow + "{\"t\":1,\"host\":1,\"dest\":9}" +
+                          std::string(pad, ' ') + "\n" + flow);
+    NdjsonFlowSource source(in, 16);
+    Flow f;
+    ASSERT_TRUE(source.next(f));
+    EXPECT_EQ(source.parse_errors(), 0u);
+    ASSERT_TRUE(source.next(f));
+    EXPECT_EQ(f.host, 3u) << pad;
+    EXPECT_EQ(source.parse_errors(), 1u) << pad;
+    EXPECT_FALSE(source.next(f));
+  }
+  // A cut line that ends the stream is still one malformed line.
+  LongLineBuf last(4 * kCap, 'a', "");
+  std::istream in(&last);
+  NdjsonFlowSource source(in, 16);
+  EXPECT_TRUE(drain(source).empty());
+  EXPECT_EQ(source.parse_errors(), 1u);
+}
+
+TEST(NdjsonFlowSource, ALineCutWhileChunksAreInFlightCountsAfterTheirFlows) {
+  // A padded flow first grows the buffers, so each later fill reads
+  // about a chunk's worth of flows at once: the line past the cap then
+  // fills the buffer, and is cut, while earlier chunks are still with
+  // the parse thread or not yet read out.
+  constexpr std::size_t kCap = NdjsonFlowSource::kMaxLineBytes;
+  const std::string flow = "{\"t\":2,\"host\":3,\"dest\":4}\n";
+  std::string bytes = "{\"t\":1,\"host\":1,\"dest\":9,\"pad\":\"" +
+                      std::string(kCap / 2, 'p') + "\"}\n";
+  std::size_t flows = 1;
+  for (; bytes.size() < 3 * kCap; ++flows) bytes += flow;
+  bytes += std::string(4 * kCap, 'a') + "\n" + flow;
+  std::istringstream in(bytes);
+  NdjsonFlowSource source(in, 16);
+  Flow f;
+  for (std::size_t i = 0; i < flows; ++i) {
+    ASSERT_TRUE(source.next(f)) << i;
+    ASSERT_EQ(source.parse_errors(), 0u) << i;
+  }
+  ASSERT_TRUE(source.next(f));
+  EXPECT_EQ(source.parse_errors(), 1u);
+  EXPECT_FALSE(source.next(f));
 }
 
 TEST(TraceFlowSource, FailureBitsMatchFirstContactOracle) {

@@ -3,7 +3,9 @@
 # merged decision NDJSON (including the summary line) to be
 # byte-identical — the determinism contract of docs/SERVE.md. Then
 # exercise the graceful-shutdown path: --stop-after N must produce
-# exactly the decision prefix of an uninterrupted run.
+# exactly the decision prefix of an uninterrupted run. Last, a
+# shared-bitmap run with a partial last estimator block must write the
+# same decisions and checkpoint at 1 and 3 shards.
 set(dir ${CMAKE_CURRENT_BINARY_DIR}/serve-smoke)
 file(MAKE_DIRECTORY ${dir})
 set(trace ${dir}/trace.csv)
@@ -73,6 +75,43 @@ string(SUBSTRING "${four}" 0 ${prefix_len} full_prefix)
 if(NOT prefix STREQUAL full_prefix)
   message(FATAL_ERROR "interrupted decisions are not a prefix of the "
                       "uninterrupted stream")
+endif()
+
+# The shared-bitmap backend partitions hosts in whole estimator blocks;
+# 1,000 hosts in blocks of 64 leave a partial last block. Decisions and
+# the final checkpoint must not depend on the shard count. The flows are
+# a synthetic run's decision lines (its summary line is one parse error).
+set(flows ${dir}/flows.ndjson)
+set(compact --hosts 1000 --estimator shared_bitmap --block-hosts 64)
+execute_process(COMMAND ${DQCTL} serve --synthetic --flows 50000
+                        --hosts 1000 --out ${flows}
+                RESULT_VARIABLE rc ERROR_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "dqctl serve --synthetic failed: ${rc}")
+endif()
+foreach(shards 1 3)
+  execute_process(COMMAND ${DQCTL} serve --input ${flows} ${compact}
+                          --shards ${shards}
+                          --out ${dir}/compact-${shards}.ndjson
+                          --checkpoint-out ${dir}/compact-${shards}.json
+                  RESULT_VARIABLE rc ERROR_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "dqctl serve ${compact} --shards ${shards} "
+                        "failed: ${rc}")
+  endif()
+endforeach()
+foreach(ext ndjson json)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                          ${dir}/compact-1.${ext} ${dir}/compact-3.${ext}
+                  RESULT_VARIABLE differ)
+  if(NOT differ EQUAL 0)
+    message(FATAL_ERROR "compact-1.${ext} and compact-3.${ext} differ: the "
+                        "shared-bitmap run depends on the shard count")
+  endif()
+endforeach()
+file(SIZE ${dir}/compact-1.json checkpoint_bytes)
+if(checkpoint_bytes EQUAL 0)
+  message(FATAL_ERROR "the shared-bitmap checkpoint is empty")
 endif()
 
 file(REMOVE_RECURSE ${dir})
