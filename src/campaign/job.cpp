@@ -153,7 +153,9 @@ JsonValue job_config_to_json(const JobConfig& config) {
   // Schema version: bump when the canonical form changes, or when the
   // engine's output changes without any config field changing (2: the
   // one-engine port), so stale cache artifacts can never alias a new
-  // hash.
+  // hash. Thinning an unwatched sender's sparse scans changed only runs
+  // with hit_probability < 1; no catalogue job has one, and h = 1 output
+  // is unchanged, so no cached artifact can be stale and 2 stays.
   o.set("schema", JsonValue::integer(2));
   if (config.kind == JobConfig::Kind::kAnalyticalFigure) {
     o.set("kind", JsonValue::str("analytical"));

@@ -770,14 +770,14 @@ void ServeServer::Impl::scatter(const Flow& flow) {
   pending[(pend_head + pend_size) & (pending.size() - 1)] =
       static_cast<std::uint8_t>(s);
   ++pend_size;
-  // Merge only when it can matter: every kMergeStride pending flows
+  // Merge only when it can matter, every kMergeStride pending flows:
   // while those lines, at their longest, could complete the next 64 KiB
   // write (so no line reaches the sink more than kMergeStride flows
-  // later than with a merge per flow), or when they could fill an
+  // later than with a merge per flow), or while they could fill an
   // out-queue and stall its worker.
-  if ((pend_size % kMergeStride == 0 &&
-       outbuf.size() + pend_size * kMaxDecisionLineBytes >= kFlushBytes) ||
-      pend_size >= out_queues[s]->capacity())
+  if (pend_size % kMergeStride == 0 &&
+      (outbuf.size() + pend_size * kMaxDecisionLineBytes >= kFlushBytes ||
+       pend_size >= out_queues[s]->capacity()))
     merge();
 }
 

@@ -63,9 +63,14 @@ ShardedSimulation::ShardedSimulation(const Network& net,
       obs_(obs),
       selector_(make_selector(topology_, config)),
       worm_rate_(config.worm.contact_rate),
+      worm_hit_rate_(config.worm.contact_rate * config.worm.hit_probability),
       filtered_rate_(config.worm.filtered_contact_rate),
+      filtered_hit_rate_(config.worm.filtered_contact_rate *
+                         config.worm.hit_probability),
       throttle_rate_(config.quarantine.policy.throttle_rate),
       predator_rate_(config.predator.contact_rate),
+      predator_hit_rate_(config.predator.contact_rate *
+                         config.worm.hit_probability),
       legit_rate_(config.legit.rate_per_node) {
   validate_config();
 
@@ -349,8 +354,21 @@ void ShardedSimulation::queue_packet(Shard& shard, PacketKind kind,
 
 template <typename PickDest>
 void ShardedSimulation::emit_from(Shard& shard, NodeId v, PacketKind kind,
-                                  const PoissonMean& rate, Rng& rng,
+                                  const PoissonMean& rate,
+                                  const PoissonMean& hits, Rng& rng,
                                   PickDest&& pick) {
+  // Scans sweep the address space; legitimate packets go to live hosts.
+  const double hit = config_.worm.hit_probability;
+  const bool sparse = kind != PacketKind::kLegit && hit < 1.0;
+  const bool watched = shard.quarantine && quarantine_armed_;
+  if (sparse && !watched) {
+    // No detector sees this sender's misses (nor has quarantined it),
+    // so only its hits matter: a Poisson(rate) scan thinned by the hit
+    // probability is Poisson(hits), uniform over the same targets.
+    for (std::uint64_t a = rng.poisson(hits); a > 0; --a)
+      queue_packet(shard, kind, v, pick());
+    return;
+  }
   const auto& qpolicy = config_.quarantine.policy;
   const std::uint32_t local = v - shard.begin;
   const bool q = shard.quarantine && shard.quarantine->quarantined(local);
@@ -376,17 +394,14 @@ void ShardedSimulation::emit_from(Shard& shard, NodeId v, PacketKind kind,
             static_cast<std::uint8_t>(kind), attempts);
     return;
   }
-  // Scans sweep the address space; legitimate packets go to live hosts.
-  const double hit = config_.worm.hit_probability;
-  const bool sparse = kind != PacketKind::kLegit && hit < 1.0;
   for (std::uint64_t a = 0; a < attempts; ++a) {
     if (sparse && !rng.bernoulli(hit)) {
-      // Address-space miss: no packet enters the network, but the
-      // attempt is a failed connection the sender's detector sees. The
-      // synthetic dead-address key comes from the node's own stream.
-      if (shard.quarantine && quarantine_armed_)
-        shard.quarantine->observe(local, rng.next_u64(), tick_,
-                                  /*failed=*/true);
+      // Address-space miss (a sparse sender here is watched): no packet
+      // enters the network, but the attempt is a failed connection its
+      // detector sees, in its order among the hits. The synthetic
+      // dead-address key comes from the node's own stream.
+      shard.quarantine->observe(local, rng.next_u64(), tick_,
+                                /*failed=*/true);
       continue;
     }
     queue_packet(shard, kind, v, pick());
@@ -417,8 +432,10 @@ void ShardedSimulation::phase_emit(Shard& shard, std::uint64_t tick_index) {
     if (state_[v] != NodeState::kInfected) continue;  // compact away
     shard.infected[out++] = v;
     Rng rng = node_rng(emit_base, v);
-    const PoissonMean& rate = filtered_[v] ? filtered_rate_ : worm_rate_;
-    emit_from(shard, v, PacketKind::kWorm, rate, rng, [&] {
+    const bool filtered = filtered_[v] != 0;
+    const PoissonMean& rate = filtered ? filtered_rate_ : worm_rate_;
+    const PoissonMean& hits = filtered ? filtered_hit_rate_ : worm_hit_rate_;
+    emit_from(shard, v, PacketKind::kWorm, rate, hits, rng, [&] {
       const NodeId dest = selector_.pick(v, rng);
       ++shard.d.scan_packets;
       if (draw_sightings && rng.bernoulli(detector.observe_probability))
@@ -451,8 +468,8 @@ void ShardedSimulation::phase_emit(Shard& shard, std::uint64_t tick_index) {
       }
       shard.predators[out++] = v;
       Rng rng = node_rng(pred_base, v);
-      emit_from(shard, v, PacketKind::kPredator, predator_rate_, rng,
-                [&] { return random_peer(v, rng); });
+      emit_from(shard, v, PacketKind::kPredator, predator_rate_,
+                predator_hit_rate_, rng, [&] { return random_peer(v, rng); });
     }
     shard.predators.resize(out);
   }
@@ -461,10 +478,11 @@ void ShardedSimulation::phase_emit(Shard& shard, std::uint64_t tick_index) {
     const std::uint64_t legit_base = base(kLegitSalt);
     for (NodeId v = shard.begin; v < shard.end; ++v) {
       Rng rng = node_rng(legit_base, v);
-      emit_from(shard, v, PacketKind::kLegit, legit_rate_, rng, [&] {
-        ++shard.d.legit_sent;
-        return random_peer(v, rng);
-      });
+      emit_from(shard, v, PacketKind::kLegit, legit_rate_, legit_rate_, rng,
+                [&] {
+                  ++shard.d.legit_sent;
+                  return random_peer(v, rng);
+                });
     }
   }
 }

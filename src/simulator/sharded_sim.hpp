@@ -292,10 +292,13 @@ class ShardedSimulation {
   /// One sender's emission: Poisson(rate) attempts, throttled or
   /// dropped at a quarantined source, address-space misses fed to the
   /// sender's detector, and destinations handed to the outboxes (or
-  /// the fresh list).
+  /// the fresh list). A sparse scanner that no armed detector watches
+  /// draws only its Poisson(hits) hits; `hits` is `rate` thinned by
+  /// the hit probability.
   template <typename PickDest>
   void emit_from(Shard& shard, NodeId v, PacketKind kind,
-                 const PoissonMean& rate, Rng& rng, PickDest&& pick);
+                 const PoissonMean& rate, const PoissonMean& hits, Rng& rng,
+                 PickDest&& pick);
   void queue_packet(Shard& shard, PacketKind kind, NodeId v, NodeId dest);
   void release_predator();
 
@@ -333,10 +336,14 @@ class ShardedSimulation {
   obs::Sink obs_;
   worm::TargetSelector selector_;
   /// The run's emission rates, each with its exp(-rate) computed once.
+  /// A `*_hit_rate_` is its scan rate times the hit probability.
   PoissonMean worm_rate_;
+  PoissonMean worm_hit_rate_;
   PoissonMean filtered_rate_;
+  PoissonMean filtered_hit_rate_;
   PoissonMean throttle_rate_;
   PoissonMean predator_rate_;
+  PoissonMean predator_hit_rate_;
   PoissonMean legit_rate_;
 
   // Struct-of-arrays node state.
