@@ -1,6 +1,6 @@
 #include "campaign/json.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 
@@ -246,200 +246,215 @@ std::string JsonValue::dump() const {
   return out;
 }
 
-namespace {
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  JsonValue parse_document() {
-    JsonValue v = parse_value();
+JsonReader::Token JsonReader::next() {
+  scalar_.kind_ = JsonValue::Kind::kNull;
+  skip_ws();
+  if (value_due_) {
+    value_due_ = false;
+    return token_ = value();
+  }
+  if (open_.empty()) {
+    if (pos_ != text_.size()) fail("trailing characters");
+    return token_ = Token::kEnd;
+  }
+  const bool object = open_.back() == '{';
+  if (pos_ < text_.size() && text_[pos_] == (object ? '}' : ']')) {
+    ++pos_;
+    open_.pop_back();
+    need_comma_ = true;
+    return token_ = object ? Token::kEndObject : Token::kEndArray;
+  }
+  if (need_comma_) {
+    expect(',');
     skip_ws();
-    if (pos_ != text_.size())
-      throw std::invalid_argument("JSON: trailing characters");
-    return v;
   }
+  if (!object) return token_ = value();
+  if (pos_ >= text_.size() || text_[pos_] != '"') fail("expected a key");
+  read_string();
+  skip_ws();
+  expect(':');
+  value_due_ = true;
+  return token_ = Token::kKey;
+}
 
- private:
-  [[noreturn]] void fail(const char* what) const {
-    throw std::invalid_argument(std::string("JSON parse error: ") + what +
-                                " at offset " + std::to_string(pos_));
-  }
+void JsonReader::skip(Token first) {
+  if (first != Token::kBeginArray && first != Token::kBeginObject) return;
+  for (const std::size_t depth = open_.size(); open_.size() >= depth;) next();
+}
 
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
+JsonValue JsonReader::tree(Token first) {
+  switch (first) {
+    case Token::kNumber:  // built afresh, which is cheaper than a copy
+      return scalar_.integral_ ? JsonValue::integer(scalar_.uint_)
+                               : JsonValue::number(scalar_.number_);
+    case Token::kString: return JsonValue::str(std::string(string_));
+    case Token::kBeginArray: {
+      JsonValue out = JsonValue::array();
+      for (Token t = next(); t != Token::kEndArray; t = next())
+        out.items_.push_back(tree(t));
+      return out;
     }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!consume(c)) fail("unexpected character");
-  }
-
-  void expect_word(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) fail("invalid literal");
-    pos_ += word.size();
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    switch (const char c = peek()) {
-      case 'n': expect_word("null"); return JsonValue();
-      case 't': expect_word("true"); return JsonValue::boolean(true);
-      case 'f': expect_word("false"); return JsonValue::boolean(false);
-      case '"': return JsonValue::str(parse_string());
-      case '[':
-      case '{': {
-        // Arrays and objects recurse; the cap turns hostile nesting
-        // into an error instead of a stack overflow.
-        if (++depth_ > JsonValue::kMaxParseDepth) fail("nesting too deep");
-        JsonValue v = c == '[' ? parse_array() : parse_object();
-        --depth_;
-        return v;
+    case Token::kBeginObject: {
+      JsonValue out = JsonValue::object();
+      while (next() == Token::kKey) {
+        std::string key(string_);
+        out.set(std::move(key), tree(next()));
       }
-      default: return parse_number();
+      return out;
     }
+    default: return scalar_;  // null or bool
   }
+}
 
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              fail("invalid \\u escape");
-          }
-          // We only ever emit \u00xx for control characters; decode the
-          // BMP code point as UTF-8 for completeness.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
+std::string_view JsonReader::as_string() const {
+  if (token_ != Token::kString && token_ != Token::kKey)
+    throw std::invalid_argument("JSON: not a string");
+  return string_;
+}
+
+std::size_t JsonReader::room_for(std::uint64_t n) const {
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(n, (text_.size() - pos_) / 2 + 1));
+}
+
+void JsonReader::fail(const char* what) const {
+  throw std::invalid_argument(std::string("JSON parse error: ") + what +
+                              " at offset " + std::to_string(pos_));
+}
+
+void JsonReader::skip_ws() {
+  while (pos_ < text_.size() &&
+         (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
+          text_[pos_] == '\r'))
+    ++pos_;
+}
+
+void JsonReader::expect(char c) {
+  if (pos_ >= text_.size() || text_[pos_] != c) fail("unexpected character");
+  ++pos_;
+}
+
+JsonReader::Token JsonReader::value() {
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  need_comma_ = true;
+  const auto word = [&](std::string_view w) {
+    if (text_.substr(pos_, w.size()) != w) fail("invalid literal");
+    pos_ += w.size();
+  };
+  switch (const char c = text_[pos_]) {
+    case 'n': word("null"); return Token::kNull;
+    case 't':
+    case 'f':
+      word(c == 't' ? "true" : "false");
+      scalar_.kind_ = JsonValue::Kind::kBool;
+      scalar_.bool_ = c == 't';
+      return Token::kBool;
+    case '"': read_string(); return Token::kString;
+    case '[':
+    case '{':
+      // The cap turns hostile nesting into an error, not a stack
+      // overflow in a recursive consumer such as tree().
+      if (open_.size() >= JsonValue::kMaxParseDepth) fail("nesting too deep");
+      ++pos_;
+      open_ += c;
+      need_comma_ = false;
+      return c == '{' ? Token::kBeginObject : Token::kBeginArray;
+    default: read_number(); return Token::kNumber;
+  }
+}
+
+void JsonReader::read_string() {
+  const std::size_t start = ++pos_;  // past the opening quote
+  bool escaped = false;  // string_ is then buf_, not a view of text_
+  for (;;) {
+    const std::size_t stop = text_.find_first_of("\"\\", pos_);
+    if (stop == std::string_view::npos) fail("unterminated string");
+    if (escaped)
+      buf_.append(text_.substr(pos_, stop - pos_));
+    else if (text_[stop] == '\\')
+      buf_.assign(text_.substr(start, stop - start));
+    pos_ = stop + 1;
+    if (text_[stop] == '"') break;
+    escaped = true;
+    if (pos_ >= text_.size()) fail("unterminated escape");
+    switch (text_[pos_++]) {
+      case '"': buf_ += '"'; break;
+      case '\\': buf_ += '\\'; break;
+      case '/': buf_ += '/'; break;
+      case 'b': buf_ += '\b'; break;
+      case 'f': buf_ += '\f'; break;
+      case 'n': buf_ += '\n'; break;
+      case 'r': buf_ += '\r'; break;
+      case 't': buf_ += '\t'; break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f')
+            code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F')
+            code |= static_cast<unsigned>(h - 'A' + 10);
+          else
+            fail("invalid \\u escape");
         }
-        default: fail("unknown escape");
+        // We only ever emit \u00xx for control characters; decode the
+        // BMP code point as UTF-8 for completeness.
+        if (code < 0x80) {
+          buf_ += static_cast<char>(code);
+        } else if (code < 0x800) {
+          buf_ += static_cast<char>(0xC0 | (code >> 6));
+          buf_ += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+          buf_ += static_cast<char>(0xE0 | (code >> 12));
+          buf_ += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          buf_ += static_cast<char>(0x80 | (code & 0x3F));
+        }
+        break;
       }
+      default: fail("unknown escape");
     }
   }
+  string_ = escaped ? std::string_view(buf_)
+                    : text_.substr(start, pos_ - 1 - start);
+}
 
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (consume('-')) {}
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
-      ++pos_;
-    const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty()) fail("expected a value");
-
-    // Non-negative integers (no '.', no exponent) keep full 64-bit
-    // precision; everything else parses as double.
-    const bool plain_int =
-        token.find_first_of(".eE") == std::string_view::npos &&
-        token[0] != '-';
-    if (plain_int) {
-      std::uint64_t u = 0;
-      const auto [ptr, ec] =
-          std::from_chars(token.data(), token.data() + token.size(), u);
-      if (ec == std::errc{} && ptr == token.data() + token.size())
-        return JsonValue::integer(u);
-    }
-    double d = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(token.data(), token.data() + token.size(), d);
-    if (ec != std::errc{} || ptr != token.data() + token.size())
-      fail("malformed number");
-    return JsonValue::number(d);
+void JsonReader::read_number() {
+  const std::size_t start = pos_;
+  // Digits alone are a plain non-negative integer, which keeps full
+  // 64-bit precision; everything else parses as double.
+  bool plain = true;
+  for (; pos_ < text_.size(); ++pos_) {
+    const char c = text_[pos_];
+    if (c >= '0' && c <= '9') continue;
+    if (c != '.' && c != 'e' && c != 'E' && c != '+' && c != '-') break;
+    plain = false;
   }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue out = JsonValue::array();
-    skip_ws();
-    if (consume(']')) return out;
-    for (;;) {
-      out.push_back(parse_value());
-      skip_ws();
-      if (consume(']')) return out;
-      expect(',');
-    }
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  if (first == last) fail("expected a value");
+  JsonValue& v = scalar_;
+  v.kind_ = JsonValue::Kind::kNumber;
+  v.integral_ = false;
+  if (plain) {
+    const auto [ptr, ec] = std::from_chars(first, last, v.uint_);
+    v.integral_ = ec == std::errc{} && ptr == last;
   }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue out = JsonValue::object();
-    skip_ws();
-    if (consume('}')) return out;
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      out.set(std::move(key), parse_value());
-      skip_ws();
-      if (consume('}')) return out;
-      expect(',');
-    }
+  if (v.integral_) {
+    v.number_ = static_cast<double>(v.uint_);
+    return;
   }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t depth_ = 0;
-};
-
-}  // namespace
+  const auto [ptr, ec] = std::from_chars(first, last, v.number_);
+  if (ec != std::errc{} || ptr != last) fail("malformed number");
+}
 
 JsonValue JsonValue::parse(std::string_view text) {
-  return Parser(text).parse_document();
+  JsonReader in(text);
+  JsonValue v = in.tree(in.next());
+  in.next();  // kEnd, or throws on trailing characters
+  return v;
 }
 
 }  // namespace dq::campaign

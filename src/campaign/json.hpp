@@ -1,14 +1,19 @@
-// Minimal canonical JSON: a streaming writer and a document model for
-// campaign artifacts, manifests, checkpoints and traces.
+// Minimal canonical JSON: a streaming writer, a pull reader and a
+// document model for campaign artifacts, manifests, checkpoints and
+// traces.
 //
 // Deliberately not a general-purpose JSON library: it exists so job
 // configs, cached results, manifests and checkpoints serialize
 // *canonically* — objects keep insertion order, numbers render via
 // std::to_chars (shortest round-trip form), and no whitespace is
 // emitted — so the same value always produces the same bytes and
-// content hashes are meaningful. JsonWriter is the one formatter;
-// JsonValue::dump() walks a tree through it. The parser accepts
-// standard JSON (whitespace included) for reading documents back.
+// content hashes are meaningful. JsonWriter is the one formatter and
+// JsonReader, its twin, the one reader: JsonValue::dump() walks a tree
+// through the writer, and JsonValue::parse() builds one from the
+// reader's tokens. The reader accepts standard JSON (whitespace
+// included). A loader that needs no tree pulls tokens itself: the
+// checkpoint's (serve/checkpoint.hpp) decodes its host columns
+// straight into typed arrays.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +73,7 @@ class JsonValue {
   /// shortest-round-trip numbers.
   std::string dump() const;
 
-  /// Deepest array/object nesting parse() accepts.
+  /// Deepest array/object nesting JsonReader, and so parse(), accepts.
   static constexpr std::size_t kMaxParseDepth = 512;
 
   /// Parses standard JSON. Throws std::invalid_argument on malformed
@@ -76,6 +81,7 @@ class JsonValue {
   static JsonValue parse(std::string_view text);
 
  private:
+  friend class JsonReader;
   friend class JsonWriter;
 
   Kind kind_ = Kind::kNull;
@@ -131,6 +137,74 @@ class JsonWriter {
   /// end_* — one flag suffices because a closed container is itself a
   /// completed item of its parent.
   bool need_comma_ = false;
+};
+
+/// Pull tokenizer over one whole document (which must outlive it), the
+/// reading twin of JsonWriter: each next() returns the next token, so
+/// a document is a flat sequence of calls —
+///
+///   JsonReader in(text);
+///   if (in.next() != JsonReader::Token::kBeginObject) ...;
+///   while (in.next() == JsonReader::Token::kKey) {
+///     if (in.as_string() == "n") { in.next(); n = in.as_uint(); }
+///     else in.skip(in.next());
+///   }
+///   in.next();  // kEnd once only whitespace is left
+///
+/// The reader checks the grammar as it goes: commas and colons, a key
+/// before every member value, nesting no deeper than
+/// JsonValue::kMaxParseDepth, and nothing after the document. It
+/// throws std::invalid_argument naming the byte offset, so a consumer
+/// only ever sees the tokens of a well-formed prefix.
+class JsonReader {
+ public:
+  enum class Token : std::uint8_t {
+    kNull, kBool, kNumber, kString,
+    kBeginArray, kEndArray, kBeginObject, kEndObject,
+    kKey,  ///< an object member's name; its value's tokens follow
+    kEnd,  ///< the document is complete
+  };
+
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  Token next();
+  /// Reads past the rest of the value whose first token was `first`.
+  void skip(Token first);
+  /// The tree of the value whose first token was `first`;
+  /// JsonValue::parse() is this over a whole document.
+  JsonValue tree(Token first);
+
+  /// The current token's value. Like JsonValue's accessors, each throws
+  /// std::invalid_argument on a token of another kind, and as_uint()
+  /// keeps a plain non-negative integer's full 64-bit precision.
+  bool as_bool() const { return scalar_.as_bool(); }
+  double as_number() const { return scalar_.as_number(); }
+  std::uint64_t as_uint() const { return scalar_.as_uint(); }
+  /// The current string or key, unescaped; valid until next().
+  std::string_view as_string() const;
+
+  /// `n` capped at how many array entries the unread input can hold
+  /// (two bytes each at least): a capacity that a count read from the
+  /// input cannot inflate.
+  std::size_t room_for(std::uint64_t n) const;
+
+ private:
+  [[noreturn]] void fail(const char* what) const;
+  void skip_ws();
+  void expect(char c);
+  Token value();
+  void read_string();
+  void read_number();
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::string open_;         ///< '[' or '{' per open container
+  bool value_due_ = true;    ///< at the start, or after a key
+  bool need_comma_ = false;  ///< a value just ended at this level
+  Token token_ = Token::kEnd;
+  JsonValue scalar_;         ///< the current null, bool or number
+  std::string_view string_;  ///< into text_, or buf_ when escaped
+  std::string buf_;
 };
 
 /// Shortest round-trip decimal rendering of a double ("1", "0.25",

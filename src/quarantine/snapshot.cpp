@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -10,21 +12,13 @@ namespace dq::quarantine {
 
 namespace {
 
+using campaign::JsonReader;
 using campaign::JsonValue;
 using campaign::JsonWriter;
+using Token = JsonReader::Token;
 
 [[noreturn]] void bad(const std::string& what) {
   throw std::invalid_argument("quarantine snapshot: " + what);
-}
-
-const JsonValue& column(const JsonValue& json, const char* key,
-                        std::size_t n) {
-  const JsonValue* col = json.find(key);
-  if (col == nullptr || col->kind() != JsonValue::Kind::kArray)
-    bad(std::string("missing column '") + key + "'");
-  if (col->size() != n)
-    bad(std::string("column '") + key + "' length mismatch");
-  return *col;
 }
 
 // One encoder (put) and one decoder (get) per field type;
@@ -46,36 +40,36 @@ void put(JsonWriter& w, std::int64_t v) {
     w.integer(static_cast<std::uint64_t>(v));
 }
 
-void get(const JsonValue& v, double& out) { out = v.as_number(); }
-void get(const JsonValue& v, std::uint64_t& out) { out = v.as_uint(); }
-void get(const JsonValue& v, std::uint32_t& out) {
-  const std::uint64_t u = v.as_uint();
+void get(const JsonReader& in, double& out) { out = in.as_number(); }
+void get(const JsonReader& in, std::uint64_t& out) { out = in.as_uint(); }
+void get(const JsonReader& in, std::uint32_t& out) {
+  const std::uint64_t u = in.as_uint();
   if (u > std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument("value does not fit 32 bits");
   out = static_cast<std::uint32_t>(u);
 }
-void get(const JsonValue& v, bool& out) {
-  const std::uint64_t u = v.as_uint();
+void get(const JsonReader& in, bool& out) {
+  const std::uint64_t u = in.as_uint();
   if (u > 1) throw std::invalid_argument("flag must be 0 or 1");
   out = u == 1;
 }
-void get(const JsonValue& v, HostQState& out) {
-  const std::uint64_t u = v.as_uint();
+void get(const JsonReader& in, HostQState& out) {
+  const std::uint64_t u = in.as_uint();
   if (u > static_cast<std::uint64_t>(HostQState::kQuarantined))
     throw std::invalid_argument("state value out of range");
   out = static_cast<HostQState>(u);
 }
-void get(const JsonValue& v, std::int64_t& out) {
-  if (v.as_number() == -1.0) {
+void get(const JsonReader& in, std::int64_t& out) {
+  if (in.as_number() == -1.0) {
     out = -1;
     return;
   }
-  if (v.as_number() < 0.0 ||
-      v.as_uint() > static_cast<std::uint64_t>(
-                        std::numeric_limits<std::int64_t>::max()))
+  if (in.as_number() < 0.0 ||
+      in.as_uint() > static_cast<std::uint64_t>(
+                         std::numeric_limits<std::int64_t>::max()))
     throw std::invalid_argument(
         "window must be -1 or an integer below 2^63");
-  out = static_cast<std::int64_t>(v.as_uint());
+  out = static_cast<std::int64_t>(in.as_uint());
 }
 
 /// Writes `"key":[...]`, one entry per item (or per item's field).
@@ -87,27 +81,51 @@ void write_column(JsonWriter& w, const char* key,
   w.end_array();
 }
 
-/// Decodes column `key` into every item (or item's field); errors name
-/// the column and the entry.
+/// Decodes the array `in` is about to read into every item (or item's
+/// field), appending items when the column runs longer, and returns
+/// its length; errors name the column and the entry.
 template <typename Item, typename Proj = std::identity>
-void read_column(const JsonValue& json, const char* key,
-                 std::vector<Item>& items, Proj proj = {}) {
-  const JsonValue& col = column(json, key, items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
+std::size_t read_column(JsonReader& in, const char* key,
+                        std::vector<Item>& items, Proj proj = {}) {
+  if (in.next() != Token::kBeginArray)
+    bad(std::string("column '") + key + "' is not an array");
+  std::size_t n = 0;
+  for (Token t = in.next(); t != Token::kEndArray; t = in.next(), ++n) {
+    if (n == items.size()) items.emplace_back();
     try {
-      get(col.items()[i], std::invoke(proj, items[i]));
+      get(in, std::invoke(proj, items[n]));
     } catch (const std::invalid_argument& e) {
-      bad(std::string("column '") + key + "' entry " + std::to_string(i) +
+      bad(std::string("column '") + key + "' entry " + std::to_string(n) +
           ": " + e.what());
     }
   }
+  return n;
 }
 
-/// The object member `key` as an unsigned integer.
-std::uint64_t need_uint(const JsonValue& json, const char* key) {
-  const JsonValue* v = json.find(key);
-  if (v == nullptr) bad(std::string("missing ") + key);
-  return v->as_uint();
+/// Calls visit(key, items, field) for each host column in document
+/// order, where `items` is the array of `field`'s struct. The encoder
+/// and the decoder both walk this one list.
+template <typename Arrays, typename Visit>
+void for_each_column(Arrays& hosts, Visit&& visit) {
+  visit("state", hosts.records, &HostRecord::state);
+  visit("strikes", hosts.records, &HostRecord::strikes);
+  visit("offenses", hosts.records, &HostRecord::offenses);
+  visit("first_suspected", hosts.records, &HostRecord::first_suspected);
+  visit("first_quarantined", hosts.records, &HostRecord::first_quarantined);
+  visit("quarantine_start", hosts.records, &HostRecord::quarantine_start);
+  visit("release_time", hosts.records, &HostRecord::release_time);
+  visit("quarantine_time", hosts.records, &HostRecord::quarantine_time);
+  visit("det_window", hosts.detectors, &DetectorState::window_index);
+  visit("det_contacts", hosts.detectors, &DetectorState::contacts);
+  visit("det_failures", hosts.detectors, &DetectorState::failures);
+  visit("det_sketch", hosts.detectors, &DetectorState::dest_sketch);
+  visit("det_flagged", hosts.detectors, &DetectorState::flagged);
+}
+
+/// The unsigned value of the member `in` is about to read.
+std::uint64_t read_uint(JsonReader& in) {
+  in.next();
+  return in.as_uint();
 }
 
 }  // namespace
@@ -199,51 +217,47 @@ QuarantineReport report_from_json(const JsonValue& v) {
 }
 
 void write_host_arrays(JsonWriter& w, const HostArrays& hosts) {
-  const std::vector<HostRecord>& r = hosts.records;
-  const std::vector<DetectorState>& d = hosts.detectors;
-  if (r.size() != d.size()) bad("record/detector array size mismatch");
-  w.begin_object().key("num_hosts").integer(r.size());
-  write_column(w, "state", r, &HostRecord::state);
-  write_column(w, "strikes", r, &HostRecord::strikes);
-  write_column(w, "offenses", r, &HostRecord::offenses);
-  write_column(w, "first_suspected", r, &HostRecord::first_suspected);
-  write_column(w, "first_quarantined", r, &HostRecord::first_quarantined);
-  write_column(w, "quarantine_start", r, &HostRecord::quarantine_start);
-  write_column(w, "release_time", r, &HostRecord::release_time);
-  write_column(w, "quarantine_time", r, &HostRecord::quarantine_time);
-  write_column(w, "det_window", d, &DetectorState::window_index);
-  write_column(w, "det_contacts", d, &DetectorState::contacts);
-  write_column(w, "det_failures", d, &DetectorState::failures);
-  write_column(w, "det_sketch", d, &DetectorState::dest_sketch);
-  write_column(w, "det_flagged", d, &DetectorState::flagged);
+  if (hosts.records.size() != hosts.detectors.size())
+    bad("record/detector array size mismatch");
+  w.begin_object().key("num_hosts").integer(hosts.records.size());
+  for_each_column(hosts, [&](const char* key, const auto& items, auto field) {
+    write_column(w, key, items, field);
+  });
   w.end_object();
 }
 
-HostArrays host_arrays_from_json(const JsonValue& json) {
-  if (json.kind() != JsonValue::Kind::kObject)
-    bad("host arrays not an object");
-  const std::uint64_t n = need_uint(json, "num_hosts");
-  // A parsed column of n entries bounds n by the input size before
-  // anything is sized by it.
-  column(json, "state", n);
+HostArrays read_host_arrays(JsonReader& in, Token first) {
+  if (first != Token::kBeginObject) bad("host arrays not an object");
   HostArrays out;
-  std::vector<HostRecord>& r = out.records;
-  std::vector<DetectorState>& d = out.detectors;
-  r.resize(n);
-  d.resize(n);
-  read_column(json, "state", r, &HostRecord::state);
-  read_column(json, "strikes", r, &HostRecord::strikes);
-  read_column(json, "offenses", r, &HostRecord::offenses);
-  read_column(json, "first_suspected", r, &HostRecord::first_suspected);
-  read_column(json, "first_quarantined", r, &HostRecord::first_quarantined);
-  read_column(json, "quarantine_start", r, &HostRecord::quarantine_start);
-  read_column(json, "release_time", r, &HostRecord::release_time);
-  read_column(json, "quarantine_time", r, &HostRecord::quarantine_time);
-  read_column(json, "det_window", d, &DetectorState::window_index);
-  read_column(json, "det_contacts", d, &DetectorState::contacts);
-  read_column(json, "det_failures", d, &DetectorState::failures);
-  read_column(json, "det_sketch", d, &DetectorState::dest_sketch);
-  read_column(json, "det_flagged", d, &DetectorState::flagged);
+  std::optional<std::uint64_t> n;
+  std::map<std::string_view, std::size_t> lengths;  // per column read
+  while (in.next() == Token::kKey) {
+    const std::string key(in.as_string());
+    if (key == "num_hosts") {
+      n = read_uint(in);
+      // The unread bytes, not the count, bound the allocation.
+      out.records.reserve(in.room_for(*n));
+      out.detectors.reserve(in.room_for(*n));
+      continue;
+    }
+    bool known = false;
+    for_each_column(out, [&](const char* name, auto& items, auto field) {
+      if (key != name) return;
+      lengths[name] = read_column(in, name, items, field);
+      known = true;
+    });
+    if (!known) in.skip(in.next());
+  }
+  if (!n) bad("missing num_hosts");
+  for_each_column(out, [&](const char* name, const auto&, auto) {
+    const auto it = lengths.find(name);
+    if (it == lengths.end()) bad(std::string("missing column '") + name + "'");
+    if (it->second != *n)
+      bad(std::string("column '") + name + "' length mismatch");
+  });
+  // A column given twice, longer the first time, leaves extra items.
+  if (out.records.size() != *n || out.detectors.size() != *n)
+    bad("host columns differ in length");
   return out;
 }
 
@@ -255,25 +269,37 @@ void write_store(JsonWriter& w, const StoreArrays& store) {
   w.end_object();
 }
 
-StoreArrays store_arrays_from_json(const JsonValue& json) {
-  if (json.kind() != JsonValue::Kind::kObject)
-    bad("estimator store not an object");
-  const std::uint64_t blocks = need_uint(json, "num_blocks");
+StoreArrays read_store(JsonReader& in, Token first) {
+  if (first != Token::kBeginObject) bad("estimator store not an object");
   StoreArrays out;
-  out.words_per_block = need_uint(json, "words_per_block");
-  column(json, "window", blocks);
+  std::optional<std::uint64_t> blocks, words_per_block;
+  std::optional<std::size_t> windows, words;
+  while (in.next() == Token::kKey) {
+    const std::string key(in.as_string());
+    if (key == "num_blocks")
+      blocks = read_uint(in);
+    else if (key == "words_per_block")
+      words_per_block = read_uint(in);
+    else if (key == "window")
+      windows = read_column(in, "window", out.window);
+    else if (key == "pool")
+      words = read_column(in, "pool", out.pool);
+    else
+      in.skip(in.next());
+  }
+  if (!blocks) bad("missing num_blocks");
+  if (!words_per_block) bad("missing words_per_block");
+  if (!windows) bad("missing column 'window'");
+  if (!words) bad("missing column 'pool'");
+  if (*windows != *blocks || out.window.size() != *blocks)
+    bad("column 'window' length mismatch");
   // Divide rather than multiply: a hostile words_per_block must not
   // wrap blocks * words_per_block onto the pool's real length.
-  const JsonValue* pool = json.find("pool");
-  if (pool == nullptr || pool->kind() != JsonValue::Kind::kArray)
-    bad("missing column 'pool'");
-  if (out.words_per_block == 0 || pool->size() % out.words_per_block != 0 ||
-      pool->size() / out.words_per_block != blocks)
+  out.words_per_block = *words_per_block;
+  if (out.words_per_block == 0 || *words != out.pool.size() ||
+      *words % out.words_per_block != 0 ||
+      *words / out.words_per_block != *blocks)
     bad("column 'pool' length mismatch");
-  out.window.resize(blocks);
-  out.pool.resize(pool->size());
-  read_column(json, "window", out.window);
-  read_column(json, "pool", out.pool);
   return out;
 }
 

@@ -19,8 +19,9 @@
 // exactly and plain non-negative integers keep full 64-bit precision
 // (the sketch bitmap, pool words), so decode → encode reproduces
 // identical bytes. Each section has exactly one encoder and one
-// decoder; decoders reject values their fields cannot hold instead of
-// truncating them.
+// decoder; the decoders pull from campaign::JsonReader straight into
+// the typed arrays, and reject values their fields cannot hold instead
+// of truncating them.
 #pragma once
 
 #include <cstdint>
@@ -54,11 +55,15 @@ struct HostArrays {
 /// std::invalid_argument when the two arrays differ in length.
 void write_host_arrays(campaign::JsonWriter& w, const HostArrays& hosts);
 
-/// Inverse of write_host_arrays. Throws std::invalid_argument on
-/// missing columns, length mismatches, or values a field cannot hold:
-/// u32 counters >= 2^32, a state outside the enum, a window other
-/// than -1 or an integer below 2^63, a flag other than 0 or 1.
-HostArrays host_arrays_from_json(const campaign::JsonValue& json);
+/// Inverse of write_host_arrays: decodes the object whose first token
+/// `in` just returned, each column entry by entry into its field, with
+/// no tree in between. Members may come in any order; unknown ones are
+/// skipped. Throws std::invalid_argument on missing columns, a column
+/// whose length is not num_hosts, or values a field cannot hold: u32
+/// counters >= 2^32, a state outside the enum, a window other than -1
+/// or an integer below 2^63, a flag other than 0 or 1.
+HostArrays read_host_arrays(campaign::JsonReader& in,
+                            campaign::JsonReader::Token first);
 
 /// Shared-bitmap pool state (EstimatorBackend::kSharedBitmap), blocks
 /// in global order: block b's window is window[b] (-1 before its first
@@ -73,10 +78,11 @@ struct StoreArrays {
 
 void write_store(campaign::JsonWriter& w, const StoreArrays& store);
 
-/// Inverse of write_store. Throws std::invalid_argument on missing
-/// fields, inconsistent lengths, or a window other than -1 or an
-/// integer below 2^63.
-StoreArrays store_arrays_from_json(const campaign::JsonValue& json);
+/// Inverse of write_store, read like read_host_arrays. Throws
+/// std::invalid_argument on missing fields, inconsistent lengths, or a
+/// window other than -1 or an integer below 2^63.
+StoreArrays read_store(campaign::JsonReader& in,
+                       campaign::JsonReader::Token first);
 
 /// Appends block `local` of `store` to `out` as its next global block.
 void gather_block(StoreArrays& out, const CompactEstimatorStore& store,

@@ -1,5 +1,6 @@
 #include "serve/checkpoint.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "serve/failpoints.hpp"
@@ -20,6 +21,13 @@ const JsonValue& need(const JsonValue& json, const char* key) {
   if (v == nullptr) corrupt(std::string("missing field '") + key + "'");
   return *v;
 }
+
+/// The members parse() reads through a tree. The host state decodes
+/// straight into typed arrays, and any other member is skipped.
+constexpr std::string_view kTreeMembers[] = {
+    "format", "version", "num_hosts", "flows_ingested", "last_time",
+    "time_regressions", "parse_errors", "parse_error_samples",
+    "shed_flows", "quarantine_events", "quarantine_config"};
 
 }  // namespace
 
@@ -55,17 +63,47 @@ std::string CheckpointState::dump() const {
   return out;
 }
 
-CheckpointState CheckpointState::from_json(const JsonValue& json) {
+CheckpointState CheckpointState::parse(std::string_view text) {
+  using Token = campaign::JsonReader::Token;
   try {
-    if (json.kind() != JsonValue::Kind::kObject)
+    campaign::JsonReader in(text);
+    if (in.next() != Token::kBeginObject)
       corrupt("document is not an object");
+    CheckpointState state;
+    JsonValue json = JsonValue::object();  // the small members
+    bool have_labels = false, have_hosts = false;
+    while (in.next() == Token::kKey) {
+      const std::string key(in.as_string());
+      const Token first = in.next();
+      if (key == "label_time") {
+        if (first != Token::kBeginArray) corrupt("label_time is not an array");
+        const JsonValue* n = json.find("num_hosts");
+        state.label_time.clear();
+        state.label_time.reserve(in.room_for(n != nullptr ? n->as_uint() : 0));
+        for (Token t = in.next(); t != Token::kEndArray; t = in.next())
+          state.label_time.push_back(in.as_number());
+        have_labels = true;
+      } else if (key == "hosts") {
+        state.hosts = quarantine::read_host_arrays(in, first);
+        have_hosts = true;
+      } else if (key == "estimator_store") {
+        // Present only for shared-bitmap runs; the server validates it
+        // against its own engine geometry on restore.
+        state.store = quarantine::read_store(in, first);
+      } else if (std::ranges::find(kTreeMembers, key) !=
+                 std::end(kTreeMembers)) {
+        json.set(key, in.tree(first));
+      } else {
+        in.skip(first);
+      }
+    }
+    in.next();  // kEnd, or throws on trailing characters
+
     const JsonValue* format = json.find("format");
     if (format == nullptr || format->as_string() != "dq_serve_checkpoint")
       corrupt("not a dq serve checkpoint (missing format tag)");
     if (need(json, "version").as_uint() != kCheckpointVersion)
       corrupt("unsupported checkpoint version");
-
-    CheckpointState state;
     const std::uint64_t num_hosts = need(json, "num_hosts").as_uint();
     if (num_hosts == 0 || num_hosts > std::numeric_limits<std::uint32_t>::max())
       corrupt("num_hosts must be in [1, 2^32)");
@@ -80,24 +118,17 @@ CheckpointState CheckpointState::from_json(const JsonValue& json) {
     state.shed_flows = need(json, "shed_flows").as_uint();
     state.quarantine_events = need(json, "quarantine_events").as_uint();
     state.config = need(json, "quarantine_config");
-    const JsonValue& labels = need(json, "label_time");
-    if (labels.size() != state.num_hosts)
+    if (!have_labels) corrupt("missing field 'label_time'");
+    if (state.label_time.size() != state.num_hosts)
       corrupt("label_time length mismatch");
-    state.label_time.reserve(state.num_hosts);
-    for (const JsonValue& t : labels.items())
-      state.label_time.push_back(t.as_number());
-    state.hosts = quarantine::host_arrays_from_json(need(json, "hosts"));
+    if (!have_hosts) corrupt("missing field 'hosts'");
     if (state.hosts.records.size() != state.num_hosts)
       corrupt("host state length mismatch");
-    // Present only for shared-bitmap runs; the server validates it
-    // against its own engine geometry on restore.
-    if (const JsonValue* store = json.find("estimator_store"))
-      state.store = quarantine::store_arrays_from_json(*store);
     return state;
   } catch (const CheckpointError&) {
     throw;
   } catch (const std::exception& e) {
-    // JSON type errors (as_uint on a string, …) from malformed input.
+    // Bad JSON, or type errors (as_uint on a string, …) in it.
     corrupt(e.what());
   }
 }
@@ -120,14 +151,8 @@ CheckpointState load_checkpoint_file(const std::string& path) {
   } catch (const std::exception& e) {
     throw CheckpointError(e.what());
   }
-  JsonValue json;
   try {
-    json = JsonValue::parse(bytes);
-  } catch (const std::exception& e) {
-    throw CheckpointError("corrupt checkpoint " + path + ": " + e.what());
-  }
-  try {
-    return CheckpointState::from_json(json);
+    return CheckpointState::parse(bytes);
   } catch (const CheckpointError& e) {
     throw CheckpointError(std::string(e.what()) + " (" + path + ")");
   }

@@ -25,6 +25,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/json.hpp"
@@ -72,9 +73,12 @@ struct CheckpointState {
 
   /// The canonical document (no trailing newline).
   std::string dump() const;
-  /// Throws CheckpointError on anything malformed or inconsistent,
-  /// including values a field cannot hold (never truncates them).
-  static CheckpointState from_json(const campaign::JsonValue& json);
+  /// Inverse of dump(), in one pass over `text`: label_time, the host
+  /// columns and the block pools decode straight into typed arrays, and
+  /// only the small members become a tree. Members may come in any
+  /// order; unknown ones are skipped. Throws CheckpointError on anything
+  /// malformed or inconsistent, including values a field cannot hold.
+  static CheckpointState parse(std::string_view text);
 };
 
 /// Serializes `state` and replaces `path` with it atomically and

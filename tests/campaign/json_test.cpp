@@ -1,6 +1,6 @@
 // Canonical JSON: the streaming writer every document is formatted
 // through, the JsonValue tree that dump()s via the writer, and the
-// parser that reads documents back.
+// pull reader that reads documents back (JsonValue::parse walks it).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -48,6 +48,9 @@ TEST(Json, ParseRejectsGarbage) {
   EXPECT_THROW(JsonValue::parse("[1,]"), std::invalid_argument);
   EXPECT_THROW(JsonValue::parse("{} trailing"), std::invalid_argument);
   EXPECT_THROW(JsonValue::parse("nul"), std::invalid_argument);
+  for (const char* text : {"{\"a\" 1}", "{\"a\":1,}", "{1:2}", "[1 2]",
+                           "[,1]", "[1]]", "\"open", "tru", "-", ""})
+    EXPECT_THROW(JsonValue::parse(text), std::invalid_argument) << text;
 }
 
 std::string written(void (*fill)(JsonWriter&)) {
@@ -179,6 +182,55 @@ TEST(JsonWriter, RandomTreesSurviveParseOfDump) {
     const std::string text = random_tree(rng, 5).dump();
     EXPECT_EQ(JsonValue::parse(text).dump(), text) << "tree " << i;
   }
+}
+
+TEST(JsonReader, PullsTokensWithAnyWhitespace) {
+  using Token = JsonReader::Token;
+  const std::string text =
+      " {\"n\" :\t18446744073709551615 ,\n\"s\":\"x\\ny\",\r\"v\":[ ]} ";
+  JsonReader in(text);
+  EXPECT_EQ(in.next(), Token::kBeginObject);
+  EXPECT_EQ(in.next(), Token::kKey);
+  EXPECT_EQ(in.as_string(), "n");
+  EXPECT_EQ(in.next(), Token::kNumber);
+  EXPECT_EQ(in.as_uint(), 18446744073709551615ULL);
+  EXPECT_THROW(in.as_string(), std::invalid_argument);
+  EXPECT_EQ(in.next(), Token::kKey);
+  EXPECT_EQ(in.next(), Token::kString);
+  EXPECT_EQ(in.as_string(), "x\ny");
+  EXPECT_THROW(in.as_number(), std::invalid_argument);
+  EXPECT_EQ(in.next(), Token::kKey);
+  EXPECT_EQ(in.next(), Token::kBeginArray);
+  EXPECT_EQ(in.next(), Token::kEndArray);
+  EXPECT_EQ(in.next(), Token::kEndObject);
+  EXPECT_EQ(in.next(), Token::kEnd);
+}
+
+TEST(JsonReader, SkipLandsOnTheNextSibling) {
+  std::mt19937_64 rng(5);
+  for (int i = 0; i < 500; ++i) {
+    const std::string text = "[" + random_tree(rng, 5).dump() + ",7]";
+    JsonReader in(text);
+    ASSERT_EQ(in.next(), JsonReader::Token::kBeginArray);
+    in.skip(in.next());
+    ASSERT_EQ(in.next(), JsonReader::Token::kNumber) << text;
+    EXPECT_EQ(in.as_uint(), 7u);
+    EXPECT_EQ(in.next(), JsonReader::Token::kEndArray);
+    EXPECT_EQ(in.next(), JsonReader::Token::kEnd);
+  }
+}
+
+TEST(JsonReader, CapsNestingAndCountsFromTheInput) {
+  const std::string deep(JsonValue::kMaxParseDepth + 1, '[');
+  JsonReader in(deep);
+  for (std::size_t i = 0; i < JsonValue::kMaxParseDepth; ++i)
+    ASSERT_EQ(in.next(), JsonReader::Token::kBeginArray);
+  EXPECT_THROW(in.next(), std::invalid_argument);
+  // Five unread bytes hold at most three entries, whatever count a
+  // document claims.
+  const std::string small = "[1,2]";
+  EXPECT_EQ(JsonReader(small).room_for(std::uint64_t{1} << 40), 3u);
+  EXPECT_EQ(JsonReader(small).room_for(2), 2u);
 }
 
 }  // namespace

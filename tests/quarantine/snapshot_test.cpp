@@ -48,6 +48,16 @@ std::string encode(const HostArrays& hosts) {
   return out;
 }
 
+/// The host arrays, and the block pools, of one encoded section.
+HostArrays decode_hosts(std::string_view bytes) {
+  campaign::JsonReader in(bytes);
+  return read_host_arrays(in, in.next());
+}
+StoreArrays decode_store(std::string_view bytes) {
+  campaign::JsonReader in(bytes);
+  return read_store(in, in.next());
+}
+
 struct SynthFlow {
   double time;
   std::uint32_t host;
@@ -113,12 +123,12 @@ std::string snapshot(const QuarantineEngine& e) {
 void restore(QuarantineEngine& e, const std::string& bytes) {
   const campaign::JsonValue doc = campaign::JsonValue::parse(bytes);
   if (CompactEstimatorStore* s = e.compact_store()) {
-    const StoreArrays store = store_arrays_from_json(doc.at("store"));
+    const StoreArrays store = decode_store(doc.at("store").dump());
     ASSERT_EQ(store.window.size(), s->num_blocks());
     for (std::size_t b = 0; b < s->num_blocks(); ++b)
       scatter_block(*s, b, store, b);
   }
-  const HostArrays hosts = host_arrays_from_json(doc.at("hosts"));
+  const HostArrays hosts = decode_hosts(doc.at("hosts").dump());
   ASSERT_EQ(hosts.records.size(), e.num_hosts());
   for (std::uint32_t h = 0; h < e.num_hosts(); ++h)
     e.restore_host(h, hosts.records[h], hosts.detectors[h]);
@@ -233,8 +243,7 @@ TEST(QuarantineSnapshot, HostArraysRoundTripPreservesFullSketchPrecision) {
   detectors[1].flagged = true;
 
   const std::string bytes = encode(hosts);
-  const HostArrays back =
-      host_arrays_from_json(campaign::JsonValue::parse(bytes));
+  const HostArrays back = decode_hosts(bytes);
   ASSERT_EQ(back.records.size(), 3u);
   EXPECT_EQ(back.records[1].state, HostQState::kQuarantined);
   EXPECT_EQ(back.records[1].release_time, 340.125);
@@ -248,9 +257,9 @@ TEST(QuarantineSnapshot, HostArraysRoundTripPreservesFullSketchPrecision) {
 
 TEST(QuarantineSnapshot, RejectsMalformedInput) {
   // Not a host-arrays object at all.
-  EXPECT_THROW(host_arrays_from_json(campaign::JsonValue::number(1.0)),
+  EXPECT_THROW(decode_hosts(campaign::JsonValue::number(1.0).dump()),
                std::invalid_argument);
-  EXPECT_THROW(host_arrays_from_json(campaign::JsonValue::object()),
+  EXPECT_THROW(decode_hosts(campaign::JsonValue::object().dump()),
                std::invalid_argument);
   // Column arrays of unequal length.
   {
@@ -268,7 +277,7 @@ TEST(QuarantineSnapshot, RejectsMalformedInput) {
     campaign::JsonValue bad_states = campaign::JsonValue::array();
     bad_states.push_back(campaign::JsonValue::integer(9));
     json.set("state", std::move(bad_states));
-    EXPECT_THROW(host_arrays_from_json(json), std::invalid_argument);
+    EXPECT_THROW(decode_hosts(json.dump()), std::invalid_argument);
   }
 }
 
@@ -355,13 +364,13 @@ TEST(QuarantineSnapshot, CompactRestoreRejectsCorruptStore) {
   feed(donor, 0, 5'000);
   const campaign::JsonValue store =
       campaign::JsonValue::parse(snapshot(donor)).at("store");
-  const StoreArrays good = store_arrays_from_json(store);
+  const StoreArrays good = decode_store(store.dump());
   ASSERT_EQ(good.words_per_block, 4u);
 
   // Not a store section, or one missing its pool.
-  EXPECT_THROW(store_arrays_from_json(campaign::JsonValue::number(1.0)),
+  EXPECT_THROW(decode_store(campaign::JsonValue::number(1.0).dump()),
                std::invalid_argument);
-  EXPECT_THROW(store_arrays_from_json(without_key(store, "pool")),
+  EXPECT_THROW(decode_store(without_key(store, "pool").dump()),
                std::invalid_argument);
   // Truncated pool array (one word short).
   {
@@ -371,7 +380,7 @@ TEST(QuarantineSnapshot, CompactRestoreRejectsCorruptStore) {
       pool.push_back(words[i]);
     campaign::JsonValue bad = without_key(store, "pool");
     bad.set("pool", std::move(pool));
-    EXPECT_THROW(store_arrays_from_json(bad), std::invalid_argument);
+    EXPECT_THROW(decode_store(bad.dump()), std::invalid_argument);
   }
   // Stray bits past the pool tail: 96-bit pools leave the top 32 bits
   // of each pool's last word permanently zero. The error names the
@@ -392,8 +401,8 @@ TEST(QuarantineSnapshot, CompactRestoreRejectsCorruptStore) {
   // fresh engine (every block untouched) and flip one pool bit on.
   {
     QuarantineEngine untouched(96, cfg);
-    StoreArrays bad = store_arrays_from_json(
-        campaign::JsonValue::parse(snapshot(untouched)).at("store"));
+    StoreArrays bad = decode_store(
+        campaign::JsonValue::parse(snapshot(untouched)).at("store").dump());
     ASSERT_EQ(bad.window[0], -1);
     bad.pool[0] = 1;  // block 0, word 0
     QuarantineEngine fresh(96, cfg);

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -130,7 +131,7 @@ std::string checkpoint_after(const ServeOptions& options,
 
 std::shared_ptr<const CheckpointState> parsed(const std::string& bytes) {
   return std::make_shared<const CheckpointState>(
-      CheckpointState::from_json(campaign::JsonValue::parse(bytes)));
+      CheckpointState::parse(bytes));
 }
 
 /// The synthetic stream of `flows` flows over the hosts of `options`.
@@ -198,8 +199,7 @@ void expect_checkpoint_matches_golden(Options options,
     test::expect_golden(
         fixture, checkpoint_after(options(shards), synth_config(12'000)));
   const std::string golden = read_file(test::golden_dir() / fixture);
-  const CheckpointState state =
-      CheckpointState::from_json(campaign::JsonValue::parse(golden));
+  const CheckpointState state = CheckpointState::parse(golden);
   EXPECT_EQ(state.flows_ingested, 12'000u);
   EXPECT_EQ(state.num_hosts, 512u);
   EXPECT_EQ(state.dump() + "\n", golden);
@@ -468,7 +468,7 @@ TEST(QuarantineSnapshot, SnapshotVersionIsRequiredAndChecked) {
   const auto expect_refused = [](const campaign::JsonValue& bad,
                                  const std::string& what) {
     try {
-      CheckpointState::from_json(bad);
+      CheckpointState::parse(bad.dump());
       ADD_FAILURE() << what << " accepted";
     } catch (const CheckpointError& e) {
       EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
@@ -832,36 +832,122 @@ TEST(ServeRobustness, ServerOptionValidation) {
 // and spliced extreme numbers — must fail to load with CheckpointError,
 // or load and then either restore into a ServeServer or be refused with
 // std::invalid_argument. Anything else (another exception, a crash, a
-// sanitizer report) fails.
+// sanitizer report) fails. Three mutations are benign: reordered
+// members, whitespace between tokens, and an unknown member. A mutant
+// made only of those must load and restore, and dump the seed's bytes.
 
-/// Applies one random mutation to `doc`. Most mutations swap a whole
-/// number for an extreme one, so that many mutants still parse and
-/// reach the decoder and restore validation.
-void mutate(std::string& doc, std::mt19937_64& rng) {
+/// A random JSON value, nested at most `depth` levels.
+campaign::JsonValue random_value(std::mt19937_64& rng, int depth) {
+  using campaign::JsonValue;
+  switch (rng() % (depth > 0 ? 6 : 4)) {
+    case 0: return JsonValue();
+    case 1: return JsonValue::boolean(rng() % 2 == 0);
+    case 2:
+      return rng() % 2 == 0 ? JsonValue::integer(rng())
+                            : JsonValue::number(-0.5 * (rng() % 1000));
+    case 3: return JsonValue::str("\"{[\\\n" + std::to_string(rng() % 100));
+    case 4: {
+      JsonValue a = JsonValue::array();
+      for (std::uint64_t n = rng() % 4; n > 0; --n)
+        a.push_back(random_value(rng, depth - 1));
+      return a;
+    }
+    default: {
+      JsonValue o = JsonValue::object();
+      for (std::uint64_t n = rng() % 4; n > 0; --n)
+        o.set("k" + std::to_string(n), random_value(rng, depth - 1));
+      return o;
+    }
+  }
+}
+
+/// One object of `doc` — the top level, "hosts" or "estimator_store" —
+/// with its members shuffled, or with an unknown member holding a
+/// random value put among them. Leaves a `doc` that no longer parses
+/// as it is.
+void edit_object(std::string& doc, std::mt19937_64& rng, bool add_unknown) {
+  using campaign::JsonValue;
+  JsonValue top;
+  try {
+    top = JsonValue::parse(doc);
+  } catch (const std::invalid_argument&) {
+    return;
+  }
+  const auto edited = [&](const JsonValue& obj) {
+    auto members = obj.members();
+    if (add_unknown)
+      members.emplace(members.begin() + rng() % (members.size() + 1),
+                      "unknown_" + std::to_string(rng() % 100),
+                      random_value(rng, 3));
+    else
+      std::shuffle(members.begin(), members.end(), rng);
+    JsonValue out = JsonValue::object();
+    for (auto& [key, value] : members) out.set(key, std::move(value));
+    return out;
+  };
+  if (top.kind() != JsonValue::Kind::kObject) return;
+  const char* section = rng() % 3 == 0 ? nullptr
+                        : rng() % 2 == 0 ? "hosts"
+                                         : "estimator_store";
+  const JsonValue* inner = section != nullptr ? top.find(section) : nullptr;
+  if (section == nullptr)
+    top = edited(top);
+  else if (inner != nullptr && inner->kind() == JsonValue::Kind::kObject)
+    top.set(section, edited(*inner));
+  doc = top.dump() + "\n";
+}
+
+/// Applies one random mutation to `doc` and returns whether it is one
+/// of the benign kinds. Most mutations swap a whole number for an
+/// extreme one, so that many mutants still parse and reach the decoder
+/// and restore validation.
+bool mutate(std::string& doc, std::mt19937_64& rng) {
   static constexpr const char* kNumbers[] = {
       "18446744073709551616",  // 2^64
       "9223372036854775808",   // 2^63
       "4294967296",            // 2^32
       "65536", "-1", "1e308"};
+  const auto in = [](std::string_view set, char c) {
+    return set.find(c) != std::string_view::npos;
+  };
   const std::size_t at = rng() % (doc.size() + 1);
-  switch (rng() % 6) {
+  switch (rng() % 9) {
     case 0:  // flip bits of one byte
       if (at < doc.size()) doc[at] ^= static_cast<char>(1 + rng() % 255);
-      break;
+      return false;
     case 1:
       doc.resize(at);
-      break;
+      return false;
     case 2: {  // nesting, sometimes past the parser's depth cap
       const std::string open = rng() % 2 == 0 ? "[" : "{\"a\":";
       std::string nest;
       for (std::uint64_t i = 1 + rng() % 600; i > 0; --i) nest += open;
       doc.insert(at, nest);
-      break;
+      return false;
+    }
+    case 3:
+    case 4:
+      edit_object(doc, rng, rng() % 2 == 0);
+      return true;
+    case 5: {  // whitespace beside a structural character, outside strings
+      std::vector<std::size_t> gaps;
+      bool quoted = false;
+      for (std::size_t i = 0; i < doc.size(); ++i) {
+        if (quoted && doc[i] == '\\') {
+          ++i;  // the escaped character
+        } else if (doc[i] == '"') {
+          quoted = !quoted;
+        } else if (!quoted && in("{}[],:", doc[i])) {
+          gaps.insert(gaps.end(), {i, i + 1});
+        }
+      }
+      std::string space;
+      for (std::uint64_t n = 1 + rng() % 3; n > 0; --n)
+        space += " \t\n\r"[rng() % 4];
+      if (!gaps.empty()) doc.insert(gaps[rng() % gaps.size()], space);
+      return true;
     }
     default: {  // replace the first number value at or after `at`
-      const auto in = [](std::string_view set, char c) {
-        return set.find(c) != std::string_view::npos;
-      };
       std::size_t b = at;
       while (b < doc.size() &&
              !(b > 0 && in(":,[", doc[b - 1]) && in("-0123456789", doc[b])))
@@ -869,6 +955,7 @@ void mutate(std::string& doc, std::mt19937_64& rng) {
       std::size_t e = b;
       while (e < doc.size() && in("-+.eE0123456789", doc[e])) ++e;
       doc.replace(b, e - b, kNumbers[rng() % std::size(kNumbers)]);
+      return false;
     }
   }
 }
@@ -885,35 +972,44 @@ TEST(CheckpointFuzz, MutantsAreRejectedOrRestoredNeverCrash) {
        compact_options}};
   TempFile f("fuzz_ck");
   std::mt19937_64 rng(42);
-  std::size_t rejected = 0, refused = 0, restored = 0;
+  std::size_t rejected = 0, refused = 0, restored = 0, benign = 0;
   for (int i = 0; i < 1000; ++i) {
     const Seed& seed = seeds[i % 2];
     std::string doc = seed.bytes;
-    for (std::uint64_t m = 1 + rng() % 2; m > 0; --m) mutate(doc, rng);
+    bool only_benign = true;
+    for (std::uint64_t m = 1 + rng() % 2; m > 0; --m)
+      only_benign = mutate(doc, rng) && only_benign;
+    benign += only_benign ? 1 : 0;
     std::ofstream(f.path, std::ios::binary | std::ios::trunc) << doc;
 
     std::shared_ptr<const CheckpointState> state;
     try {
       state = std::make_shared<const CheckpointState>(
           load_checkpoint_file(f.path.string()));
-    } catch (const CheckpointError&) {
+    } catch (const CheckpointError& e) {
+      EXPECT_FALSE(only_benign) << "mutant " << i << ": " << e.what();
       ++rejected;
       continue;
+    }
+    if (only_benign) {
+      EXPECT_EQ(state->dump() + "\n", seed.bytes) << "mutant " << i;
     }
     ServeOptions options = seed.options(2);
     options.restore = state;
     try {
       ServeServer server(options);
       ++restored;
-    } catch (const std::invalid_argument&) {
+    } catch (const std::invalid_argument& e) {
+      EXPECT_FALSE(only_benign) << "mutant " << i << ": " << e.what();
       ++refused;
     }
   }
   // The mutants reach every layer: the loader, restore validation, and
-  // a successful restore.
+  // a successful restore, also of benign mutants.
   EXPECT_GT(rejected, 0u);
   EXPECT_GT(refused, 0u);
-  EXPECT_GT(restored, 0u);
+  EXPECT_GT(restored, benign);
+  EXPECT_GT(benign, 0u);
 }
 
 }  // namespace

@@ -573,6 +573,11 @@ int cmd_serve(const Args& args) {
           "serve: --restore is not supported with --trace (the trace "
           "failure oracle is in-memory state; restore NDJSON or "
           "synthetic streams)");
+    // One span on the router's track, beside the run's own stages; the
+    // server's "checkpoint" spans time the writes.
+    const obs::Span span(
+        profiler != nullptr ? profiler->track("serve/router") : nullptr,
+        "restore");
     restore = std::make_shared<const serve::CheckpointState>(
         serve::load_checkpoint_file(restore_path));
   }
